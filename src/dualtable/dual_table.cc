@@ -523,11 +523,49 @@ table::ScanSpec DualTable::DmlScanSpec(
   return spec;
 }
 
-double DualTable::ResolveRatio(std::optional<double> hint) const {
-  if (hint.has_value()) return std::clamp(*hint, 0.0, 1.0);
-  auto hist = metadata_->HistoricalModificationRatio(name_,
-                                                     options_.default_modification_ratio);
-  return hist.ok() ? std::clamp(*hist, 0.0, 1.0) : options_.default_modification_ratio;
+const char* RatioSourceName(RatioSource source) {
+  switch (source) {
+    case RatioSource::kHint: return "hint";
+    case RatioSource::kHistory: return "metadata history";
+    case RatioSource::kDefault: return "default";
+  }
+  return "unknown";
+}
+
+DmlPlanChoice DualTable::PlanDml(bool update, std::optional<double> ratio_hint) const {
+  DmlPlanChoice choice;
+  switch (options_.plan_mode) {
+    case DualTableOptions::PlanMode::kForceEdit:
+      choice.plan = table::DmlPlan::kEdit;
+      return choice;
+    case DualTableOptions::PlanMode::kForceOverwrite:
+      choice.plan = table::DmlPlan::kOverwrite;
+      return choice;
+    case DualTableOptions::PlanMode::kCostModel:
+      break;
+  }
+  choice.cost_model = true;
+  choice.ratio = options_.default_modification_ratio;
+  if (ratio_hint.has_value()) {
+    choice.ratio = std::clamp(*ratio_hint, 0.0, 1.0);
+    choice.ratio_source = RatioSource::kHint;
+  } else if (auto hist = metadata_->HistoricalModificationRatio(name_);
+             hist.ok() && hist->has_value()) {
+    choice.ratio = std::clamp(**hist, 0.0, 1.0);
+    choice.ratio_source = RatioSource::kHistory;
+  }
+  choice.decision = update ? PreviewUpdateDecision(choice.ratio)
+                           : PreviewDeleteDecision(choice.ratio);
+  choice.plan = choice.decision.plan;
+  return choice;
+}
+
+DmlPlanChoice DualTable::PlanUpdate(std::optional<double> ratio_hint) const {
+  return PlanDml(/*update=*/true, ratio_hint);
+}
+
+DmlPlanChoice DualTable::PlanDelete(std::optional<double> ratio_hint) const {
+  return PlanDml(/*update=*/false, ratio_hint);
 }
 
 double DualTable::AvgRowBytes() const {
@@ -558,38 +596,28 @@ Result<table::DmlResult> DualTable::Update(
 
 Result<table::DmlResult> DualTable::UpdateWithHint(
     const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments,
-    std::optional<double> ratio_hint) {
+    std::optional<double> ratio_hint, const std::optional<IndexProbe>& probe) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (assignments.empty()) return Status::InvalidArgument("UPDATE with no assignments");
+  return RunDml(
+      "UPDATE", PlanUpdate(ratio_hint),
+      [&] { return ExecuteEditUpdate(filter, assignments, probe); },
+      [&] { return ExecuteOverwriteUpdate(filter, assignments); });
+}
 
-  table::DmlPlan plan = table::DmlPlan::kEdit;
-  PlanDecision decision;
-  double ratio = 0;
-  bool audited = false;
-  switch (options_.plan_mode) {
-    case DualTableOptions::PlanMode::kForceEdit:
-      plan = table::DmlPlan::kEdit;
-      break;
-    case DualTableOptions::PlanMode::kForceOverwrite:
-      plan = table::DmlPlan::kOverwrite;
-      break;
-    case DualTableOptions::PlanMode::kCostModel:
-      ratio = ResolveRatio(ratio_hint);
-      decision = PreviewUpdateDecision(ratio);
-      plan = decision.plan;
-      audited = options_.cost_audit != nullptr;
-      break;
-  }
-  last_plan_ = plan;
+Result<table::DmlResult> DualTable::RunDml(
+    const char* statement, const DmlPlanChoice& choice,
+    const std::function<Result<table::DmlResult>()>& edit,
+    const std::function<Result<table::DmlResult>()>& overwrite) {
+  // Caller holds mu_.
+  last_plan_ = choice.plan;
 
   const fs::IoSnapshot io_before = fs_->meter()->Snapshot();
   Stopwatch watch;
-  Result<table::DmlResult> result = plan == table::DmlPlan::kEdit
-                                        ? ExecuteEditUpdate(filter, assignments)
-                                        : ExecuteOverwriteUpdate(filter, assignments);
+  Result<table::DmlResult> result =
+      choice.plan == table::DmlPlan::kEdit ? edit() : overwrite();
   if (result.ok()) {
-    RecordDmlObservation("UPDATE", plan, decision, ratio, ratio_hint.has_value(),
-                         audited, *result, watch.ElapsedSeconds(), io_before);
+    RecordDmlObservation(statement, choice, *result, watch.ElapsedSeconds(), io_before);
   }
   if (result.ok() && result->rows_scanned > 0) {
     // Propagate metadata failures: a silently stale modification ratio would
@@ -604,15 +632,37 @@ Result<table::DmlResult> DualTable::UpdateWithHint(
   return result;
 }
 
+Status DualTable::ForEachEditMatch(const SnapshotPtr& snapshot,
+                                   const table::ScanSpec& spec,
+                                   const std::optional<IndexProbe>& probe,
+                                   const std::function<Status(uint64_t, const Row&)>& fn,
+                                   table::DmlResult* result) {
+  result->index_lookup = probe.has_value();
+  if (probe.has_value()) {
+    // Keyed route: IndexLookupAt returns exactly the rows a UNION READ scan
+    // with `spec` would emit at this snapshot (deduplicated, record-ID
+    // order, delta-patched, probe re-verified, filtered by the whole
+    // predicate), at the cost of the rows it touches.
+    DTL_ASSIGN_OR_RETURN(auto matches,
+                         IndexLookupAt(snapshot, probe->column, probe->values, spec));
+    for (const auto& [rid, row] : matches) DTL_RETURN_NOT_OK(fn(rid, row));
+    return Status::OK();
+  }
+  // Scan route: the predicate is applied inside the union read.
+  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
+  while (it->Next()) DTL_RETURN_NOT_OK(fn(it->record_id(), it->row()));
+  return it->status();
+}
+
 Result<table::DmlResult> DualTable::ExecuteEditUpdate(
-    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments) {
-  // The paper's UPDATE UDTF: scan the up-to-date view, and for every
-  // matching record put the new field values into the attached table. The
-  // scan reads from a snapshot acquired at statement start, so the
-  // statement's own puts can never feed back into its scan.
+    const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments,
+    const std::optional<IndexProbe>& probe) {
+  // The paper's UPDATE UDTF: find the matching records in the up-to-date
+  // view, and for each put the new field values into the attached table.
+  // The matches come from a snapshot acquired at statement start, so the
+  // statement's own puts can never feed back into them.
   table::ScanSpec spec = DmlScanSpec(filter, assignments);
   SnapshotPtr snapshot = AcquireSnapshot();
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
   table::DmlResult result;
   result.plan = table::DmlPlan::kEdit;
   struct PendingUpdate {
@@ -621,14 +671,17 @@ Result<table::DmlResult> DualTable::ExecuteEditUpdate(
     Value value;
   };
   std::vector<PendingUpdate> pending;
-  while (it->Next()) {
-    ++result.rows_matched;  // predicate applied inside the union read
-    for (const table::Assignment& a : assignments) {
-      pending.push_back(PendingUpdate{it->record_id(), static_cast<uint32_t>(a.column),
-                                      a.compute(it->row())});
-    }
-  }
-  DTL_RETURN_NOT_OK(it->status());
+  DTL_RETURN_NOT_OK(ForEachEditMatch(
+      snapshot, spec, probe,
+      [&](uint64_t record_id, const Row& row) {
+        ++result.rows_matched;
+        for (const table::Assignment& a : assignments) {
+          pending.push_back(
+              PendingUpdate{record_id, static_cast<uint32_t>(a.column), a.compute(row)});
+        }
+        return Status::OK();
+      },
+      &result));
   if (index_ != nullptr) {
     // Index entries for the new values go in (and sync) before the attached
     // cells: a crash in between leaves extra entries that lookups verify
@@ -715,63 +768,30 @@ Result<table::DmlResult> DualTable::Delete(const table::ScanSpec& filter) {
   return DeleteWithHint(filter, std::nullopt);
 }
 
-Result<table::DmlResult> DualTable::DeleteWithHint(const table::ScanSpec& filter,
-                                                   std::optional<double> ratio_hint) {
+Result<table::DmlResult> DualTable::DeleteWithHint(
+    const table::ScanSpec& filter, std::optional<double> ratio_hint,
+    const std::optional<IndexProbe>& probe) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  table::DmlPlan plan = table::DmlPlan::kEdit;
-  PlanDecision decision;
-  double ratio = 0;
-  bool audited = false;
-  switch (options_.plan_mode) {
-    case DualTableOptions::PlanMode::kForceEdit:
-      plan = table::DmlPlan::kEdit;
-      break;
-    case DualTableOptions::PlanMode::kForceOverwrite:
-      plan = table::DmlPlan::kOverwrite;
-      break;
-    case DualTableOptions::PlanMode::kCostModel:
-      ratio = ResolveRatio(ratio_hint);
-      decision = PreviewDeleteDecision(ratio);
-      plan = decision.plan;
-      audited = options_.cost_audit != nullptr;
-      break;
-  }
-  last_plan_ = plan;
-
-  const fs::IoSnapshot io_before = fs_->meter()->Snapshot();
-  Stopwatch watch;
-  Result<table::DmlResult> result = plan == table::DmlPlan::kEdit
-                                        ? ExecuteEditDelete(filter)
-                                        : ExecuteOverwriteDelete(filter);
-  if (result.ok()) {
-    RecordDmlObservation("DELETE", plan, decision, ratio, ratio_hint.has_value(),
-                         audited, *result, watch.ElapsedSeconds(), io_before);
-  }
-  if (result.ok() && result->rows_scanned > 0) {
-    // Propagate metadata failures (see UpdateWithHint).
-    DTL_RETURN_NOT_OK(metadata_->RecordModificationRatio(
-        name_, static_cast<double>(result->rows_matched) /
-                   static_cast<double>(result->rows_scanned)));
-  }
-  if (result.ok() && options_.auto_compact && NeedsCompaction()) {
-    DTL_RETURN_NOT_OK(Compact());
-  }
-  return result;
+  return RunDml(
+      "DELETE", PlanDelete(ratio_hint), [&] { return ExecuteEditDelete(filter, probe); },
+      [&] { return ExecuteOverwriteDelete(filter); });
 }
 
-Result<table::DmlResult> DualTable::ExecuteEditDelete(const table::ScanSpec& filter) {
+Result<table::DmlResult> DualTable::ExecuteEditDelete(
+    const table::ScanSpec& filter, const std::optional<IndexProbe>& probe) {
   // The paper's DELETE UDTF: put a DELETE marker for each matching record.
   // Snapshot semantics match ExecuteEditUpdate.
   table::ScanSpec spec = DmlScanSpec(filter, {});
   SnapshotPtr snapshot = AcquireSnapshot();
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
   table::DmlResult result;
   result.plan = table::DmlPlan::kEdit;
-  while (it->Next()) {
-    ++result.rows_matched;
-    DTL_RETURN_NOT_OK(attached_->PutDeleteMarker(it->record_id()));
-  }
-  DTL_RETURN_NOT_OK(it->status());
+  DTL_RETURN_NOT_OK(ForEachEditMatch(
+      snapshot, spec, probe,
+      [&](uint64_t record_id, const Row&) {
+        ++result.rows_matched;
+        return attached_->PutDeleteMarker(record_id);
+      },
+      &result));
   // Same durability contract as ExecuteEditUpdate: sync before the ack.
   DTL_RETURN_NOT_OK(attached_->Sync());
   PublishEditCommit();
@@ -1290,38 +1310,41 @@ void DualTable::ReclaimAttachedGarbage() {
                     "stale index meta only costs an Open-time rebuild");
 }
 
-void DualTable::RecordDmlObservation(const char* statement, table::DmlPlan plan,
-                                     const PlanDecision& decision, double ratio,
-                                     bool ratio_from_hint, bool audited,
+void DualTable::RecordDmlObservation(const char* statement, const DmlPlanChoice& choice,
                                      const table::DmlResult& result,
                                      double wall_seconds,
                                      const fs::IoSnapshot& io_before) {
   obs::Histogram* hist =
-      plan == table::DmlPlan::kEdit ? edit_hist_ : overwrite_hist_;
+      choice.plan == table::DmlPlan::kEdit ? edit_hist_ : overwrite_hist_;
   if (hist != nullptr) hist->ObserveSeconds(wall_seconds);
-  if (!audited) return;
+  if (!choice.cost_model || options_.cost_audit == nullptr) return;
   obs::CostAuditRecord record;
   record.table = name_;
   record.statement = statement;
-  record.ratio = ratio;
-  record.ratio_from_hint = ratio_from_hint;
-  record.predicted_edit_seconds = decision.cost_edit_seconds;
-  record.predicted_overwrite_seconds = decision.cost_overwrite_seconds;
-  record.predicted_plan = table::DmlPlanName(decision.plan);
-  record.executed_plan = table::DmlPlanName(plan);
+  record.ratio = choice.ratio;
+  record.ratio_from_hint = choice.ratio_source == RatioSource::kHint;
+  record.predicted_edit_seconds = choice.decision.cost_edit_seconds;
+  record.predicted_overwrite_seconds = choice.decision.cost_overwrite_seconds;
+  record.predicted_plan = table::DmlPlanName(choice.decision.plan);
+  record.executed_plan = table::DmlPlanName(choice.plan);
+  record.route = result.index_lookup ? "index" : "scan";
   record.rows_matched = result.rows_matched;
   record.measured_wall_seconds = wall_seconds;
   if (cluster_ != nullptr) {
     record.measured_modeled_seconds =
         cluster_->JobSeconds(fs_->meter()->Snapshot() - io_before);
   }
-  if (options_.cost_calibration_gain > 0 && record.measured_modeled_seconds > 0) {
+  if (options_.cost_calibration_gain > 0 && !result.index_lookup &&
+      record.measured_modeled_seconds > 0) {
     // Closed loop (DESIGN.md §12): nudge the executed plan's cost scale
     // toward measured/predicted so the next decision — and the incremental-
     // compaction density threshold derived from the crossover — track
-    // observed behavior instead of the open-loop paper coefficients.
+    // observed behavior instead of the open-loop paper coefficients. An
+    // index-routed EDIT reads only the rows it touches, which the scan-based
+    // EDIT formula does not describe; letting it calibrate would drag
+    // edit_cost_scale down for every later scan-routed EDIT.
     std::lock_guard<std::mutex> lock(cost_model_mu_);
-    cost_model_.Calibrate(plan == table::DmlPlan::kEdit,
+    cost_model_.Calibrate(choice.plan == table::DmlPlan::kEdit,
                           record.PredictedExecutedSeconds(),
                           record.measured_modeled_seconds,
                           options_.cost_calibration_gain);

@@ -5,6 +5,7 @@
 // folds the attached table back into a new master generation.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -92,6 +93,31 @@ struct IncrementalCompactStats {
   uint64_t mods_folded = 0;      // attached records folded into the master
 
   std::string ToString() const;
+};
+
+/// Keyed-DML route (DESIGN.md §13): the statement's WHERE holds
+/// `column = lit` or `column IN (lits)` as a top-level conjunct on an indexed
+/// column, so an EDIT takes its matches from IndexLookupAt instead of
+/// scanning the table. `values` are the probe literals (NULLs dropped).
+struct IndexProbe {
+  size_t column = 0;
+  std::vector<Value> values;
+};
+
+/// Where the modification ratio fed to the cost model came from.
+enum class RatioSource { kHint, kHistory, kDefault };
+const char* RatioSourceName(RatioSource source);
+
+/// The plan an UPDATE/DELETE executes, resolved exactly as the executor
+/// resolves it, so EXPLAIN can render the choice that will run.
+struct DmlPlanChoice {
+  table::DmlPlan plan = table::DmlPlan::kEdit;
+  /// True under PlanMode::kCostModel; false when the plan mode forces it.
+  bool cost_model = false;
+  /// Ratio and decision are meaningful only when cost_model is true.
+  double ratio = 0;
+  RatioSource ratio_source = RatioSource::kDefault;
+  PlanDecision decision;
 };
 
 struct DualTableOptions {
@@ -269,13 +295,24 @@ class DualTable : public table::StorageTable {
   // --- DualTable-specific operations ---
 
   /// UPDATE with an explicit modification-ratio hint for the cost model
-  /// ("directly be given by the designer").
+  /// ("directly be given by the designer"). With a `probe` (which `filter`
+  /// must imply), an EDIT takes its matches from the secondary index at the
+  /// statement snapshot instead of a UNION READ scan; the cells it writes are
+  /// the same either way. OVERWRITE always rewrites from a scan.
   Result<table::DmlResult> UpdateWithHint(const table::ScanSpec& filter,
                                           const std::vector<table::Assignment>& assignments,
-                                          std::optional<double> ratio_hint);
+                                          std::optional<double> ratio_hint,
+                                          const std::optional<IndexProbe>& probe = {});
 
   Result<table::DmlResult> DeleteWithHint(const table::ScanSpec& filter,
-                                          std::optional<double> ratio_hint);
+                                          std::optional<double> ratio_hint,
+                                          const std::optional<IndexProbe>& probe = {});
+
+  /// The plan UpdateWithHint/DeleteWithHint would execute right now for the
+  /// given hint (ratio from the hint, else the metadata history, else the
+  /// default). EXPLAIN renders these.
+  DmlPlanChoice PlanUpdate(std::optional<double> ratio_hint) const;
+  DmlPlanChoice PlanDelete(std::optional<double> ratio_hint) const;
 
   /// COMPACT (paper §III-C): UNION READ into a new master generation, then
   /// clear the attached table. Blocks every other writer on this table.
@@ -467,12 +504,22 @@ class DualTable : public table::StorageTable {
   table::ScanSpec DmlScanSpec(const table::ScanSpec& filter,
                               const std::vector<table::Assignment>& assignments) const;
 
-  Result<table::DmlResult> ExecuteEditUpdate(const table::ScanSpec& filter,
-                                             const std::vector<table::Assignment>& assignments);
+  Result<table::DmlResult> ExecuteEditUpdate(
+      const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments,
+      const std::optional<IndexProbe>& probe);
   Result<table::DmlResult> ExecuteOverwriteUpdate(
       const table::ScanSpec& filter, const std::vector<table::Assignment>& assignments);
-  Result<table::DmlResult> ExecuteEditDelete(const table::ScanSpec& filter);
+  Result<table::DmlResult> ExecuteEditDelete(const table::ScanSpec& filter,
+                                             const std::optional<IndexProbe>& probe);
   Result<table::DmlResult> ExecuteOverwriteDelete(const table::ScanSpec& filter);
+
+  /// Calls `fn(record_id, row)` for every row of `snapshot` matching `spec`,
+  /// in record-ID order: through IndexLookupAt when `probe` is set, else a
+  /// UNION READ scan. Sets result->index_lookup to the route taken.
+  Status ForEachEditMatch(const SnapshotPtr& snapshot, const table::ScanSpec& spec,
+                          const std::optional<IndexProbe>& probe,
+                          const std::function<Status(uint64_t, const Row&)>& fn,
+                          table::DmlResult* result);
 
   /// Streams the union-read view through `transform` into a fresh master
   /// generation; used by OVERWRITE plans and COMPACT. `transform` returns
@@ -486,17 +533,24 @@ class DualTable : public table::StorageTable {
   /// the single commit point.
   Result<uint64_t> RewriteMasterParallel();
 
-  double ResolveRatio(std::optional<double> hint) const;
+  DmlPlanChoice PlanDml(bool update, std::optional<double> ratio_hint) const;
   double AvgRowBytes() const;
 
   /// Feeds the duration histograms and (under kCostModel, when a cost_audit
   /// is wired) appends the predicted-vs-measured audit record for one DML
-  /// statement. `decision` is meaningful only when `audited` is true.
-  void RecordDmlObservation(const char* statement, table::DmlPlan plan,
-                            const PlanDecision& decision, double ratio,
-                            bool ratio_from_hint, bool audited,
+  /// statement. Index-routed EDITs are audited but never calibrate: the
+  /// scan-based EDIT cost formula does not describe them.
+  void RecordDmlObservation(const char* statement, const DmlPlanChoice& choice,
                             const table::DmlResult& result, double wall_seconds,
                             const fs::IoSnapshot& io_before);
+
+  /// The shared body of UpdateWithHint/DeleteWithHint: runs `edit` or
+  /// `overwrite` per `choice`, observes, and records the ratio history.
+  Result<table::DmlResult> RunDml(
+      const char* statement, const DmlPlanChoice& choice,
+      const std::function<Result<table::DmlResult>()>& edit,
+      const std::function<Result<table::DmlResult>()>& overwrite);
+
   /// Wraps a batch iterator so the UNION READ rows histogram observes the
   /// total rows it emitted; pass-through when no metrics are wired.
   std::unique_ptr<table::BatchIterator> ObserveUnionReadRows(

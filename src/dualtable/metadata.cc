@@ -46,12 +46,12 @@ Status MetadataTable::RecordModificationRatio(const std::string& table_name,
   return store_->Put(table_name, kRatioQualifier, buf);
 }
 
-Result<double> MetadataTable::HistoricalModificationRatio(const std::string& table_name,
-                                                          double fallback) {
+Result<std::optional<double>> MetadataTable::HistoricalModificationRatio(
+    const std::string& table_name) {
   std::lock_guard<std::mutex> lock(mu_);
   DTL_ASSIGN_OR_RETURN(auto current, store_->Get(table_name, kRatioQualifier));
-  if (!current.has_value()) return fallback;
-  return std::strtod(current->c_str(), nullptr);
+  if (!current.has_value()) return std::optional<double>();
+  return std::optional<double>(std::strtod(current->c_str(), nullptr));
 }
 
 }  // namespace dtl::dual

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -28,10 +29,10 @@ class MetadataTable {
   /// historical analysis of the execution log").
   Status RecordModificationRatio(const std::string& table_name, double ratio);
 
-  /// Exponentially-weighted historical modification ratio, or `fallback`
-  /// when no history exists.
-  Result<double> HistoricalModificationRatio(const std::string& table_name,
-                                             double fallback);
+  /// Exponentially-weighted historical modification ratio, or nullopt when
+  /// no history exists.
+  Result<std::optional<double>> HistoricalModificationRatio(
+      const std::string& table_name);
 
  private:
   explicit MetadataTable(std::unique_ptr<kv::KvStore> store) : store_(std::move(store)) {}

@@ -86,13 +86,53 @@ Status SimFileSystem::CorruptFile(const std::string& path, uint64_t offset,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound("no such file: " + path);
-  if (offset >= it->second.data->size()) {
+  const FileContents& contents = *it->second.contents;
+  if (offset >= contents.size()) {
     return Status::OutOfRange("corruption offset past end of " + path);
   }
-  std::string mutated = *it->second.data;
+  std::string mutated;
+  contents.CopyOut(0, contents.size(), &mutated);
   mutated[offset] = static_cast<char>(mutated[offset] ^ xor_mask);
-  it->second.data = std::make_shared<const std::string>(std::move(mutated));
+  auto replaced = std::make_shared<FileContents>();
+  replaced->Extend(mutated);
+  it->second.contents = std::move(replaced);
   return Status::OK();
+}
+
+// --- FileContents -------------------------------------------------------------
+
+void FileContents::CopyOut(uint64_t offset, size_t n, std::string* out) const {
+  out->clear();
+  const uint64_t end = offset + std::min<uint64_t>(n, size_ - offset);
+  if (offset >= end) return;
+  out->reserve(end - offset);
+  // First chunk that ends past `offset`.
+  size_t i = static_cast<size_t>(
+      std::upper_bound(ends_.begin(), ends_.end(), offset) - ends_.begin());
+  uint64_t pos = offset;
+  while (pos < end) {
+    const uint64_t chunk_start = i == 0 ? 0 : ends_[i - 1];
+    const uint64_t take = std::min(end, ends_[i]) - pos;
+    out->append(chunks_[i]->data() + (pos - chunk_start), take);
+    pos += take;
+    ++i;
+  }
+}
+
+void FileContents::Extend(const std::string& bytes) {
+  if (bytes.empty()) return;
+  size_ += bytes.size();
+  if (!chunks_.empty() && chunks_.back()->size() + bytes.size() <= kCoalesceBytes) {
+    auto merged = std::make_shared<std::string>();
+    merged->reserve(chunks_.back()->size() + bytes.size());
+    merged->append(*chunks_.back());
+    merged->append(bytes);
+    chunks_.back() = std::move(merged);
+    ends_.back() = size_;
+    return;
+  }
+  chunks_.push_back(std::make_shared<const std::string>(bytes));
+  ends_.push_back(size_);
 }
 
 // --- WritableFile -----------------------------------------------------------
@@ -104,25 +144,21 @@ WritableFile::~WritableFile() {
 Status WritableFile::Append(const Slice& data) {
   if (closed_) return Status::IoError("append to closed file " + path_);
   DTL_RETURN_NOT_OK(fs_->CheckFault(FaultOp::kAppend, path_));
-  buffer_.append(data.data(), data.size());
+  pending_.append(data.data(), data.size());
   total_appended_ += data.size();
   return Status::OK();
 }
 
 Status WritableFile::Sync() {
   if (closed_) return Status::IoError("sync on closed file " + path_);
-  // Only the newly appended suffix is charged; earlier bytes were charged by
-  // previous syncs.
-  return fs_->CommitFileDelta(path_, buffer_, buffer_.size() - synced_bytes_,
-                              &synced_bytes_);
+  return fs_->CommitFileDelta(this);
 }
 
 Status WritableFile::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  uint64_t unsynced = buffer_.size() - synced_bytes_;
-  Status st = fs_->CommitFileDelta(path_, buffer_, unsynced, &synced_bytes_);
-  buffer_.clear();
+  Status st = fs_->CommitFileDelta(this);
+  std::string().swap(pending_);
   return st;
 }
 
@@ -130,32 +166,29 @@ Status WritableFile::Close() {
 
 Status SequentialFile::Read(size_t n, std::string* out) {
   out->clear();
-  if (offset_ >= data_->size()) return Status::OK();
-  size_t avail = data_->size() - offset_;
-  size_t take = std::min(n, avail);
-  out->assign(data_->data() + offset_, take);
-  offset_ += take;
-  meter_->ChargeRead(channel_, take);
+  if (offset_ >= data_.size()) return Status::OK();
+  data_.CopyOut(offset_, n, out);
+  offset_ += out->size();
+  meter_->ChargeRead(channel_, out->size());
   return Status::OK();
 }
 
 Status SequentialFile::Skip(uint64_t n) {
-  if (offset_ + n > data_->size()) return Status::OutOfRange("skip past end of file");
+  if (offset_ + n > data_.size()) return Status::OutOfRange("skip past end of file");
   offset_ += n;
   return Status::OK();
 }
 
-bool SequentialFile::AtEnd() const { return offset_ >= data_->size(); }
+bool SequentialFile::AtEnd() const { return offset_ >= data_.size(); }
 
 // --- RandomAccessFile --------------------------------------------------------
 
 Status RandomAccessFile::ReadAt(uint64_t offset, size_t n, std::string* out) const {
   out->clear();
-  if (offset > data_->size()) return Status::OutOfRange("read past end of file");
-  size_t take = std::min<uint64_t>(n, data_->size() - offset);
-  out->assign(data_->data() + offset, take);
+  if (offset > data_.size()) return Status::OutOfRange("read past end of file");
+  data_.CopyOut(offset, n, out);
   meter_->ChargeSeek();
-  meter_->ChargeRead(channel_, take);
+  meter_->ChargeRead(channel_, out->size());
   return Status::OK();
 }
 
@@ -204,7 +237,7 @@ Result<uint64_t> SimFileSystem::FileSize(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound("no such file: " + path);
-  return static_cast<uint64_t>(it->second.data->size());
+  return it->second.contents->size();
 }
 
 Status SimFileSystem::Delete(const std::string& path) {
@@ -253,45 +286,53 @@ Result<std::unique_ptr<WritableFile>> SimFileSystem::NewWritableFile(
   return std::unique_ptr<WritableFile>(new WritableFile(this, path));
 }
 
-Status SimFileSystem::CommitFileDelta(const std::string& path,
-                                      const std::string& contents, uint64_t new_bytes,
-                                      uint64_t* synced_bytes) {
+Status SimFileSystem::CommitFileDelta(WritableFile* writer) {
+  const std::string& path = writer->path_;
+  const std::string& pending = writer->pending_;
+  std::shared_ptr<FileContents>& published = writer->published_;
   double torn_fraction = -1.0;
   Status fault = CheckFault(FaultOp::kSync, path, &torn_fraction);
   if (!fault.ok()) {
     // A crash that lands on the commit itself may still get a prefix of the
-    // un-synced delta to "disk" (a torn write). *synced_bytes is left
-    // untouched: the writer never learns the data landed.
+    // un-synced delta to "disk" (a torn write). The writer's state is left
+    // untouched: it never learns the data landed. The torn node is a copy,
+    // so a later sync by this writer republishes rather than extends it.
     if (torn_fraction > 0.0) {
-      const uint64_t previously_synced = contents.size() - new_bytes;
       const uint64_t keep =
-          static_cast<uint64_t>(static_cast<double>(new_bytes) * torn_fraction);
-      if (previously_synced + keep > 0) {
-        std::lock_guard<std::mutex> lock(mu_);
+          static_cast<uint64_t>(static_cast<double>(pending.size()) * torn_fraction);
+      std::lock_guard<std::mutex> lock(mu_);
+      auto torn = published != nullptr ? std::make_shared<FileContents>(*published)
+                                       : std::make_shared<FileContents>();
+      torn->Extend(pending.substr(0, keep));
+      if (torn->size() > 0) {
         if (files_.find(path) == files_.end()) meter_.ChargeFileCreate();
-        files_[path] = FileNode{
-            std::make_shared<const std::string>(contents.substr(0, previously_synced + keep))};
+        files_[path] = FileNode{std::move(torn)};
       }
     }
     return fault;
   }
-  Channel channel = ChannelFor(path);
-  meter_.ChargeWrite(channel, new_bytes);
+  meter_.ChargeWrite(ChannelFor(path), pending.size());
   std::lock_guard<std::mutex> lock(mu_);
-  if (files_.find(path) == files_.end()) meter_.ChargeFileCreate();
-  files_[path] = FileNode{std::make_shared<const std::string>(contents)};
-  *synced_bytes = contents.size();
+  auto it = files_.find(path);
+  if (it == files_.end()) meter_.ChargeFileCreate();
+  if (it == files_.end() || it->second.contents != published) {
+    published = published != nullptr ? std::make_shared<FileContents>(*published)
+                                      : std::make_shared<FileContents>();
+    files_[path] = FileNode{published};
+  }
+  published->Extend(pending);
+  writer->pending_.clear();
   return Status::OK();
 }
 
 Result<std::unique_ptr<SequentialFile>> SimFileSystem::NewSequentialFile(
     const std::string& path) const {
-  std::shared_ptr<const std::string> data;
+  FileContents data;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return Status::NotFound("no such file: " + path);
-    data = it->second.data;
+    data = *it->second.contents;
   }
   return std::unique_ptr<SequentialFile>(
       new SequentialFile(std::move(data), &meter_, ChannelFor(path)));
@@ -299,12 +340,12 @@ Result<std::unique_ptr<SequentialFile>> SimFileSystem::NewSequentialFile(
 
 Result<std::unique_ptr<RandomAccessFile>> SimFileSystem::NewRandomAccessFile(
     const std::string& path) const {
-  std::shared_ptr<const std::string> data;
+  FileContents data;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return Status::NotFound("no such file: " + path);
-    data = it->second.data;
+    data = *it->second.contents;
   }
   return std::unique_ptr<RandomAccessFile>(
       new RandomAccessFile(std::move(data), &meter_, ChannelFor(path)));
@@ -319,7 +360,7 @@ Result<int> SimFileSystem::NumChunks(const std::string& path) const {
 uint64_t SimFileSystem::TotalBytesStored() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [path, node] : files_) total += node.data->size();
+  for (const auto& [path, node] : files_) total += node.contents->size();
   return total;
 }
 

@@ -29,6 +29,30 @@ namespace dtl::fs {
 
 class SimFileSystem;
 
+/// The published bytes of one file version: immutable chunks in file order.
+/// A chunk is never modified once created, so copying the chunk list (which
+/// shares the chunks) yields a snapshot that later syncs cannot change.
+class FileContents {
+ public:
+  uint64_t size() const { return size_; }
+  /// Copies bytes [offset, offset + n) clipped to size() into *out (cleared
+  /// first). offset must be <= size().
+  void CopyOut(uint64_t offset, size_t n, std::string* out) const;
+  /// Adds `bytes` at the end as a fresh chunk. A tail chunk small enough to
+  /// absorb them is replaced by a merged copy instead, so a log synced a few
+  /// records at a time does not fragment into one chunk per sync; either way
+  /// the cost is bounded by the appended bytes plus kCoalesceBytes.
+  void Extend(const std::string& bytes);
+
+  /// Largest tail chunk Extend merges into rather than starting a new one.
+  static constexpr size_t kCoalesceBytes = 4096;
+
+ private:
+  std::vector<std::shared_ptr<const std::string>> chunks_;
+  std::vector<uint64_t> ends_;  // ends_[i]: file offset one past chunks_[i]
+  uint64_t size_ = 0;
+};
+
 /// Append-only writer handle; the file becomes visible to readers on Close
 /// (HDFS visibility-on-close semantics).
 ///
@@ -43,6 +67,7 @@ class WritableFile {
   Status Append(const Slice& data);
   /// Publishes everything appended so far to readers while keeping the file
   /// open for further appends (hflush semantics; used by the KV store's WAL).
+  /// Costs O(bytes appended since the last sync), not O(file size).
   Status Sync();
   /// Finalizes the file; further Appends fail. Idempotent.
   Status Close();
@@ -55,9 +80,12 @@ class WritableFile {
 
   SimFileSystem* fs_;
   std::string path_;
-  std::string buffer_;
+  /// Bytes appended since the last successful sync.
+  std::string pending_;
+  /// The contents this writer last published at path_ (null before its first
+  /// sync): everything it has synced. Guarded by the file system's mutex.
+  std::shared_ptr<FileContents> published_;
   uint64_t total_appended_ = 0;
-  uint64_t synced_bytes_ = 0;
   bool closed_ = false;
 };
 
@@ -73,10 +101,10 @@ class SequentialFile {
 
  private:
   friend class SimFileSystem;
-  SequentialFile(std::shared_ptr<const std::string> data, IoMeter* meter, Channel channel)
+  SequentialFile(FileContents data, IoMeter* meter, Channel channel)
       : data_(std::move(data)), meter_(meter), channel_(channel) {}
 
-  std::shared_ptr<const std::string> data_;
+  FileContents data_;
   IoMeter* meter_;
   Channel channel_;
   uint64_t offset_ = 0;
@@ -87,14 +115,14 @@ class SequentialFile {
 class RandomAccessFile {
  public:
   Status ReadAt(uint64_t offset, size_t n, std::string* out) const;
-  uint64_t size() const { return data_->size(); }
+  uint64_t size() const { return data_.size(); }
 
  private:
   friend class SimFileSystem;
-  RandomAccessFile(std::shared_ptr<const std::string> data, IoMeter* meter, Channel channel)
+  RandomAccessFile(FileContents data, IoMeter* meter, Channel channel)
       : data_(std::move(data)), meter_(meter), channel_(channel) {}
 
-  std::shared_ptr<const std::string> data_;
+  FileContents data_;
   IoMeter* meter_;
   Channel channel_;
 };
@@ -165,13 +193,16 @@ class SimFileSystem {
   /// policy's tear_fraction so CommitFileDelta can publish a partial delta.
   Status CheckFault(FaultOp op, const std::string& path,
                     double* torn_fraction = nullptr);
-  /// Publishes `contents` as the file body, charging only `new_bytes` (the
-  /// suffix not covered by a previous sync). Updates *synced_bytes.
-  Status CommitFileDelta(const std::string& path, const std::string& contents,
-                         uint64_t new_bytes, uint64_t* synced_bytes);
+  /// Publishes the writer's pending bytes, charging exactly their size. The
+  /// writer's published contents are extended in place while they are still
+  /// the node at its path; otherwise (first sync, or the path was replaced,
+  /// renamed away or deleted since) a new node with everything the writer
+  /// has synced takes the path. Readers copy the chunk list at open, so no
+  /// reader ever holds the contents a sync extends.
+  Status CommitFileDelta(WritableFile* writer);
 
   struct FileNode {
-    std::shared_ptr<const std::string> data;
+    std::shared_ptr<FileContents> contents;
   };
 
   FileSystemOptions options_;

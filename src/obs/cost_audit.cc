@@ -11,7 +11,8 @@ std::string CostAuditRecord::ToString() const {
       << " predicted{edit=" << predicted_edit_seconds
       << "s overwrite=" << predicted_overwrite_seconds << "s winner="
       << predicted_plan << "}"
-      << " executed{plan=" << executed_plan << " rows=" << rows_matched
+      << " executed{plan=" << executed_plan << " route=" << route
+      << " rows=" << rows_matched
       << " wall=" << measured_wall_seconds
       << "s modeled=" << measured_modeled_seconds << "s}"
       << " error=" << PredictionErrorFraction();
@@ -27,6 +28,7 @@ std::string CostAuditRecord::ToJson() const {
       << ",\"predicted_overwrite_seconds\":" << predicted_overwrite_seconds
       << ",\"predicted_plan\":\"" << predicted_plan
       << "\",\"executed_plan\":\"" << executed_plan
+      << "\",\"route\":\"" << route
       << "\",\"rows_matched\":" << rows_matched
       << ",\"measured_wall_seconds\":" << measured_wall_seconds
       << ",\"measured_modeled_seconds\":" << measured_modeled_seconds

@@ -22,6 +22,7 @@ struct CostAuditRecord {
   double predicted_overwrite_seconds = 0;
   std::string predicted_plan;  // the cheaper path per the model
   std::string executed_plan;   // the path that actually ran
+  std::string route = "scan";  // how an EDIT found its rows: "scan" | "index"
   uint64_t rows_matched = 0;
   double measured_wall_seconds = 0;
   double measured_modeled_seconds = 0;  // JobSeconds over the metered io delta

@@ -1,7 +1,9 @@
 #include "sql/engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -146,6 +148,48 @@ bool FindIndexProbe(const std::vector<const Expr*>& conjuncts, const Scope& scop
     return true;
   }
   return false;
+}
+
+/// The keyed-DML route (DESIGN.md §13): the probe an EDIT on `dual` takes its
+/// matches from — found by the same FindIndexProbe the SELECT fast path runs
+/// — or nullopt when the table has no index or the WHERE offers no probe.
+std::optional<dual::IndexProbe> FindDmlIndexProbe(const Expr* where, const Scope& scope,
+                                                  dual::DualTable* dual) {
+  if (where == nullptr || dual->secondary_index() == nullptr) return std::nullopt;
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(*where, &conjuncts);
+  dual::IndexProbe probe;
+  if (!FindIndexProbe(conjuncts, scope, dual->schema(), *dual->secondary_index(),
+                      &probe.column, &probe.values)) {
+    return std::nullopt;
+  }
+  return probe;
+}
+
+/// The DML result message; names the index route when the EDIT took it.
+std::string DmlMessage(const char* verb, const table::DmlResult& dml) {
+  return std::string(verb) + " " + std::to_string(dml.rows_matched) + " rows via " +
+         table::DmlPlanName(dml.plan) + " plan" +
+         (dml.index_lookup ? " (index lookup)" : "");
+}
+
+/// EXPLAIN lines for a DualTable UPDATE/DELETE: the plan choice the executor
+/// will make (same DualTable::PlanUpdate/PlanDelete resolution, ratio labelled
+/// by its source) and the index route exactly when the executor takes it.
+void ExplainDualDml(const dual::DualTable& dual, const dual::DmlPlanChoice& choice,
+                    const std::optional<dual::IndexProbe>& probe,
+                    const std::function<void(const std::string&)>& emit) {
+  if (choice.cost_model) {
+    emit("  ratio: " + std::to_string(choice.ratio) + " (" +
+         dual::RatioSourceName(choice.ratio_source) + ")");
+    emit("  cost model: " + choice.decision.ToString());
+  }
+  emit(std::string("  plan: ") + table::DmlPlanName(choice.plan) +
+       (choice.cost_model ? "" : " (forced by plan mode)"));
+  if (choice.plan == table::DmlPlan::kEdit && probe.has_value()) {
+    emit("  index lookup: column '" + dual.schema().field(probe->column).name + "', " +
+         std::to_string(probe->values.size()) + " probe(s)");
+  }
 }
 
 /// Row-at-a-time trace decorator: charges each Next()'s wall time and the
@@ -1142,7 +1186,8 @@ Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
   Result<table::DmlResult> dml = Status::Internal("unset");
   if (entry.kind == table::TableKind::kDual) {
     auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    dml = dual->UpdateWithHint(filter, assignments, stmt.ratio_hint);
+    dml = dual->UpdateWithHint(filter, assignments, stmt.ratio_hint,
+                               FindDmlIndexProbe(stmt.where.get(), scope, dual));
   } else {
     dml = entry.table->Update(filter, assignments);
   }
@@ -1150,8 +1195,7 @@ Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
   QueryResult result;
   result.affected_rows = dml->rows_matched;
   result.dml_plan = table::DmlPlanName(dml->plan);
-  result.message = "updated " + std::to_string(dml->rows_matched) + " rows via " +
-                   result.dml_plan + " plan";
+  result.message = DmlMessage("updated", *dml);
   return result;
 }
 
@@ -1174,7 +1218,8 @@ Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
   Result<table::DmlResult> dml = Status::Internal("unset");
   if (entry.kind == table::TableKind::kDual) {
     auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    dml = dual->DeleteWithHint(filter, stmt.ratio_hint);
+    dml = dual->DeleteWithHint(filter, stmt.ratio_hint,
+                               FindDmlIndexProbe(stmt.where.get(), scope, dual));
   } else {
     dml = entry.table->Delete(filter);
   }
@@ -1182,8 +1227,7 @@ Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
   QueryResult result;
   result.affected_rows = dml->rows_matched;
   result.dml_plan = table::DmlPlanName(dml->plan);
-  result.message = "deleted " + std::to_string(dml->rows_matched) + " rows via " +
-                   result.dml_plan + " plan";
+  result.message = DmlMessage("deleted", *dml);
   return result;
 }
 
@@ -1378,11 +1422,11 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     if (update->where) emit("  where: " + update->where->ToString());
     if (entry.kind == table::TableKind::kDual) {
       auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      const double ratio = update->ratio_hint.value_or(0.01);
-      auto decision = dual->PreviewUpdateDecision(ratio);
-      emit("  ratio: " + std::to_string(ratio) +
-           (update->ratio_hint ? " (WITH RATIO hint)" : " (default/history)"));
-      emit("  cost model: " + decision.ToString());
+      Scope scope;
+      scope.AddTable(update->alias.empty() ? update->table : update->alias,
+                     dual->schema());
+      ExplainDualDml(*dual, dual->PlanUpdate(update->ratio_hint),
+                     FindDmlIndexProbe(update->where.get(), scope, dual), emit);
       emit("  crossover ratio: " +
            std::to_string(dual->cost_model().UpdateCrossoverRatio(
                dual->master()->TotalBytes())));
@@ -1397,10 +1441,10 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     if (del->where) emit("  where: " + del->where->ToString());
     if (entry.kind == table::TableKind::kDual) {
       auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      const double ratio = del->ratio_hint.value_or(0.01);
-      auto decision = dual->PreviewDeleteDecision(ratio);
-      emit("  ratio: " + std::to_string(ratio));
-      emit("  cost model: " + decision.ToString());
+      Scope scope;
+      scope.AddTable(del->table, dual->schema());
+      ExplainDualDml(*dual, dual->PlanDelete(del->ratio_hint),
+                     FindDmlIndexProbe(del->where.get(), scope, dual), emit);
     } else {
       emit("  plan: full INSERT OVERWRITE rewrite");
     }

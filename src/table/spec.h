@@ -72,6 +72,9 @@ struct DmlResult {
   uint64_t rows_matched = 0;
   uint64_t rows_scanned = 0;
   DmlPlan plan = DmlPlan::kOverwrite;
+  /// True when the matches came from a secondary-index lookup rather than a
+  /// table scan (a keyed DualTable EDIT).
+  bool index_lookup = false;
 };
 
 }  // namespace dtl::table

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -189,6 +190,70 @@ TEST(KvStoreStressTest, ConcurrentWritersThroughFlushAndCompaction) {
       ASSERT_TRUE(got.ok());
     }
   }
+}
+
+// One thread appends records to a log and syncs after each while others
+// open the same file and read it whole, alternating sequential and
+// positioned readers. A sync extends the published contents in place
+// (O(bytes appended), not O(file size)); every reader must still see exactly
+// the bytes of some completed sync, never a partial record, and never fewer
+// bytes than it saw on an earlier open.
+TEST(FileSystemStressTest, ReadersRaceAppendingSyncs) {
+  fs::SimFileSystem fs;
+  constexpr int kRecords = 1500;
+  // Mostly small records (coalesced into shared chunks) with an occasional
+  // one past the coalescing limit (a chunk of its own).
+  std::string expected;
+  std::vector<uint64_t> sync_sizes = {0};
+  std::vector<std::string> records;
+  for (int i = 0; i < kRecords; ++i) {
+    const size_t n = i % 97 == 0 ? fs::FileContents::kCoalesceBytes + 1 : 20 + i % 40;
+    records.push_back(std::string(n, static_cast<char>('a' + i % 26)));
+    expected += records.back();
+    sync_sizes.push_back(expected.size());
+  }
+  const std::string path = "/hbase/stress/wal";
+  auto writer = fs.NewWritableFile(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->Sync().ok());  // publish the empty log
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t last_size = 0;
+      bool sequential = t % 2 == 0;
+      while (!done.load(std::memory_order_acquire)) {
+        std::string out;
+        if (sequential) {
+          auto file = fs.NewSequentialFile(path);
+          ASSERT_TRUE(file.ok());
+          ASSERT_TRUE((*file)->Read(expected.size(), &out).ok());
+        } else {
+          auto file = fs.NewRandomAccessFile(path);
+          ASSERT_TRUE(file.ok());
+          ASSERT_TRUE((*file)->ReadAt(0, (*file)->size(), &out).ok());
+        }
+        sequential = !sequential;
+        ASSERT_TRUE(std::binary_search(sync_sizes.begin(), sync_sizes.end(), out.size()))
+            << "read " << out.size() << " bytes: not a synced prefix";
+        ASSERT_GE(out.size(), last_size);
+        ASSERT_EQ(out, expected.substr(0, out.size()));
+        last_size = out.size();
+      }
+    });
+  }
+  [&] {
+    for (const std::string& record : records) {
+      ASSERT_TRUE((*writer)->Append(record).ok());
+      ASSERT_TRUE((*writer)->Sync().ok());
+    }
+    ASSERT_TRUE((*writer)->Close().ok());
+  }();
+  done.store(true, std::memory_order_release);  // also after a failed write
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(*fs.FileSize(path), expected.size());
 }
 
 TEST(OrcStripeCacheStressTest, ConcurrentReadersShareDecodedStripes) {

@@ -134,6 +134,43 @@ TEST_F(CostAuditTest, ForcedPlansAreNotAudited) {
   EXPECT_EQ(forced->cost_audit()->size(), 0u);
 }
 
+TEST_F(CostAuditTest, IndexRoutedEditIsAuditedButNeverCalibrates) {
+  // The scan-based EDIT cost formula does not describe a keyed EDIT that
+  // reads only the rows it touches: calibrating on one would pull
+  // edit_cost_scale down for every later scan-routed EDIT.
+  sql::SessionOptions options;
+  options.dual_defaults.cost_calibration_gain = 0.5;
+  auto created = sql::Session::Create(std::move(options));
+  ASSERT_TRUE(created.ok());
+  auto s = std::move(*created);
+  ASSERT_TRUE(s->Execute("CREATE TABLE k (id BIGINT, load DOUBLE) INDEX (id)").ok());
+  std::string insert = "INSERT INTO k VALUES (0, 0)";
+  for (int i = 1; i < 400; ++i) insert += ", (" + std::to_string(i) + ", 1.5)";
+  ASSERT_TRUE(s->Execute(insert).ok());
+  auto* table = dynamic_cast<dual::DualTable*>(s->catalog()->Lookup("k")->table.get());
+  ASSERT_NE(table, nullptr);
+
+  const double scale = table->cost_model_params().edit_cost_scale;
+  ASSERT_TRUE(s->Execute("UPDATE k SET load = 0 WHERE id = 7 WITH RATIO 0.01").ok());
+  ASSERT_TRUE(s->Execute("DELETE FROM k WHERE id IN (8, 9) WITH RATIO 0.01").ok());
+  std::vector<obs::CostAuditRecord> records = s->cost_audit()->Records();
+  ASSERT_EQ(records.size(), 2u);
+  for (const obs::CostAuditRecord& r : records) {
+    EXPECT_EQ(r.executed_plan, "EDIT");
+    EXPECT_EQ(r.route, "index");
+    EXPECT_GT(r.measured_modeled_seconds, 0.0);
+  }
+  EXPECT_NE(records[0].ToJson().find("\"route\":\"index\""), std::string::npos);
+  EXPECT_EQ(table->cost_model_params().edit_cost_scale, scale);
+
+  // A scan-routed EDIT still closes the loop.
+  ASSERT_TRUE(s->Execute("UPDATE k SET load = 0 WHERE id < 4 WITH RATIO 0.01").ok());
+  records = s->cost_audit()->Records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[2].route, "scan");
+  EXPECT_NE(table->cost_model_params().edit_cost_scale, scale);
+}
+
 TEST_F(CostAuditTest, RenderAndClear) {
   Run("UPDATE grid SET load = 0 WHERE id < 4 WITH RATIO 0.01");
   ASSERT_EQ(session_->cost_audit()->size(), 1u);

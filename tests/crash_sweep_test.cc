@@ -16,6 +16,7 @@
 // manifest commit and demonstrates the sweep catching the regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -478,16 +479,73 @@ TEST(CrashSweepTest, DualTableEditAndCompactTornTail) { RunDualCrashSweep(0.5); 
 
 // --- Indexed-dual sweep: EDIT/COMPACT with a secondary index --------------------
 
-// Same EDIT/COMPACT workload, but with a secondary index on `id`. The index
-// adds its own mutating file-system operations (entry puts, WAL syncs, the
-// meta commit, fold+compact during the generation swap), so the sweep lands
-// crash points inside every window of index publication. The recovery
+/// Keyed UPDATE/DELETE on `id IN (keys)`: the EDIT takes its matches from the
+/// secondary index (the keyed-DML route), not a scan. A statement that falls
+/// back to the scan fails, so the sweep cannot silently stop covering the
+/// route.
+Statement<DualEnv> KeyedUpdate(int64_t value, std::vector<int64_t> keys) {
+  auto pred = [keys](int64_t id) {
+    return std::find(keys.begin(), keys.end(), id) != keys.end();
+  };
+  return Statement<DualEnv>{
+      [value, keys, pred](DualEnv* env) -> Status {
+        table::ScanSpec filter;
+        filter.predicate_columns = {0};
+        filter.predicate = [pred](const Row& row) { return pred(row[0].AsInt64()); };
+        table::Assignment assign;
+        assign.column = 1;
+        assign.compute = [value](const Row&) { return Value::Int64(value); };
+        dual::IndexProbe probe;
+        for (int64_t k : keys) probe.values.push_back(Value::Int64(k));
+        DTL_ASSIGN_OR_RETURN(auto result, env->table->UpdateWithHint(
+                                              filter, {assign}, std::nullopt, probe));
+        if (!result.index_lookup) return Status::Internal("keyed UPDATE scanned");
+        return Status::OK();
+      },
+      [value, pred](State* state) { ApplyUpdate(state, value, pred); }};
+}
+
+Statement<DualEnv> KeyedDelete(std::vector<int64_t> keys) {
+  auto pred = [keys](int64_t id) {
+    return std::find(keys.begin(), keys.end(), id) != keys.end();
+  };
+  return Statement<DualEnv>{
+      [keys, pred](DualEnv* env) -> Status {
+        table::ScanSpec filter;
+        filter.predicate_columns = {0};
+        filter.predicate = [pred](const Row& row) { return pred(row[0].AsInt64()); };
+        dual::IndexProbe probe;
+        for (int64_t k : keys) probe.values.push_back(Value::Int64(k));
+        DTL_ASSIGN_OR_RETURN(auto result,
+                             env->table->DeleteWithHint(filter, std::nullopt, probe));
+        if (!result.index_lookup) return Status::Internal("keyed DELETE scanned");
+        return Status::OK();
+      },
+      [pred](State* state) { ApplyDelete(state, pred); }};
+}
+
+/// DualStatements() plus keyed UPDATE/DELETE through the index route: one
+/// before COMPACT (its entries are folded by the generation swap) and one
+/// after. Keys include ones deleted earlier (stale entries) and absent ones.
+std::vector<Statement<DualEnv>> IndexedDualStatements() {
+  std::vector<Statement<DualEnv>> statements = DualStatements();
+  statements.insert(statements.begin() + 2, KeyedUpdate(4, {3, 12, 50, 85, 500}));
+  statements.push_back(KeyedUpdate(6, {12, 25, 90}));
+  statements.push_back(KeyedDelete({3, 12, 33, 81, 777}));
+  return statements;
+}
+
+// Same EDIT/COMPACT workload, but with a secondary index on `id` and keyed
+// statements that take the index route. The index adds its own mutating
+// file-system operations (entry puts, WAL syncs, the meta commit,
+// fold+compact during the generation swap), so the sweep lands crash points
+// inside every window of index publication. The recovery
 // contract: after reopen — which rebuilds the index whenever its persisted
 // meta does not match the recovered table — every surviving row is reachable
 // through an index point lookup with exactly its table value, and no phantom
 // row is served for a key the table does not hold.
 void RunIndexedDualCrashSweep(double tear_fraction) {
-  static const std::vector<Statement<DualEnv>> statements = DualStatements();
+  static const std::vector<Statement<DualEnv>> statements = IndexedDualStatements();
   constexpr int64_t kRows = 100;
 
   auto options = []() {

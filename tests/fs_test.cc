@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "fs/cluster_model.h"
 #include "fs/filesystem.h"
 
@@ -85,6 +89,117 @@ TEST(FileSystemTest, SnapshotIsolationForReaders) {
   std::string out;
   ASSERT_TRUE((*reader)->Read(100, &out).ok());
   EXPECT_EQ(out, "old-contents");  // reader pinned the pre-replace snapshot
+}
+
+TEST(FileSystemTest, ReaderOpenedBetweenSyncsSeesItsPrefix) {
+  // Records larger than FileContents::kCoalesceBytes land in separate chunks,
+  // so reads also cross chunk boundaries.
+  SimFileSystem fs;
+  auto w = fs.NewWritableFile("/hbase/t/wal");
+  ASSERT_TRUE(w.ok());
+  std::string expected;
+  std::vector<std::unique_ptr<SequentialFile>> seq;
+  std::vector<std::unique_ptr<RandomAccessFile>> ra;
+  std::vector<std::string> seen;
+  for (int i = 0; i < 6; ++i) {
+    const std::string record(i % 2 == 0 ? 10 : FileContents::kCoalesceBytes + 100,
+                             static_cast<char>('a' + i));
+    ASSERT_TRUE((*w)->Append(record).ok());
+    ASSERT_TRUE((*w)->Append("|").ok());
+    ASSERT_TRUE((*w)->Sync().ok());
+    expected += record + "|";
+    seen.push_back(expected);
+    auto sequential = fs.NewSequentialFile("/hbase/t/wal");
+    auto random_access = fs.NewRandomAccessFile("/hbase/t/wal");
+    ASSERT_TRUE(sequential.ok() && random_access.ok());
+    seq.push_back(std::move(*sequential));
+    ra.push_back(std::move(*random_access));
+    // Appended but unsynced bytes are invisible to readers opened now.
+    ASSERT_TRUE((*w)->Append("unsynced").ok());
+    expected += "unsynced";
+  }
+  ASSERT_TRUE((*w)->Close().ok());
+  for (size_t i = 0; i < seen.size(); ++i) {
+    std::string out;
+    ASSERT_TRUE(seq[i]->Read(1 << 20, &out).ok());
+    EXPECT_EQ(out, seen[i]) << "sequential reader " << i;
+    EXPECT_TRUE(seq[i]->AtEnd());
+    EXPECT_EQ(ra[i]->size(), seen[i].size());
+    const uint64_t mid = seen[i].size() / 2;
+    ASSERT_TRUE(ra[i]->ReadAt(mid, seen[i].size(), &out).ok());
+    EXPECT_EQ(out, seen[i].substr(mid)) << "random-access reader " << i;
+  }
+  auto last = fs.NewSequentialFile("/hbase/t/wal");
+  std::string out;
+  ASSERT_TRUE((*last)->Read(1 << 20, &out).ok());
+  EXPECT_EQ(out, expected);
+}
+
+TEST(FileSystemTest, InterleavedWritersOfOnePathReplaceWholesale) {
+  // Two writers re-creating one path: each sync publishes that writer's
+  // whole file, never an extension of the other writer's.
+  SimFileSystem fs;
+  auto first = fs.NewWritableFile("/f");
+  auto second = fs.NewWritableFile("/f");
+  auto contents = [&fs] {
+    auto r = fs.NewSequentialFile("/f");
+    std::string out;
+    EXPECT_TRUE((*r)->Read(1 << 20, &out).ok());
+    return out;
+  };
+  ASSERT_TRUE((*first)->Append("first-").ok());
+  ASSERT_TRUE((*first)->Sync().ok());
+  EXPECT_EQ(contents(), "first-");
+  ASSERT_TRUE((*second)->Append("second").ok());
+  ASSERT_TRUE((*second)->Sync().ok());
+  EXPECT_EQ(contents(), "second");
+  ASSERT_TRUE((*first)->Append("tail").ok());
+  ASSERT_TRUE((*first)->Sync().ok());
+  EXPECT_EQ(contents(), "first-tail");
+  ASSERT_TRUE((*second)->Close().ok());
+  EXPECT_EQ(contents(), "second");
+  ASSERT_TRUE((*first)->Close().ok());
+  EXPECT_EQ(contents(), "first-tail");
+
+  // A writer whose file was renamed away republishes at its own path and
+  // leaves the renamed file as it was.
+  auto third = fs.NewWritableFile("/g");
+  ASSERT_TRUE((*third)->Append("abc").ok());
+  ASSERT_TRUE((*third)->Sync().ok());
+  ASSERT_TRUE(fs.Rename("/g", "/h").ok());
+  ASSERT_TRUE((*third)->Append("def").ok());
+  ASSERT_TRUE((*third)->Sync().ok());
+  EXPECT_EQ(*fs.FileSize("/g"), 6u);
+  EXPECT_EQ(*fs.FileSize("/h"), 3u);
+}
+
+TEST(FileSystemTest, SyncChargesExactlyItsDelta) {
+  SimFileSystem fs;
+  auto w = fs.NewWritableFile("/hbase/t/wal");
+  uint64_t charged = 0;
+  uint64_t files = 0;
+  auto expect_delta = [&](uint64_t bytes, uint64_t created) {
+    const IoSnapshot snap = fs.meter()->Snapshot();
+    EXPECT_EQ(snap.hbase_bytes_written - charged, bytes);
+    EXPECT_EQ(snap.hdfs_files_created - files, created);
+    charged = snap.hbase_bytes_written;
+    files = snap.hdfs_files_created;
+  };
+  ASSERT_TRUE((*w)->Append(std::string(100, 'x')).ok());
+  ASSERT_TRUE((*w)->Sync().ok());
+  expect_delta(100, 1);
+  for (const size_t n : {size_t{7}, FileContents::kCoalesceBytes, size_t{1}}) {
+    ASSERT_TRUE((*w)->Append(std::string(n, 'y')).ok());
+    ASSERT_TRUE((*w)->Sync().ok());
+    expect_delta(n, 0);
+  }
+  ASSERT_TRUE((*w)->Sync().ok());  // nothing new
+  expect_delta(0, 0);
+  ASSERT_TRUE((*w)->Append(std::string(33, 'z')).ok());
+  ASSERT_TRUE((*w)->Close().ok());
+  expect_delta(33, 0);
+  EXPECT_EQ(*fs.FileSize("/hbase/t/wal"),
+            100u + 7 + FileContents::kCoalesceBytes + 1 + 33);
 }
 
 TEST(FileSystemTest, RandomAccessRead) {

@@ -1,6 +1,10 @@
 // Lookup-vs-scan differential oracle (DESIGN.md §13): random
 // INSERT/UPDATE/DELETE/COMPACT(full|incremental)/snapshot interleavings run
 // against a DualTable with secondary indexes on the id and tag columns.
+// Range UPDATE/DELETE steps scan; keyed ones (`id = k`, `id IN (...)`,
+// `tag = 'tN'`, optionally with a residual conjunct) pass an IndexProbe, so
+// their EDIT takes its matches from the index route, and the whole table is
+// checked against the model after each.
 // After every few operations, point and range lookups through the index path
 // (SecondaryIndex candidates -> targeted stripe fetch through a deliberately
 // tiny shared StripeCache -> delta patch -> probe re-verify) must agree with
@@ -14,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
@@ -102,10 +107,14 @@ class IndexDifferentialHarness {
       const uint64_t dice = rng_() % 100;
       if (dice < 25) {
         StepInsert();
-      } else if (dice < 50) {
+      } else if (dice < 38) {
         StepUpdate();
-      } else if (dice < 66) {
+      } else if (dice < 50) {
+        StepKeyedUpdate();
+      } else if (dice < 58) {
         StepDelete();
+      } else if (dice < 66) {
+        StepKeyedDelete();
       } else if (dice < 74) {
         SCOPED_TRACE(Where("full compact"));
         ASSERT_TRUE(table_->Compact().ok());
@@ -130,6 +139,7 @@ class IndexDifferentialHarness {
     EXPECT_GT(stats.entries_added.load(), 0u);
     const orc::StripeCacheStats cs = cache.Stats();
     EXPECT_GT(cs.hits + cs.misses, 0u);
+    EXPECT_GT(keyed_index_routed_, 0u) << "no keyed step took the index route";
   }
 
  private:
@@ -205,6 +215,138 @@ class IndexDifferentialHarness {
       ++touched;
     }
     ASSERT_EQ(result->rows_matched, touched);
+  }
+
+  // A keyed WHERE: one conjunct the index answers, optionally AND a
+  // residual conjunct. `spec` is the whole WHERE (what the engine binds);
+  // `probe` is what FindIndexProbe extracts from it.
+  struct KeyedFilter {
+    IndexProbe probe;
+    table::ScanSpec spec;
+    std::function<bool(const Row&)> matches;
+    std::string label;
+  };
+
+  KeyedFilter RandomKeyedFilter() {
+    KeyedFilter f;
+    const uint64_t form = rng_() % 3;
+    const uint64_t ids = static_cast<uint64_t>(std::max<int64_t>(next_id_, 1));
+    if (form == 0) {
+      f.probe.column = 0;
+      f.probe.values = {Value::Int64(static_cast<int64_t>(rng_() % ids))};
+      f.label = "id = " + f.probe.values[0].ToString();
+    } else if (form == 1) {
+      // Duplicate and absent keys: candidates must be deduplicated, and a
+      // key past next_id_ has no entry at all.
+      f.probe.column = 0;
+      const size_t n = 1 + rng_() % 6;
+      for (size_t i = 0; i < n; ++i) {
+        f.probe.values.push_back(Value::Int64(static_cast<int64_t>(rng_() % ids)));
+      }
+      f.probe.values.push_back(f.probe.values.front());
+      f.probe.values.push_back(Value::Int64(next_id_ + 7));
+      f.label = "id IN (" + std::to_string(f.probe.values.size()) + " keys)";
+    } else {
+      // Non-unique: one tag bucket holds about a ninth of the table.
+      f.probe.column = 3;
+      f.probe.values = {Value::String("t" + std::to_string(rng_() % 9))};
+      f.label = "tag = " + f.probe.values[0].ToString();
+    }
+    const size_t column = f.probe.column;
+    const std::vector<Value> values = f.probe.values;
+    auto probe_matches = [column, values](const Row& row) {
+      if (row[column].is_null()) return false;
+      for (const Value& v : values) {
+        if (row[column].Compare(v) == 0) return true;
+      }
+      return false;
+    };
+    f.spec.predicate_columns = {column};
+    f.matches = probe_matches;
+    if (rng_() % 3 == 0) {
+      // Residual conjunct on a column other than the probed one (for the tag
+      // probe) that rejects about half the probe's rows.
+      const int64_t parity = static_cast<int64_t>(rng_() % 2);
+      if (column != 0) f.spec.predicate_columns.push_back(0);
+      f.matches = [probe_matches, parity](const Row& row) {
+        return probe_matches(row) && row[0].AsInt64() % 2 == parity;
+      };
+      f.label += " AND id % 2 = " + std::to_string(parity);
+    }
+    f.spec.predicate = f.matches;
+    return f;
+  }
+
+  // EDIT plans must take the index route; a cost-model OVERWRITE scans.
+  void CheckRoute(const table::DmlResult& result) {
+    ASSERT_EQ(result.index_lookup, result.plan == table::DmlPlan::kEdit)
+        << "keyed " << table::DmlPlanName(result.plan) << " took the wrong route";
+    if (result.index_lookup) ++keyed_index_routed_;
+  }
+
+  void StepKeyedUpdate() {
+    KeyedFilter f = RandomKeyedFilter();
+    SCOPED_TRACE(Where("keyed update WHERE " + f.label));
+    const double amount_delta = static_cast<double>(rng_() % 1000) * 0.25;
+    // Updating `tag` under a `tag = ...` probe moves rows out of the probed
+    // bucket: the statement's own new entries must not feed back into it.
+    const std::string tag = "t" + std::to_string(rng_() % 9);
+    std::vector<table::Assignment> assigns(2);
+    assigns[0].column = 2;
+    assigns[0].input_columns = {2};
+    assigns[0].compute = [amount_delta](const Row& row) {
+      return Value::Double(row[2].AsDouble() + amount_delta);
+    };
+    assigns[1].column = 3;
+    assigns[1].compute = [tag](const Row&) { return Value::String(tag); };
+    std::optional<double> hint = 0.001;
+    if (rng_() % 4 == 0) hint = (rng_() % 100) * 0.01;
+    auto result = table_->UpdateWithHint(f.spec, assigns, hint, f.probe);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    CheckRoute(*result);
+
+    uint64_t touched = 0;
+    for (auto& [id, row] : model_) {
+      if (!f.matches(row)) continue;
+      row[2] = Value::Double(row[2].AsDouble() + amount_delta);
+      row[3] = Value::String(tag);
+      ++touched;
+    }
+    ASSERT_EQ(result->rows_matched, touched);
+    VerifyTableState();
+  }
+
+  void StepKeyedDelete() {
+    KeyedFilter f = RandomKeyedFilter();
+    SCOPED_TRACE(Where("keyed delete WHERE " + f.label));
+    std::optional<double> hint = 0.001;
+    if (rng_() % 4 == 0) hint = (rng_() % 100) * 0.01;
+    auto result = table_->DeleteWithHint(f.spec, hint, f.probe);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    CheckRoute(*result);
+
+    uint64_t touched = 0;
+    for (auto it = model_.begin(); it != model_.end();) {
+      if (f.matches(it->second)) {
+        it = model_.erase(it);
+        ++touched;
+      } else {
+        ++it;
+      }
+    }
+    ASSERT_EQ(result->rows_matched, touched);
+    VerifyTableState();
+  }
+
+  // The whole table, by full UNION READ scan, against the model.
+  void VerifyTableState() {
+    auto it = table_->ScanAt(table_->AcquireSnapshot(), table::ScanSpec());
+    ASSERT_TRUE(it.ok());
+    std::map<int64_t, Row> state;
+    while ((*it)->Next()) state[(*it)->row()[0].AsInt64()] = (*it)->row();
+    ASSERT_TRUE((*it)->status().ok()) << (*it)->status().ToString();
+    ASSERT_EQ(StateToString(state), StateToString(model_))
+        << "table diverged from the model";
   }
 
   void StepSnapshot() {
@@ -346,6 +488,7 @@ class IndexDifferentialHarness {
   std::vector<PinnedSnapshot> pinned_;
   int64_t next_id_ = 0;
   uint64_t op_ = 0;
+  uint64_t keyed_index_routed_ = 0;
 };
 
 TEST(IndexDifferentialTest, LookupMatchesScanAndModel) {

@@ -98,9 +98,10 @@ TEST_F(RecoveryTest, MetadataHistorySurvivesReopen) {
   ASSERT_TRUE(metadata_->RecordModificationRatio("t", 0.125).ok());
   auto meta2 = dual::MetadataTable::Open(fs_.get());
   ASSERT_TRUE(meta2.ok());
-  auto ratio = (*meta2)->HistoricalModificationRatio("t", 0.5);
+  auto ratio = (*meta2)->HistoricalModificationRatio("t");
   ASSERT_TRUE(ratio.ok());
-  EXPECT_NEAR(*ratio, 0.125, 1e-9);
+  ASSERT_TRUE(ratio->has_value());
+  EXPECT_NEAR(**ratio, 0.125, 1e-9);
 }
 
 TEST_F(RecoveryTest, AcidTableRecoversDeltasAndTxnCounter) {

@@ -438,6 +438,58 @@ TEST_F(EngineTest, ExplainSurfacesIndexLookup) {
   EXPECT_TRUE(saw_node) << "EXPLAIN ANALYZE trace is missing the index-lookup node";
 }
 
+TEST_F(EngineTest, ExplainDmlShowsThePlanThatRuns) {
+  Run("CREATE TABLE k (id BIGINT, v BIGINT) INDEX (id)");
+  std::string insert = "INSERT INTO k VALUES (0, 0)";
+  for (int i = 1; i < 20; ++i) insert += ", (" + std::to_string(i) + ", 0)";
+  Run(insert);
+  auto explain = [this](const std::string& sql) {
+    std::string text;
+    for (const Row& row : Run("EXPLAIN " + sql).rows) text += row[0].AsString() + "\n";
+    return text;
+  };
+  const std::string keyed = "UPDATE k SET v = 2 WHERE id = 7";
+  EXPECT_NE(explain(keyed).find("(default)"), std::string::npos) << "no history yet";
+
+  // An UPDATE of every row records a modification-ratio history of 1.0.
+  Run("UPDATE k SET v = 1 WITH RATIO 0.01");
+  const std::string text = explain(keyed);
+  EXPECT_NE(text.find("ratio: 1.000000 (metadata history)"), std::string::npos) << text;
+  auto ran = Run(keyed);
+  EXPECT_NE(text.find("plan: " + ran.dml_plan + "\n"), std::string::npos) << text;
+  // At the history ratio the model rewrites, and a rewrite scans: EXPLAIN
+  // must not claim the index route the EDIT plan would have taken.
+  EXPECT_EQ(ran.dml_plan, "OVERWRITE");
+  EXPECT_EQ(text.find("index lookup"), std::string::npos) << text;
+
+  // Under a hint the EDIT plan runs; it takes the index route exactly when
+  // the WHERE holds an equality or IN on `id` with int literals.
+  const std::pair<std::string, int> cases[] = {
+      {"id = 7", 1}, {"id IN (1, 2)", 2}, {"id > 7", 0}, {"id = 7.0", 0}};
+  for (const auto& [where, probes] : cases) {
+    for (const std::string& dml :
+         {"UPDATE k SET v = 3 WHERE " + where + " WITH RATIO 0.01",
+          "DELETE FROM k WHERE " + where + " WITH RATIO 0.01"}) {
+      const std::string plan = explain(dml);
+      const std::string line =
+          "index lookup: column 'id', " + std::to_string(probes) + " probe(s)";
+      const bool index_line = plan.find(line) != std::string::npos;
+      auto executed = Run(dml);
+      EXPECT_EQ(executed.dml_plan, "EDIT") << dml;
+      EXPECT_NE(plan.find("plan: EDIT\n"), std::string::npos) << plan;
+      EXPECT_EQ(index_line, probes > 0) << plan;
+      EXPECT_EQ(plan.find("index lookup") != std::string::npos, probes > 0) << plan;
+      EXPECT_EQ(executed.message.find("(index lookup)") != std::string::npos, probes > 0)
+          << dml << " -> " << executed.message;
+    }
+  }
+  // Ids 7, 1 and 2 were deleted by key, 8..19 by scan.
+  auto rest = Run("SELECT id FROM k ORDER BY id");
+  std::vector<int64_t> ids;
+  for (const Row& row : rest.rows) ids.push_back(row[0].AsInt64());
+  EXPECT_EQ(ids, std::vector<int64_t>({0, 3, 4, 5, 6}));
+}
+
 TEST_F(EngineTest, IndexClauseValidation) {
   EXPECT_FALSE(session_->Execute("CREATE TABLE bad1 (id BIGINT) INDEX (nope)").ok());
   EXPECT_FALSE(
