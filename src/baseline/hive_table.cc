@@ -48,24 +48,6 @@ Result<std::unique_ptr<table::BatchIterator>> HiveTable::ScanBatches(
   return std::unique_ptr<table::BatchIterator>(std::move(it));
 }
 
-Result<std::vector<table::ScanSplit>> HiveTable::CreateSplits(const table::ScanSpec& spec) {
-  std::vector<table::ScanSplit> splits;
-  for (const dual::MasterFileInfo& info : storage_->files()) {
-    const uint64_t file_id = info.file_id;
-    HiveTable* self = this;
-    table::ScanSpec copy = spec;
-    splits.push_back(table::ScanSplit{
-        name_ + "/f_" + std::to_string(file_id),
-        [self, file_id, copy]() -> Result<std::unique_ptr<table::RowIterator>> {
-          DTL_ASSIGN_OR_RETURN(auto it, self->storage_->NewFileBatchScanIterator(
-                                            file_id, copy, /*apply_predicate=*/true));
-          return std::unique_ptr<table::RowIterator>(
-              new table::BatchToRowAdapter(std::move(it), copy.meter));
-        }});
-  }
-  return splits;
-}
-
 Status HiveTable::InsertRows(const std::vector<Row>& rows) {
   if (rows.empty()) return Status::OK();
   DTL_ASSIGN_OR_RETURN(auto writer, storage_->NewFileWriter());

@@ -1,5 +1,5 @@
-// Fixed-size worker pool used by the MapReduce-like executor to run splits
-// in parallel, standing in for a cluster's task slots.
+// Fixed-size worker pool that runs scan morsels and per-file COMPACT
+// rewrites in parallel, standing in for a cluster's task slots.
 #pragma once
 
 #include <atomic>
@@ -18,7 +18,7 @@ namespace dtl {
 
 /// Simple FIFO thread pool. Tasks may not block on other tasks submitted to
 /// the same pool (no work stealing), which the executor respects by
-/// submitting only leaf-level split work.
+/// submitting only leaf-level morsel work.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);

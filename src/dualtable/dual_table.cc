@@ -274,24 +274,6 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatch(
   return it;
 }
 
-Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForFile(
-    const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(
-      auto master_it,
-      master_->NewFileBatchScanIterator(snapshot->generation, file_id,
-                                        MasterSpecFor(spec, snapshot),
-                                        /*apply_predicate=*/false,
-                                        options_.scan_batch_rows));
-  auto attached_it = attached_->NewScannerAt(
-      snapshot->attached, MakeRecordId(file_id, 0), MakeRecordId(file_id + 1, 0));
-  auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
-                                                     std::move(attached_it),
-                                                     spec.predicate,
-                                                     schema_.num_fields(), spec.meter);
-  it->AnchorSnapshot(snapshot);
-  return it;
-}
-
 Result<std::vector<ScanMorsel>> DualTable::PlanScanMorsels(const table::ScanSpec& spec,
                                                            size_t stripes_per_morsel) {
   return PlanScanMorselsAt(AcquireSnapshot(), spec, stripes_per_morsel);
@@ -377,13 +359,9 @@ Result<std::unique_ptr<table::RowIterator>> DualTable::Scan(const table::ScanSpe
 
 Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAt(
     const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  if (options_.enable_batch_scan) {
-    DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
-    return std::unique_ptr<table::RowIterator>(std::make_unique<table::BatchToRowAdapter>(
-        ObserveUnionReadRows(std::move(it)), spec.meter));
-  }
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
-  return std::unique_ptr<table::RowIterator>(std::move(it));
+  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
+  return std::unique_ptr<table::RowIterator>(std::make_unique<table::BatchToRowAdapter>(
+      ObserveUnionReadRows(std::move(it)), spec.meter));
 }
 
 Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatches(
@@ -393,13 +371,6 @@ Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatches(
 
 Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatchesAt(
     const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  if (!options_.enable_batch_scan) {
-    // Row-at-a-time fallback, built directly from the snapshot so the
-    // batch/row configuration switch never changes visibility semantics.
-    DTL_ASSIGN_OR_RETURN(auto rows, NewUnionRead(snapshot, spec));
-    return std::unique_ptr<table::BatchIterator>(std::make_unique<table::RowToBatchAdapter>(
-        std::move(rows), schema_.num_fields(), options_.scan_batch_rows, spec.meter));
-  }
   DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
   return ObserveUnionReadRows(std::move(it));
 }
@@ -412,49 +383,9 @@ Result<std::unique_ptr<table::RowIterator>> DualTable::ScanLegacyRows(
 
 Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAsOf(
     const table::ScanSpec& spec, uint64_t as_of) {
-  SnapshotPtr snapshot = AcquireSnapshot();
-  if (options_.enable_batch_scan) {
-    DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec, as_of));
-    return std::unique_ptr<table::RowIterator>(
-        std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
-  }
-  DTL_ASSIGN_OR_RETURN(auto master_it,
-                       master_->NewScanIterator(snapshot->generation,
-                                                MasterSpecFor(spec, snapshot),
-                                                /*apply_predicate=*/false));
-  auto attached_it =
-      attached_->NewScannerAt(snapshot->attached, 0, UINT64_MAX, as_of);
-  auto it = std::make_unique<UnionReadIterator>(std::move(master_it),
-                                                std::move(attached_it), spec.predicate,
-                                                schema_.num_fields());
-  it->AnchorSnapshot(snapshot);
-  return std::unique_ptr<table::RowIterator>(std::move(it));
-}
-
-Result<std::vector<table::ScanSplit>> DualTable::CreateSplits(const table::ScanSpec& spec) {
-  // One snapshot shared by every split: the split set and each split's scan
-  // agree on the file set, and a COMPACT between CreateSplits and the last
-  // split's execution cannot tear the view.
-  SnapshotPtr snapshot = AcquireSnapshot();
-  std::vector<table::ScanSplit> splits;
-  for (const MasterFileInfo& info : snapshot->generation->files()) {
-    const uint64_t file_id = info.file_id;
-    DualTable* self = this;
-    table::ScanSpec copy = spec;
-    splits.push_back(table::ScanSplit{
-        name_ + "/f_" + std::to_string(file_id),
-        [self, snapshot, file_id, copy]() -> Result<std::unique_ptr<table::RowIterator>> {
-          if (self->options_.enable_batch_scan) {
-            DTL_ASSIGN_OR_RETURN(auto it,
-                                 self->NewUnionReadBatchForFile(snapshot, file_id, copy));
-            return std::unique_ptr<table::RowIterator>(
-                std::make_unique<table::BatchToRowAdapter>(std::move(it), copy.meter));
-          }
-          DTL_ASSIGN_OR_RETURN(auto it, self->NewUnionReadForFile(snapshot, file_id, copy));
-          return std::unique_ptr<table::RowIterator>(std::move(it));
-        }});
-  }
-  return splits;
+  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(AcquireSnapshot(), spec, as_of));
+  return std::unique_ptr<table::RowIterator>(
+      std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
 }
 
 Status DualTable::InsertRows(const std::vector<Row>& rows) {

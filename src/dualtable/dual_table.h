@@ -161,11 +161,6 @@ struct DualTableOptions {
   /// modelled actuals the loop feeds on).
   double cost_calibration_gain = 0.0;
 
-  /// Route Scan/ScanBatches/CreateSplits/ScanAsOf through the vectorized
-  /// UNION READ (RowBatch pipeline). Off = the original row-at-a-time merge,
-  /// kept as the comparison baseline (see ScanLegacyRows).
-  bool enable_batch_scan = true;
-
   /// Rows per RowBatch emitted by the vectorized scan. Small values exercise
   /// batch/stripe boundary handling in tests.
   size_t scan_batch_rows = table::kDefaultBatchRows;
@@ -243,7 +238,6 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
   Result<std::unique_ptr<table::BatchIterator>> ScanBatches(
       const table::ScanSpec& spec) override;
-  Result<std::vector<table::ScanSplit>> CreateSplits(const table::ScanSpec& spec) override;
   Status InsertRows(const std::vector<Row>& rows) override;
   /// INSERT OVERWRITE TABLE: a fresh master generation + empty attached.
   Status OverwriteRows(const std::vector<Row>& rows) override;
@@ -365,8 +359,9 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorsel(
       const ScanMorsel& morsel, const table::ScanSpec& spec, table::ScanMeter* meter);
 
-  /// The original row-at-a-time UNION READ, regardless of enable_batch_scan.
-  /// Kept for the batch-vs-row equivalence tests and the scan benchmarks.
+  /// The row-at-a-time UNION READ. Scan, ScanBatches and ScanAsOf run the
+  /// vectorized one; this stays for the batch-vs-row equivalence tests and
+  /// the scan benchmarks.
   Result<std::unique_ptr<table::RowIterator>> ScanLegacyRows(const table::ScanSpec& spec);
 
   /// Snapshot read: the table as it looked when the attached table's clock
@@ -429,8 +424,6 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatch(
       const SnapshotPtr& snapshot, const table::ScanSpec& spec,
       uint64_t as_of = UINT64_MAX);
-  Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForFile(
-      const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec);
   /// Clears stripe-stat bounds when the snapshot's attached state could
   /// invalidate them.
   table::ScanSpec MasterSpecFor(const table::ScanSpec& spec,

@@ -554,39 +554,14 @@ Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterat
                                   schema_.num_fields(), apply_predicate, batch_rows));
 }
 
-Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewFileBatchScanIterator(
-    const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-    bool apply_predicate, size_t batch_rows) const {
-  for (const MasterFileInfo& info : gen->files()) {
-    if (info.file_id != file_id) continue;
-    DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
-    return std::unique_ptr<MasterScanBatchIterator>(new MasterScanBatchIterator(
-        {std::move(reader)}, {file_id}, spec, schema_.num_fields(), apply_predicate,
-        batch_rows));
-  }
-  return Status::NotFound("no master file with ID " + std::to_string(file_id));
-}
-
 Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewScanIterator(
     const table::ScanSpec& spec, bool apply_predicate) const {
   return NewScanIterator(CurrentGeneration(), spec, apply_predicate);
 }
 
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewFileScanIterator(
-    uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate) const {
-  return NewFileScanIterator(CurrentGeneration(), file_id, spec, apply_predicate);
-}
-
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterator(
     const table::ScanSpec& spec, bool apply_predicate, size_t batch_rows) const {
   return NewBatchScanIterator(CurrentGeneration(), spec, apply_predicate, batch_rows);
-}
-
-Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewFileBatchScanIterator(
-    uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate,
-    size_t batch_rows) const {
-  return NewFileBatchScanIterator(CurrentGeneration(), file_id, spec, apply_predicate,
-                                  batch_rows);
 }
 
 Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(

@@ -290,7 +290,7 @@ class MasterTable {
       const MasterGenerationPtr& gen, const table::ScanSpec& spec,
       bool apply_predicate) const;
 
-  /// Scan over a single master file (the per-file MapReduce split).
+  /// Scan over a single master file (one parallel-COMPACT rewrite job).
   Result<std::unique_ptr<MasterScanIterator>> NewFileScanIterator(
       const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
       bool apply_predicate) const;
@@ -300,11 +300,6 @@ class MasterTable {
   Result<std::unique_ptr<MasterScanBatchIterator>> NewBatchScanIterator(
       const MasterGenerationPtr& gen, const table::ScanSpec& spec, bool apply_predicate,
       size_t batch_rows = table::kDefaultBatchRows) const;
-
-  /// Vectorized scan over a single master file.
-  Result<std::unique_ptr<MasterScanBatchIterator>> NewFileBatchScanIterator(
-      const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-      bool apply_predicate, size_t batch_rows = table::kDefaultBatchRows) const;
 
   /// Splits the scan into stripe-aligned morsels of at most
   /// `stripes_per_morsel` surviving stripes each, in record-ID order.
@@ -324,13 +319,8 @@ class MasterTable {
 
   Result<std::unique_ptr<MasterScanIterator>> NewScanIterator(const table::ScanSpec& spec,
                                                               bool apply_predicate) const;
-  Result<std::unique_ptr<MasterScanIterator>> NewFileScanIterator(
-      uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate) const;
   Result<std::unique_ptr<MasterScanBatchIterator>> NewBatchScanIterator(
       const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
-  Result<std::unique_ptr<MasterScanBatchIterator>> NewFileBatchScanIterator(
-      uint64_t file_id, const table::ScanSpec& spec, bool apply_predicate,
       size_t batch_rows = table::kDefaultBatchRows) const;
 
   /// Removes every master file and the directory.

@@ -400,4 +400,25 @@ table::RowPredicateFn MakePredicate(exec::ValueFn fn) {
   return [fn = std::move(fn)](const Row& row) { return ValueIsTrue(fn(row)); };
 }
 
+Result<BoundPredicate> BindConjunction(const std::vector<const Expr*>& conjuncts,
+                                       const Scope& scope) {
+  BoundPredicate out;
+  if (conjuncts.empty()) return out;
+  std::vector<exec::ValueFn> fns;
+  std::set<size_t> columns;
+  for (const Expr* c : conjuncts) {
+    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, scope));
+    fns.push_back(std::move(bound.fn));
+    columns.insert(bound.columns.begin(), bound.columns.end());
+  }
+  out.fn = [fns = std::move(fns)](const Row& row) {
+    for (const auto& fn : fns) {
+      if (!ValueIsTrue(fn(row))) return false;
+    }
+    return true;
+  };
+  out.columns.assign(columns.begin(), columns.end());
+  return out;
+}
+
 }  // namespace dtl::sql

@@ -77,6 +77,16 @@ std::vector<table::ColumnBound> ExtractBounds(
 /// row rejected, per SQL WHERE semantics).
 table::RowPredicateFn MakePredicate(exec::ValueFn fn);
 
+/// A conjunction compiled once: `fn` accepts a row when every conjunct is
+/// TRUE (null when there are no conjuncts); `columns` are the flat ordinals
+/// the conjuncts read, ascending.
+struct BoundPredicate {
+  table::RowPredicateFn fn;
+  std::vector<size_t> columns;
+};
+Result<BoundPredicate> BindConjunction(const std::vector<const Expr*>& conjuncts,
+                                       const Scope& scope);
+
 /// Truthiness used by filters: TRUE only.
 bool ValueIsTrue(const Value& v);
 

@@ -51,45 +51,18 @@ ExprPtr SubstituteAliases(const Expr& expr, const std::vector<SelectItem>& items
   return copy;
 }
 
-struct TableSlot {
-  std::string qualifier;
-  std::shared_ptr<table::StorageTable> storage;  // null for derived tables
-  std::shared_ptr<std::vector<Row>> derived_rows;  // FROM (SELECT ...) results
-  size_t offset = 0;  // first flat ordinal of this table
-  size_t width = 0;
-  /// Statement snapshot, acquired at bind time when `storage` is a
-  /// DualTable. Every scan of this slot — serial, vectorized, parallel,
-  /// split — reads from it, so one statement sees one consistent view of
-  /// each table no matter what commits concurrently (repeatable read at
-  /// statement granularity).
-  dual::SnapshotPtr snapshot;
-};
-
-/// Schema for a derived table: column names from the subquery's output,
-/// types inferred from the first non-null value per column.
-Schema DeriveSchema(const QueryResult& result) {
-  std::vector<Field> fields;
-  for (size_t c = 0; c < result.column_names.size(); ++c) {
-    DataType type = DataType::kString;
-    for (const Row& row : result.rows) {
-      if (c >= row.size() || row[c].is_null()) continue;
-      if (row[c].is_int64()) type = DataType::kInt64;
-      else if (row[c].is_double()) type = DataType::kDouble;
-      else if (row[c].is_bool()) type = DataType::kBool;
-      else type = DataType::kString;
-      break;
-    }
-    fields.push_back(Field{result.column_names[c], type});
-  }
-  return Schema(std::move(fields));
+/// The top-level AND terms of an optional WHERE clause.
+std::vector<const Expr*> Conjuncts(const ExprPtr& where) {
+  std::vector<const Expr*> out;
+  if (where != nullptr) SplitConjuncts(*where, &out);
+  return out;
 }
 
-/// Index of the table a flat ordinal belongs to.
-size_t TableOf(const std::vector<TableSlot>& slots, size_t ordinal) {
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (ordinal >= slots[i].offset && ordinal < slots[i].offset + slots[i].width) return i;
-  }
-  return slots.size();
+/// The EXPLAIN text of an expression list, `sep` between items.
+std::string ExprsText(const std::vector<const Expr*>& exprs, const char* sep) {
+  std::string out;
+  for (const Expr* e : exprs) out += (out.empty() ? "" : sep) + e->ToString();
+  return out;
 }
 
 /// Scans `conjuncts` for one the secondary index can answer: `col = lit` or a
@@ -151,19 +124,34 @@ bool FindIndexProbe(const std::vector<const Expr*>& conjuncts, const Scope& scop
 }
 
 /// The keyed-DML route (DESIGN.md §13): the probe an EDIT on `dual` takes its
-/// matches from — found by the same FindIndexProbe the SELECT fast path runs
-/// — or nullopt when the table has no index or the WHERE offers no probe.
-std::optional<dual::IndexProbe> FindDmlIndexProbe(const Expr* where, const Scope& scope,
-                                                  dual::DualTable* dual) {
-  if (where == nullptr || dual->secondary_index() == nullptr) return std::nullopt;
-  std::vector<const Expr*> conjuncts;
-  SplitConjuncts(*where, &conjuncts);
+/// matches from — found by the same FindIndexProbe the SELECT planner runs —
+/// or nullopt when the table has no index or the WHERE offers no probe.
+std::optional<dual::IndexProbe> FindDmlIndexProbe(
+    const std::vector<const Expr*>& conjuncts, const Scope& scope,
+    dual::DualTable* dual) {
+  if (dual->secondary_index() == nullptr) return std::nullopt;
   dual::IndexProbe probe;
   if (!FindIndexProbe(conjuncts, scope, dual->schema(), *dual->secondary_index(),
                       &probe.column, &probe.values)) {
     return std::nullopt;
   }
   return probe;
+}
+
+/// The scan a table's conjuncts push into: `projection` (empty = every
+/// column), the conjuncts ANDed into the predicate, and the stripe bounds
+/// they imply. SELECT builds one per table; UPDATE/DELETE one for the WHERE.
+Result<table::ScanSpec> BuildScanSpec(const std::vector<const Expr*>& conjuncts,
+                                      const Scope& scope, std::vector<size_t> projection,
+                                      table::ScanMeter* meter) {
+  DTL_ASSIGN_OR_RETURN(BoundPredicate predicate, BindConjunction(conjuncts, scope));
+  table::ScanSpec spec;
+  spec.meter = meter;
+  spec.projection = std::move(projection);
+  spec.predicate = std::move(predicate.fn);
+  spec.predicate_columns = std::move(predicate.columns);
+  spec.bounds = ExtractBounds(conjuncts, scope);
+  return spec;
 }
 
 /// The DML result message; names the index route when the EDIT took it.
@@ -190,6 +178,37 @@ void ExplainDualDml(const dual::DualTable& dual, const dual::DmlPlanChoice& choi
     emit("  index lookup: column '" + dual.schema().field(probe->column).name + "', " +
          std::to_string(probe->values.size()) + " probe(s)");
   }
+}
+
+/// EXPLAIN lines for a SelectPlan, each prefixed with `indent`; a derived
+/// table's plan follows its scan line, two spaces deeper.
+void ExplainSelect(const SelectPlan& plan, const std::string& indent,
+                   const std::function<void(const std::string&)>& emit) {
+  emit(indent + "SELECT");
+  const std::string in = indent + "  ";
+  emit(in + "route: " + SelectRouteName(plan.routes.front()));
+  for (size_t i = 0; i < plan.tables.size(); ++i) {
+    const SelectPlan::Table& t = plan.tables[i];
+    std::string line = in + "scan " + t.qualifier + " (" + t.kind +
+                       (t.snapshot != nullptr ? ", UNION READ scan)" : ")");
+    if (!t.pushed.empty()) line += " where " + ExprsText(t.pushed, " AND ");
+    emit(line);
+    if (t.subquery != nullptr) ExplainSelect(*t.subquery, in + "  ", emit);
+    if (i == 0 && plan.routes.front() == SelectRoute::kIndexLookup) {
+      const std::string& column = t.storage->schema().field(plan.probe.column).name;
+      emit(in + "index lookup: column '" + column + "', " +
+           std::to_string(plan.probe.values.size()) + " probe(s)");
+    }
+    if (i > 0) {
+      const SelectPlan::Join& join = plan.joins[i - 1];
+      emit(in + (join.left_outer ? "left outer " : "") + "hash join " + t.qualifier +
+           " on " + join.on_text);
+    }
+  }
+  if (plan.residual) emit(in + "filter: " + ExprsText(plan.residual_conjuncts, " AND "));
+  if (plan.aggregate) emit(in + "aggregate: " + plan.aggregate_text);
+  if (!plan.sort_keys.empty()) emit(in + "sort: " + plan.sort_text);
+  if (plan.limit.has_value()) emit(in + "limit " + std::to_string(*plan.limit));
 }
 
 /// Row-at-a-time trace decorator: charges each Next()'s wall time and the
@@ -235,6 +254,194 @@ class TracedBatchOperator : public exec::BatchOperator {
  private:
   std::unique_ptr<exec::BatchOperator> child_;
   obs::TraceNode* node_;
+};
+
+/// Builds and drains the operators of one route of a SelectPlan. The plan is
+/// read, never consumed. Traced statements hang one node per operator off
+/// `exec_node` (null when untraced); a derived table's plan runs by its own
+/// preferred route onto the same node.
+class RouteRunner {
+ public:
+  RouteRunner(const ExecOptions& exec, obs::TraceNode* exec_node)
+      : exec_(exec), exec_node_(exec_node) {}
+
+  Result<std::vector<Row>> Run(const SelectPlan& plan, SelectRoute route) {
+    switch (route) {
+      case SelectRoute::kIndexLookup:
+        return IndexLookup(plan);
+      case SelectRoute::kParallelAggregate:
+        return ParallelAggregate(plan);
+      case SelectRoute::kVectorized:
+        return Vectorized(plan);
+      case SelectRoute::kOperatorTree:
+        return OperatorTree(plan);
+    }
+    return Status::Internal("unknown SELECT route");
+  }
+
+ private:
+  obs::TraceNode* AddNode(const char* name, std::string detail = {}) {
+    return exec_node_ == nullptr
+               ? nullptr
+               : exec_.tracer->AddNode(name, std::move(detail), exec_node_);
+  }
+  std::unique_ptr<exec::Operator> Traced(std::unique_ptr<exec::Operator> op,
+                                         const char* name, std::string detail = {}) {
+    obs::TraceNode* node = AddNode(name, std::move(detail));
+    if (node == nullptr) return op;
+    return std::make_unique<TracedOperator>(std::move(op), node);
+  }
+  std::unique_ptr<exec::BatchOperator> Traced(std::unique_ptr<exec::BatchOperator> op,
+                                              const char* name, std::string detail = {}) {
+    obs::TraceNode* node = AddNode(name, std::move(detail));
+    if (node == nullptr) return op;
+    return std::make_unique<TracedBatchOperator>(std::move(op), node);
+  }
+
+  // Candidate record ids -> targeted stripe fetches through the shared
+  // cache -> delta patch -> probe re-verify -> the whole pushed predicate.
+  // Record-id order is scan order, so the rows equal the scan routes'.
+  Result<std::vector<Row>> IndexLookup(const SelectPlan& plan) {
+    const SelectPlan::Table& t = plan.tables[0];
+    auto* dual = static_cast<dual::DualTable*>(t.storage.get());
+    obs::TraceNode* node = AddNode(obs::names::kOpIndexLookup, t.qualifier);
+    Stopwatch watch;
+    DTL_ASSIGN_OR_RETURN(auto matches, dual->IndexLookupAt(t.snapshot, plan.probe.column,
+                                                           plan.probe.values, t.scan));
+    if (node != nullptr) {
+      node->stats.wall_seconds += watch.ElapsedSeconds();
+      node->stats.rows += matches.size();
+    }
+    std::vector<Row> rows;
+    for (const auto& match : matches) {
+      if (plan.limit.has_value() && rows.size() >= *plan.limit) break;
+      Row out;
+      out.reserve(plan.outputs.size());
+      for (const auto& fn : plan.outputs) out.push_back(fn(match.second));
+      rows.push_back(std::move(out));
+    }
+    return rows;
+  }
+
+  // Global aggregates are order-insensitive: morsel workers build partial
+  // AggStates merged at one barrier, identical to the serial plan.
+  Result<std::vector<Row>> ParallelAggregate(const SelectPlan& plan) {
+    const SelectPlan::Table& t = plan.tables[0];
+    exec::ParallelScanOptions popts;
+    popts.pool = exec_.pool;
+    popts.parallelism = exec_.parallelism;
+    popts.morsel_stripes = exec_.morsel_stripes;
+    popts.metrics = exec_.metrics;
+    popts.snapshot = t.snapshot;
+    exec::ParallelScanner scanner(static_cast<dual::DualTable*>(t.storage.get()), t.scan,
+                                  popts);
+    AddNode(obs::names::kOpParallelScan, t.qualifier);
+    // The finalized aggregates in plan order: the row HashAggregateOperator
+    // emits for a keyless aggregate, so the outputs apply unchanged.
+    DTL_ASSIGN_OR_RETURN(Row agg_row, scanner.Aggregate(plan.aggregates));
+    std::vector<Row> rows;
+    if (plan.limit.has_value() && *plan.limit == 0) return rows;
+    Row out;
+    out.reserve(plan.outputs.size());
+    for (const auto& fn : plan.outputs) out.push_back(fn(agg_row));
+    rows.push_back(std::move(out));
+    return rows;
+  }
+
+  // Storage batches (predicate applied inside the scan) -> vectorized
+  // projection -> vectorized limit; rows materialize only at the end.
+  Result<std::vector<Row>> Vectorized(const SelectPlan& plan) {
+    const SelectPlan::Table& t = plan.tables[0];
+    std::unique_ptr<table::BatchIterator> it;
+    if (t.snapshot != nullptr) {
+      auto* dual = static_cast<dual::DualTable*>(t.storage.get());
+      DTL_ASSIGN_OR_RETURN(it, dual->ScanBatchesAt(t.snapshot, t.scan));
+    } else {
+      DTL_ASSIGN_OR_RETURN(it, t.storage->ScanBatches(t.scan));
+    }
+    std::unique_ptr<exec::BatchOperator> op =
+        Traced(std::make_unique<exec::BatchScanOperator>(std::move(it)),
+               obs::names::kOpScan, t.qualifier);
+    op = Traced(std::make_unique<exec::BatchProjectOperator>(std::move(op), plan.outputs,
+                                                             plan.output_columns),
+                obs::names::kOpProject);
+    if (plan.limit.has_value()) {
+      op = Traced(std::make_unique<exec::BatchLimitOperator>(std::move(op), *plan.limit),
+                  obs::names::kOpLimit);
+    }
+    return exec::CollectBatches(op.get());
+  }
+
+  Result<std::unique_ptr<exec::Operator>> OpenTable(const SelectPlan::Table& t) {
+    if (t.subquery != nullptr) {
+      DTL_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                           Run(*t.subquery, t.subquery->routes.front()));
+      std::unique_ptr<exec::Operator> op =
+          std::make_unique<exec::RowsOperator>(std::move(rows));
+      if (t.scan.predicate) {
+        op = std::make_unique<exec::FilterOperator>(std::move(op), t.scan.predicate);
+      }
+      return op;
+    }
+    std::unique_ptr<table::RowIterator> it;
+    if (t.snapshot != nullptr) {
+      auto* dual = static_cast<dual::DualTable*>(t.storage.get());
+      DTL_ASSIGN_OR_RETURN(it, dual->ScanAt(t.snapshot, t.scan));
+    } else {
+      DTL_ASSIGN_OR_RETURN(it, t.storage->Scan(t.scan));
+    }
+    return Traced(std::make_unique<exec::ScanOperator>(std::move(it)),
+                  obs::names::kOpScan, t.qualifier);
+  }
+
+  // Left-deep join tree (probe = rows so far, build = next table), residual
+  // filter, aggregate + HAVING, sort, project, limit.
+  Result<std::vector<Row>> OperatorTree(const SelectPlan& plan) {
+    DTL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> op, OpenTable(plan.tables[0]));
+    for (size_t j = 0; j < plan.joins.size(); ++j) {
+      const SelectPlan::Join& join = plan.joins[j];
+      const SelectPlan::Table& right = plan.tables[j + 1];
+      DTL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> build, OpenTable(right));
+      op = Traced(std::make_unique<exec::HashJoinOperator>(
+                      std::move(op), std::move(build), join.probe_keys, join.build_keys,
+                      right.width,
+                      join.left_outer ? exec::HashJoinOperator::Kind::kLeftOuter
+                                      : exec::HashJoinOperator::Kind::kInner),
+                  obs::names::kOpJoin, right.qualifier);
+      if (join.residual) {
+        op = Traced(std::make_unique<exec::FilterOperator>(std::move(op), join.residual),
+                    obs::names::kOpFilter);
+      }
+    }
+    if (plan.residual) {
+      op = Traced(std::make_unique<exec::FilterOperator>(std::move(op), plan.residual),
+                  obs::names::kOpFilter);
+    }
+    if (plan.aggregate) {
+      op = Traced(std::make_unique<exec::HashAggregateOperator>(
+                      std::move(op), plan.group_keys, plan.aggregates),
+                  obs::names::kOpAggregate);
+      if (plan.having) {
+        op = Traced(std::make_unique<exec::FilterOperator>(std::move(op), plan.having),
+                    obs::names::kOpFilter);
+      }
+    }
+    if (!plan.sort_keys.empty()) {
+      op = Traced(std::make_unique<exec::SortOperator>(std::move(op), plan.sort_keys,
+                                                       plan.ascending),
+                  obs::names::kOpSort);
+    }
+    op = Traced(std::make_unique<exec::ProjectOperator>(std::move(op), plan.outputs),
+                obs::names::kOpProject);
+    if (plan.limit.has_value()) {
+      op = Traced(std::make_unique<exec::LimitOperator>(std::move(op), *plan.limit),
+                  obs::names::kOpLimit);
+    }
+    return exec::Collect(op.get());
+  }
+
+  const ExecOptions& exec_;
+  obs::TraceNode* exec_node_;
 };
 
 }  // namespace
@@ -432,40 +639,92 @@ Result<QueryResult> Engine::DispatchStatement(const Statement& stmt) {
   return Status::Internal("unhandled statement kind");
 }
 
-Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
-  // Everything before the execute node is "bind": resolution, expression
-  // binding, and plan assembly. EXPLAIN ANALYZE reports it as one leaf.
-  obs::Tracer* tracer = exec_.tracer;
-  const bool traced = tracer != nullptr && tracer->active();
-  Stopwatch bind_watch;
+const char* SelectRouteName(SelectRoute route) {
+  switch (route) {
+    case SelectRoute::kIndexLookup:
+      return "index lookup";
+    case SelectRoute::kParallelAggregate:
+      return "parallel aggregate";
+    case SelectRoute::kVectorized:
+      return "vectorized scan";
+    case SelectRoute::kOperatorTree:
+      return "operator tree";
+  }
+  return "?";
+}
 
-  // ---- resolve tables and build the flat scope ----
-  std::vector<TableSlot> slots;
+Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
+  obs::Tracer* tracer = exec_.tracer;
+  Stopwatch bind_watch;
+  DTL_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt));
+  if (tracer != nullptr && tracer->active()) {
+    tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
+  }
+  return RunSelect(plan, plan.routes.front());
+}
+
+Result<QueryResult> Engine::RunSelect(const SelectPlan& plan, SelectRoute route) {
+  if (std::find(plan.routes.begin(), plan.routes.end(), route) == plan.routes.end()) {
+    return Status::InvalidArgument(std::string("route '") + SelectRouteName(route) +
+                                   "' does not apply to this plan");
+  }
+  obs::TraceNode* exec_node =
+      exec_.tracer != nullptr && exec_.tracer->active()
+          ? exec_.tracer->AddNode(obs::names::kSpanExecute, SelectRouteName(route))
+          : nullptr;
+  obs::Span exec_span(exec_.tracer, exec_node);
+  QueryResult result;
+  DTL_ASSIGN_OR_RETURN(result.rows, RouteRunner(exec_, exec_node).Run(plan, route));
+  result.column_names = plan.column_names;
+  return result;
+}
+
+Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
+  SelectPlan plan;
+
+  // ---- resolve tables, pin snapshots, build the flat scope ----
   Scope scope;
+  std::vector<Scope> locals;    // each table alone: pushed conjuncts, build keys
+  std::vector<size_t> offsets;  // first flat ordinal of each table
   auto add_table = [&](const TableRef& ref) -> Status {
-    TableSlot slot;
-    slot.qualifier = ref.EffectiveName();
-    slot.offset = scope.num_columns();
+    SelectPlan::Table t;
+    t.qualifier = ref.EffectiveName();
+    Schema derived;
+    const Schema* schema = &derived;
     if (ref.subquery != nullptr) {
-      DTL_ASSIGN_OR_RETURN(QueryResult sub, ExecuteSelect(*ref.subquery));
-      Schema schema = DeriveSchema(sub);
-      slot.derived_rows = std::make_shared<std::vector<Row>>(std::move(sub.rows));
-      slot.width = schema.num_fields();
-      scope.AddTable(slot.qualifier, schema);
+      DTL_ASSIGN_OR_RETURN(SelectPlan child, PlanSelect(*ref.subquery));
+      // Names only: no route reads a derived column's type.
+      std::vector<Field> fields;
+      for (const std::string& name : child.column_names) {
+        fields.push_back(Field{name, DataType::kNull});
+      }
+      derived = Schema(std::move(fields));
+      t.kind = "subquery";
+      t.subquery = std::make_shared<const SelectPlan>(std::move(child));
     } else {
       DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(ref.table));
-      slot.storage = entry.table;
-      slot.width = entry.table->schema().num_fields();
-      scope.AddTable(slot.qualifier, entry.table->schema());
+      schema = &entry.table->schema();
+      t.kind = table::TableKindName(entry.kind);
+      t.storage = entry.table;
       if (auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get())) {
-        slot.snapshot = dual->AcquireSnapshot();
+        t.snapshot = dual->AcquireSnapshot();
       }
     }
-    slots.push_back(std::move(slot));
+    t.width = schema->num_fields();
+    offsets.push_back(scope.num_columns());
+    scope.AddTable(t.qualifier, *schema);
+    locals.emplace_back();
+    locals.back().AddTable(t.qualifier, *schema);
+    plan.tables.push_back(std::move(t));
     return Status::OK();
   };
   DTL_RETURN_NOT_OK(add_table(stmt.from));
   for (const JoinClause& join : stmt.joins) DTL_RETURN_NOT_OK(add_table(join.table));
+  auto table_of = [&](size_t ordinal) {
+    size_t i = 0;
+    while (i + 1 < offsets.size() && ordinal >= offsets[i + 1]) ++i;
+    return i;
+  };
 
   // ---- normalize aliased expressions ----
   ExprPtr where = stmt.where ? SubstituteAliases(*stmt.where, stmt.items) : nullptr;
@@ -479,7 +738,6 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
 
   // ---- expand stars and collect referenced columns ----
   std::vector<const Expr*> select_exprs;
-  std::vector<std::string> column_names;
   std::vector<ExprPtr> star_storage;
   for (const SelectItem& item : stmt.items) {
     if (item.star) {
@@ -487,17 +745,17 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
         star_storage.push_back(
             MakeColumnRef(scope.column(i).qualifier, scope.column(i).name));
         select_exprs.push_back(star_storage.back().get());
-        column_names.push_back(scope.column(i).name);
+        plan.column_names.push_back(scope.column(i).name);
       }
       continue;
     }
     select_exprs.push_back(item.expr.get());
     if (!item.alias.empty()) {
-      column_names.push_back(item.alias);
+      plan.column_names.push_back(item.alias);
     } else if (item.expr->kind == Expr::Kind::kColumnRef) {
-      column_names.push_back(item.expr->column);
+      plan.column_names.push_back(item.expr->column);
     } else {
-      column_names.push_back(item.expr->ToString());
+      plan.column_names.push_back(item.expr->ToString());
     }
   }
 
@@ -511,10 +769,9 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
     DTL_RETURN_NOT_OK(CollectColumns(*join.on, scope, &needed));
   }
 
-  // ---- classify WHERE conjuncts for pushdown ----
-  std::vector<const Expr*> conjuncts;
-  if (where) SplitConjuncts(*where, &conjuncts);
-  std::vector<std::vector<const Expr*>> pushed(slots.size());
+  // ---- push single-table WHERE conjuncts into the scans ----
+  const std::vector<const Expr*> conjuncts = Conjuncts(where);
+  std::vector<std::vector<const Expr*>> pushed(plan.tables.size());
   std::vector<const Expr*> residual;
   for (const Expr* c : conjuncts) {
     if (ContainsAggregate(*c)) {
@@ -523,7 +780,7 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
     std::set<size_t> cols;
     DTL_RETURN_NOT_OK(CollectColumns(*c, scope, &cols));
     std::set<size_t> tables;
-    for (size_t ord : cols) tables.insert(TableOf(slots, ord));
+    for (size_t ord : cols) tables.insert(table_of(ord));
     bool pushable = tables.size() <= 1;
     size_t target = tables.empty() ? 0 : *tables.begin();
     // Pushing below the NULL-producing side of a LEFT OUTER JOIN would
@@ -535,330 +792,40 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
       residual.push_back(c);
     }
   }
-
-  // ---- per-table scans ----
-  auto local_scope = [&](const TableSlot& slot) {
-    Scope local;
-    if (slot.storage != nullptr) {
-      local.AddTable(slot.qualifier, slot.storage->schema());
-    } else {
-      std::vector<Field> fields;
-      for (size_t i = slot.offset; i < slot.offset + slot.width; ++i) {
-        fields.push_back(Field{scope.column(i).name, scope.column(i).type});
-      }
-      local.AddTable(slot.qualifier, Schema(std::move(fields)));
-    }
-    return local;
-  };
-
-  // Execute node of the trace tree; operator decorators hang flat child
-  // nodes off it. Created lazily right before each execution strategy so
-  // untraced queries skip the whole apparatus.
-  obs::TraceNode* exec_node = nullptr;
-  auto traced_op = [&](std::unique_ptr<exec::Operator> op, const char* name,
-                       std::string detail =
-                           std::string()) -> std::unique_ptr<exec::Operator> {
-    if (exec_node == nullptr) return op;
-    return std::make_unique<TracedOperator>(
-        std::move(op), tracer->AddNode(name, std::move(detail), exec_node));
-  };
-  auto traced_bop = [&](std::unique_ptr<exec::BatchOperator> op, const char* name,
-                        std::string detail =
-                            std::string()) -> std::unique_ptr<exec::BatchOperator> {
-    if (exec_node == nullptr) return op;
-    return std::make_unique<TracedBatchOperator>(
-        std::move(op), tracer->AddNode(name, std::move(detail), exec_node));
-  };
-
-  auto build_scan = [&](size_t slot_index) -> Result<std::unique_ptr<exec::Operator>> {
-    const TableSlot& slot = slots[slot_index];
-    // Rebind pushed conjuncts against a single-table scope.
-    Scope local = local_scope(slot);
-    if (slot.storage == nullptr) {
-      // Derived table: materialized rows, filtered in memory.
-      std::unique_ptr<exec::Operator> op =
-          std::make_unique<exec::RowsOperator>(*slot.derived_rows);
-      if (!pushed[slot_index].empty()) {
-        std::vector<exec::ValueFn> fns;
-        for (const Expr* c : pushed[slot_index]) {
-          DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-          fns.push_back(std::move(bound.fn));
-        }
-        op = std::make_unique<exec::FilterOperator>(std::move(op),
-                                                    [fns](const Row& row) {
-                                                      for (const auto& fn : fns) {
-                                                        if (!ValueIsTrue(fn(row))) return false;
-                                                      }
-                                                      return true;
-                                                    });
-      }
-      return op;
-    }
-    table::ScanSpec spec;
-    spec.meter = exec_.scan_meter;
+  for (size_t i = 0; i < plan.tables.size(); ++i) {
+    SelectPlan::Table& t = plan.tables[i];
+    std::vector<size_t> projection;
     for (size_t ord : needed) {
-      if (TableOf(slots, ord) == slot_index) spec.projection.push_back(ord - slot.offset);
+      if (table_of(ord) == i) projection.push_back(ord - offsets[i]);
     }
-    if (spec.projection.empty()) spec.projection.push_back(0);
-    if (!pushed[slot_index].empty()) {
-      // AND together the pushed conjuncts.
-      std::vector<exec::ValueFn> fns;
-      std::set<size_t> pred_cols;
-      for (const Expr* c : pushed[slot_index]) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-        fns.push_back(std::move(bound.fn));
-        pred_cols.insert(bound.columns.begin(), bound.columns.end());
-      }
-      spec.predicate = [fns](const Row& row) {
-        for (const auto& fn : fns) {
-          if (!ValueIsTrue(fn(row))) return false;
-        }
-        return true;
-      };
-      spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-      spec.bounds = ExtractBounds(pushed[slot_index], local);
-    }
-    std::unique_ptr<table::RowIterator> it;
-    if (slot.snapshot != nullptr) {
-      auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-      DTL_ASSIGN_OR_RETURN(it, dual->ScanAt(slot.snapshot, spec));
-    } else {
-      DTL_ASSIGN_OR_RETURN(it, slot.storage->Scan(spec));
-    }
-    return traced_op(std::make_unique<exec::ScanOperator>(std::move(it)),
-                     obs::names::kOpScan, slot.qualifier);
-  };
-
-  bool has_aggregate = having != nullptr;
-  for (const Expr* e : select_exprs) has_aggregate |= ContainsAggregate(*e);
-  for (const auto& o : order_exprs) has_aggregate |= ContainsAggregate(*o);
-  has_aggregate |= !group_by.empty();
-
-  // ---- parallel global-aggregate fast path ----
-  // Single-DualTable global aggregates (no GROUP BY/HAVING/ORDER BY) are
-  // order-insensitive: morsel workers build partial AggStates, merged at one
-  // barrier, and the result is identical to the serial plan. Everything else
-  // stays on the serial iterators below — that is the ordering contract.
-  if (exec_.parallelism > 1 && exec_.pool != nullptr && stmt.joins.empty() &&
-      slots.size() == 1 && slots[0].storage != nullptr && has_aggregate &&
-      group_by.empty() && having == nullptr && order_exprs.empty()) {
-    auto* dual = dynamic_cast<dual::DualTable*>(slots[0].storage.get());
-    if (dual != nullptr) {
-      Scope local = local_scope(slots[0]);
-      table::ScanSpec spec;
-      spec.meter = exec_.scan_meter;
-      for (size_t ord : needed) spec.projection.push_back(ord);
-      if (spec.projection.empty()) spec.projection.push_back(0);
-      if (!pushed[0].empty()) {
-        std::vector<exec::ValueFn> fns;
-        std::set<size_t> pred_cols;
-        for (const Expr* c : pushed[0]) {
-          DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-          fns.push_back(std::move(bound.fn));
-          pred_cols.insert(bound.columns.begin(), bound.columns.end());
-        }
-        spec.predicate = [fns](const Row& row) {
-          for (const auto& fn : fns) {
-            if (!ValueIsTrue(fn(row))) return false;
-          }
-          return true;
-        };
-        spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-        spec.bounds = ExtractBounds(pushed[0], local);
-      }
-      std::vector<const Expr*> agg_ptrs;
-      for (const Expr* e : select_exprs) CollectAggregates(*e, &agg_ptrs);
-      std::vector<exec::AggSpec> agg_specs;
-      for (const Expr* a : agg_ptrs) {
-        DTL_ASSIGN_OR_RETURN(exec::AggSpec aspec, BindAggregateCall(*a, scope));
-        agg_specs.push_back(std::move(aspec));
-      }
-      exec::ParallelScanOptions popts;
-      popts.pool = exec_.pool;
-      popts.parallelism = exec_.parallelism;
-      popts.morsel_stripes = exec_.morsel_stripes;
-      popts.metrics = exec_.metrics;
-      popts.snapshot = slots[0].snapshot;
-      exec::ParallelScanner scanner(dual, std::move(spec), popts);
-      if (traced) {
-        tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-        exec_node = tracer->AddNode(obs::names::kSpanExecute);
-        tracer->AddNode(obs::names::kOpParallelScan, slots[0].qualifier, exec_node);
-      }
-      obs::Span exec_span(tracer, exec_node);
-      DTL_ASSIGN_OR_RETURN(Row agg_row, scanner.Aggregate(agg_specs));
-      // agg_row holds the finalized aggregates in agg_ptrs order — the same
-      // layout HashAggregateOperator emits for a keyless aggregate, so the
-      // post-aggregate binder applies unchanged.
-      std::vector<const Expr*> group_ptrs;
-      Row out;
-      out.reserve(select_exprs.size());
-      for (const Expr* e : select_exprs) {
-        DTL_ASSIGN_OR_RETURN(exec::ValueFn fn,
-                             BindPostAggregate(*e, group_ptrs, agg_ptrs, scope));
-        out.push_back(fn(agg_row));
-      }
-      QueryResult result;
-      result.column_names = std::move(column_names);
-      if (!stmt.limit.has_value() || *stmt.limit > 0) {
-        result.rows.push_back(std::move(out));
-      }
-      return result;
-    }
+    if (projection.empty()) projection.push_back(0);
+    DTL_ASSIGN_OR_RETURN(t.scan, BuildScanSpec(pushed[i], locals[i], std::move(projection),
+                                               exec_.scan_meter));
+    t.pushed = std::move(pushed[i]);
   }
 
-  // ---- index point-lookup fast path ----
-  // `WHERE <indexed col> = <lit>` (or IN (...)) on a single DualTable resolves
-  // through the secondary index: candidate record ids -> targeted stripe
-  // fetches through the shared cache -> delta patch -> probe re-verify. All
-  // pushed conjuncts still run as the residual predicate and record-id order
-  // equals scan order, so the output is identical to the full-scan plan.
-  if (stmt.joins.empty() && slots.size() == 1 && slots[0].storage != nullptr &&
-      !has_aggregate && order_exprs.empty() && slots[0].snapshot != nullptr &&
-      slots[0].snapshot->has_index && !pushed[0].empty()) {
-    const TableSlot& slot = slots[0];
-    auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-    Scope local = local_scope(slot);
-    size_t probe_column = 0;
-    std::vector<Value> probes;
-    if (dual->secondary_index() != nullptr &&
-        FindIndexProbe(pushed[0], local, slot.storage->schema(),
-                       *dual->secondary_index(), &probe_column, &probes)) {
-      table::ScanSpec spec;
-      spec.meter = exec_.scan_meter;
-      for (size_t ord : needed) spec.projection.push_back(ord);
-      if (spec.projection.empty()) spec.projection.push_back(0);
-      std::vector<exec::ValueFn> fns;
-      std::set<size_t> pred_cols;
-      for (const Expr* c : pushed[0]) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-        fns.push_back(std::move(bound.fn));
-        pred_cols.insert(bound.columns.begin(), bound.columns.end());
-      }
-      spec.predicate = [fns](const Row& row) {
-        for (const auto& fn : fns) {
-          if (!ValueIsTrue(fn(row))) return false;
-        }
-        return true;
-      };
-      spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-      std::vector<exec::ValueFn> output_fns;
-      for (const Expr* e : select_exprs) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
-        output_fns.push_back(std::move(bound.fn));
-      }
-      obs::TraceNode* lookup_node = nullptr;
-      if (traced) {
-        tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-        exec_node = tracer->AddNode(obs::names::kSpanExecute);
-        lookup_node = tracer->AddNode(obs::names::kOpIndexLookup, slot.qualifier,
-                                      exec_node);
-      }
-      obs::Span exec_span(tracer, exec_node);
-      Stopwatch lookup_watch;
-      DTL_ASSIGN_OR_RETURN(auto matches,
-                           dual->IndexLookupAt(slot.snapshot, probe_column, probes, spec));
-      if (lookup_node != nullptr) {
-        lookup_node->stats.wall_seconds += lookup_watch.ElapsedSeconds();
-        lookup_node->stats.rows += matches.size();
-      }
-      QueryResult result;
-      result.column_names = std::move(column_names);
-      for (auto& [rid, row] : matches) {
-        (void)rid;
-        if (stmt.limit.has_value() && result.rows.size() >= *stmt.limit) break;
-        Row out_row;
-        out_row.reserve(output_fns.size());
-        for (const auto& fn : output_fns) out_row.push_back(fn(row));
-        result.rows.push_back(std::move(out_row));
-      }
-      return result;
-    }
-  }
-
-  // ---- vectorized fast path ----
-  // Single-table SELECT with no join/aggregate/order runs batch-at-a-time:
-  // storage batches (predicate applied inside the scan, same contract as the
-  // row path) -> vectorized projection -> vectorized limit. Rows are only
-  // materialized at the result boundary. On a single-table query every WHERE
-  // conjunct is pushable, so `residual` is necessarily empty here.
-  if (stmt.joins.empty() && slots.size() == 1 && slots[0].storage != nullptr &&
-      !has_aggregate && order_exprs.empty()) {
-    const TableSlot& slot = slots[0];
-    Scope local = local_scope(slot);
-    table::ScanSpec spec;
-    spec.meter = exec_.scan_meter;
-    for (size_t ord : needed) spec.projection.push_back(ord);
-    if (spec.projection.empty()) spec.projection.push_back(0);
-    if (!pushed[0].empty()) {
-      std::vector<exec::ValueFn> fns;
-      std::set<size_t> pred_cols;
-      for (const Expr* c : pushed[0]) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, local));
-        fns.push_back(std::move(bound.fn));
-        pred_cols.insert(bound.columns.begin(), bound.columns.end());
-      }
-      spec.predicate = [fns](const Row& row) {
-        for (const auto& fn : fns) {
-          if (!ValueIsTrue(fn(row))) return false;
-        }
-        return true;
-      };
-      spec.predicate_columns.assign(pred_cols.begin(), pred_cols.end());
-      spec.bounds = ExtractBounds(pushed[0], local);
-    }
-    if (traced) exec_node = tracer->AddNode(obs::names::kSpanExecute);
-    std::unique_ptr<table::BatchIterator> it;
-    if (slot.snapshot != nullptr) {
-      auto* dual = static_cast<dual::DualTable*>(slot.storage.get());
-      DTL_ASSIGN_OR_RETURN(it, dual->ScanBatchesAt(slot.snapshot, spec));
-    } else {
-      DTL_ASSIGN_OR_RETURN(it, slot.storage->ScanBatches(spec));
-    }
-    std::unique_ptr<exec::BatchOperator> bplan = traced_bop(
-        std::make_unique<exec::BatchScanOperator>(std::move(it)),
-        obs::names::kOpScan, slot.qualifier);
-    std::vector<exec::ValueFn> output_fns;
-    std::vector<int> column_refs;
-    for (const Expr* e : select_exprs) {
-      DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
-      column_refs.push_back(e->kind == Expr::Kind::kColumnRef && bound.columns.size() == 1
-                                ? static_cast<int>(*bound.columns.begin())
-                                : -1);
-      output_fns.push_back(std::move(bound.fn));
-    }
-    bplan = traced_bop(std::make_unique<exec::BatchProjectOperator>(
-                           std::move(bplan), std::move(output_fns),
-                           std::move(column_refs)),
-                       obs::names::kOpProject);
-    if (stmt.limit.has_value()) {
-      bplan = traced_bop(
-          std::make_unique<exec::BatchLimitOperator>(std::move(bplan), *stmt.limit),
-          obs::names::kOpLimit);
-    }
-    QueryResult result;
-    result.column_names = std::move(column_names);
-    if (traced) tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-    {
-      obs::Span exec_span(tracer, exec_node);
-      DTL_ASSIGN_OR_RETURN(result.rows, exec::CollectBatches(bplan.get()));
-    }
-    return result;
-  }
-
-  // ---- join tree (left-deep; probe = accumulated left, build = new table) ----
-  if (traced) exec_node = tracer->AddNode(obs::names::kSpanExecute);
-  DTL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> plan, build_scan(0));
+  // ---- joins: ON splits into equi key pairs (left vs right) + residual ----
   for (size_t j = 0; j < stmt.joins.size(); ++j) {
-    const JoinClause& join = stmt.joins[j];
-    const TableSlot& right = slots[j + 1];
-    // Split the ON condition into equi pairs (left vs right) + residual.
+    const JoinClause& clause = stmt.joins[j];
+    SelectPlan::Join join;
+    join.left_outer = clause.left_outer;
+    join.on_text = clause.on->ToString();
     std::vector<const Expr*> on_terms;
-    SplitConjuncts(*join.on, &on_terms);
-    std::vector<exec::ValueFn> probe_keys;
-    std::vector<exec::ValueFn> build_keys;
+    SplitConjuncts(*clause.on, &on_terms);
     std::vector<const Expr*> on_residual;
-    Scope right_scope = local_scope(right);
+    // 1 = every column on the new (right) table, 0 = every column on the
+    // left tables, -1 = mixed.
+    auto side = [&](const std::set<size_t>& cols) {
+      bool all_right = true, all_left = true;
+      for (size_t ord : cols) {
+        if (table_of(ord) == j + 1) {
+          all_left = false;
+        } else if (table_of(ord) <= j) {
+          all_right = false;
+        }
+      }
+      return all_right ? 1 : (all_left ? 0 : -1);
+    };
     for (const Expr* term : on_terms) {
       bool handled = false;
       if (term->kind == Expr::Kind::kBinary && term->op == "=") {
@@ -868,169 +835,115 @@ Result<QueryResult> Engine::ExecuteSelect(const SelectStmt& stmt) {
         Status sa = CollectColumns(*a, scope, &ca);
         Status sb = CollectColumns(*b, scope, &cb);
         if (sa.ok() && sb.ok() && !ca.empty() && !cb.empty()) {
-          auto side = [&](const std::set<size_t>& cols) {
-            bool all_right = true, all_left = true;
-            for (size_t ord : cols) {
-              if (TableOf(slots, ord) == j + 1) {
-                all_left = false;
-              } else if (TableOf(slots, ord) <= j) {
-                all_right = false;
-              }
-            }
-            return all_right ? 1 : (all_left ? 0 : -1);
-          };
-          int side_a = side(ca), side_b = side(cb);
-          if (side_a == 0 && side_b == 1) {
+          const int side_a = side(ca), side_b = side(cb);
+          if (side_a == 1 && side_b == 0) std::swap(a, b);
+          if ((side_a == 0 && side_b == 1) || (side_a == 1 && side_b == 0)) {
             DTL_ASSIGN_OR_RETURN(BoundExpr pk, BindScalar(*a, scope));
-            DTL_ASSIGN_OR_RETURN(BoundExpr bk, BindScalar(*b, right_scope));
-            probe_keys.push_back(std::move(pk.fn));
-            build_keys.push_back(std::move(bk.fn));
-            handled = true;
-          } else if (side_a == 1 && side_b == 0) {
-            DTL_ASSIGN_OR_RETURN(BoundExpr pk, BindScalar(*b, scope));
-            DTL_ASSIGN_OR_RETURN(BoundExpr bk, BindScalar(*a, right_scope));
-            probe_keys.push_back(std::move(pk.fn));
-            build_keys.push_back(std::move(bk.fn));
+            DTL_ASSIGN_OR_RETURN(BoundExpr bk, BindScalar(*b, locals[j + 1]));
+            join.probe_keys.push_back(std::move(pk.fn));
+            join.build_keys.push_back(std::move(bk.fn));
             handled = true;
           }
         }
       }
       if (!handled) on_residual.push_back(term);
     }
-    if (probe_keys.empty()) {
+    if (join.probe_keys.empty()) {
       return Status::NotSupported("JOIN requires at least one equi condition in ON");
     }
     if (join.left_outer && !on_residual.empty()) {
       return Status::NotSupported("LEFT OUTER JOIN supports only equi ON conditions");
     }
-    DTL_ASSIGN_OR_RETURN(std::unique_ptr<exec::Operator> build_op, build_scan(j + 1));
-    plan = traced_op(
-        std::make_unique<exec::HashJoinOperator>(
-            std::move(plan), std::move(build_op), std::move(probe_keys),
-            std::move(build_keys), right.width,
-            join.left_outer ? exec::HashJoinOperator::Kind::kLeftOuter
-                            : exec::HashJoinOperator::Kind::kInner),
-        obs::names::kOpJoin, right.qualifier);
-    // Residual ON terms of an inner join become a post-join filter.
-    if (!on_residual.empty()) {
-      std::vector<exec::ValueFn> fns;
-      for (const Expr* term : on_residual) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*term, scope));
-        fns.push_back(std::move(bound.fn));
-      }
-      plan = traced_op(std::make_unique<exec::FilterOperator>(
-                           std::move(plan),
-                           [fns](const Row& row) {
-                             for (const auto& fn : fns) {
-                               if (!ValueIsTrue(fn(row))) return false;
-                             }
-                             return true;
-                           }),
-                       obs::names::kOpFilter);
-    }
+    DTL_ASSIGN_OR_RETURN(BoundPredicate on_filter, BindConjunction(on_residual, scope));
+    join.residual = std::move(on_filter.fn);
+    plan.joins.push_back(std::move(join));
   }
 
   // ---- residual WHERE ----
-  if (!residual.empty()) {
-    std::vector<exec::ValueFn> fns;
-    for (const Expr* c : residual) {
-      DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, scope));
-      fns.push_back(std::move(bound.fn));
-    }
-    plan = traced_op(
-        std::make_unique<exec::FilterOperator>(std::move(plan),
-                                               [fns](const Row& row) {
-                                                 for (const auto& fn : fns) {
-                                                   if (!ValueIsTrue(fn(row))) return false;
-                                                 }
-                                                 return true;
-                                               }),
-        obs::names::kOpFilter);
-  }
+  DTL_ASSIGN_OR_RETURN(BoundPredicate residual_filter, BindConjunction(residual, scope));
+  plan.residual = std::move(residual_filter.fn);
+  plan.residual_conjuncts = std::move(residual);
+  plan.where = std::move(where);
 
-  // ---- aggregation / projection ----
-  std::vector<exec::ValueFn> output_fns;
-  if (has_aggregate) {
-    std::vector<const Expr*> group_ptrs;
+  // ---- aggregation, sort, projection ----
+  plan.aggregate = having != nullptr || !group_by.empty();
+  for (const Expr* e : select_exprs) plan.aggregate |= ContainsAggregate(*e);
+  for (const auto& o : order_exprs) plan.aggregate |= ContainsAggregate(*o);
+  std::vector<const Expr*> group_ptrs;
+  std::vector<const Expr*> agg_ptrs;
+  // Output and sort expressions bind over the aggregate's [keys..., aggs...]
+  // row when there is one, else over the joined row.
+  auto bind_output = [&](const Expr& e) -> Result<exec::ValueFn> {
+    if (plan.aggregate) return BindPostAggregate(e, group_ptrs, agg_ptrs, scope);
+    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(e, scope));
+    return std::move(bound.fn);
+  };
+  if (plan.aggregate) {
     for (const auto& g : group_by) group_ptrs.push_back(g.get());
-    std::vector<const Expr*> agg_ptrs;
     for (const Expr* e : select_exprs) CollectAggregates(*e, &agg_ptrs);
     if (having) CollectAggregates(*having, &agg_ptrs);
     for (const auto& o : order_exprs) CollectAggregates(*o, &agg_ptrs);
-
-    std::vector<exec::ValueFn> key_fns;
     for (const Expr* g : group_ptrs) {
       DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*g, scope));
-      key_fns.push_back(std::move(bound.fn));
+      plan.group_keys.push_back(std::move(bound.fn));
     }
-    std::vector<exec::AggSpec> agg_specs;
     for (const Expr* a : agg_ptrs) {
       DTL_ASSIGN_OR_RETURN(exec::AggSpec spec, BindAggregateCall(*a, scope));
-      agg_specs.push_back(std::move(spec));
+      plan.aggregates.push_back(std::move(spec));
     }
-    plan = traced_op(std::make_unique<exec::HashAggregateOperator>(
-                         std::move(plan), std::move(key_fns), std::move(agg_specs)),
-                     obs::names::kOpAggregate);
+    plan.aggregate_text = ExprsText(agg_ptrs, ", ");
+    if (!group_ptrs.empty()) {
+      plan.aggregate_text += (plan.aggregate_text.empty() ? "group by " : " group by ") +
+                             ExprsText(group_ptrs, ", ");
+    }
     if (having) {
-      DTL_ASSIGN_OR_RETURN(exec::ValueFn fn,
-                           BindPostAggregate(*having, group_ptrs, agg_ptrs, scope));
-      plan = traced_op(
-          std::make_unique<exec::FilterOperator>(std::move(plan), MakePredicate(fn)),
-          obs::names::kOpFilter);
-    }
-    if (!order_exprs.empty()) {
-      std::vector<exec::ValueFn> sort_keys;
-      std::vector<bool> ascending;
-      for (size_t i = 0; i < order_exprs.size(); ++i) {
-        DTL_ASSIGN_OR_RETURN(
-            exec::ValueFn fn,
-            BindPostAggregate(*order_exprs[i], group_ptrs, agg_ptrs, scope));
-        sort_keys.push_back(std::move(fn));
-        ascending.push_back(stmt.order_by[i].ascending);
-      }
-      plan = traced_op(std::make_unique<exec::SortOperator>(
-                           std::move(plan), std::move(sort_keys), std::move(ascending)),
-                       obs::names::kOpSort);
-    }
-    for (const Expr* e : select_exprs) {
-      DTL_ASSIGN_OR_RETURN(exec::ValueFn fn,
-                           BindPostAggregate(*e, group_ptrs, agg_ptrs, scope));
-      output_fns.push_back(std::move(fn));
-    }
-  } else {
-    if (!order_exprs.empty()) {
-      std::vector<exec::ValueFn> sort_keys;
-      std::vector<bool> ascending;
-      for (size_t i = 0; i < order_exprs.size(); ++i) {
-        DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*order_exprs[i], scope));
-        sort_keys.push_back(std::move(bound.fn));
-        ascending.push_back(stmt.order_by[i].ascending);
-      }
-      plan = traced_op(std::make_unique<exec::SortOperator>(
-                           std::move(plan), std::move(sort_keys), std::move(ascending)),
-                       obs::names::kOpSort);
-    }
-    for (const Expr* e : select_exprs) {
-      DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
-      output_fns.push_back(std::move(bound.fn));
+      DTL_ASSIGN_OR_RETURN(exec::ValueFn fn, bind_output(*having));
+      plan.having = MakePredicate(std::move(fn));
+      plan.aggregate_text += " having " + having->ToString();
     }
   }
-  plan = traced_op(
-      std::make_unique<exec::ProjectOperator>(std::move(plan), std::move(output_fns)),
-      obs::names::kOpProject);
-  if (stmt.limit.has_value()) {
-    plan = traced_op(std::make_unique<exec::LimitOperator>(std::move(plan), *stmt.limit),
-                     obs::names::kOpLimit);
+  for (size_t i = 0; i < order_exprs.size(); ++i) {
+    DTL_ASSIGN_OR_RETURN(exec::ValueFn fn, bind_output(*order_exprs[i]));
+    plan.sort_keys.push_back(std::move(fn));
+    plan.ascending.push_back(stmt.order_by[i].ascending);
+    plan.sort_text += (i == 0 ? "" : ", ") + order_exprs[i]->ToString() +
+                      (stmt.order_by[i].ascending ? "" : " DESC");
   }
+  for (const Expr* e : select_exprs) {
+    if (plan.aggregate) {
+      DTL_ASSIGN_OR_RETURN(exec::ValueFn fn, bind_output(*e));
+      plan.outputs.push_back(std::move(fn));
+      plan.output_columns.push_back(-1);
+      continue;
+    }
+    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*e, scope));
+    plan.outputs.push_back(std::move(bound.fn));
+    plan.output_columns.push_back(e->kind == Expr::Kind::kColumnRef
+                                      ? static_cast<int>(bound.columns.front())
+                                      : -1);
+  }
+  plan.limit = stmt.limit;
 
-  QueryResult result;
-  result.column_names = std::move(column_names);
-  if (traced) tracer->AddLeaf(obs::names::kSpanBind, bind_watch.ElapsedSeconds());
-  {
-    obs::Span exec_span(tracer, exec_node);
-    DTL_ASSIGN_OR_RETURN(result.rows, exec::Collect(plan.get()));
+  // ---- routes, preferred first ----
+  plan.routes.reserve(4);
+  const SelectPlan::Table& first = plan.tables[0];
+  const bool one_stored_table = plan.tables.size() == 1 && first.storage != nullptr;
+  const bool streaming = one_stored_table && !plan.aggregate && order_exprs.empty();
+  auto* dual = one_stored_table ? dynamic_cast<dual::DualTable*>(first.storage.get())
+                                : nullptr;
+  if (streaming && dual != nullptr && first.snapshot->has_index &&
+      dual->secondary_index() != nullptr &&
+      FindIndexProbe(first.pushed, locals[0], dual->schema(), *dual->secondary_index(),
+                     &plan.probe.column, &plan.probe.values)) {
+    plan.routes.push_back(SelectRoute::kIndexLookup);
   }
-  return result;
+  if (dual != nullptr && plan.aggregate && group_by.empty() && having == nullptr &&
+      order_exprs.empty() && exec_.parallelism > 1 && exec_.pool != nullptr) {
+    plan.routes.push_back(SelectRoute::kParallelAggregate);
+  }
+  if (streaming) plan.routes.push_back(SelectRoute::kVectorized);
+  plan.routes.push_back(SelectRoute::kOperatorTree);
+  return plan;
 }
 
 Result<QueryResult> Engine::ExecuteCreate(const CreateTableStmt& stmt) {
@@ -1151,17 +1064,9 @@ Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
   const Schema& schema = entry.table->schema();
   Scope scope;
   scope.AddTable(stmt.alias.empty() ? stmt.table : stmt.alias, schema);
-
-  table::ScanSpec filter;
-  filter.meter = exec_.scan_meter;
-  if (stmt.where) {
-    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*stmt.where, scope));
-    filter.predicate = MakePredicate(bound.fn);
-    filter.predicate_columns = bound.columns;
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(*stmt.where, &conjuncts);
-    filter.bounds = ExtractBounds(conjuncts, scope);
-  }
+  const std::vector<const Expr*> conjuncts = Conjuncts(stmt.where);
+  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
+                       BuildScanSpec(conjuncts, scope, {}, exec_.scan_meter));
 
   std::vector<table::Assignment> assignments;
   for (const auto& [column, expr] : stmt.assignments) {
@@ -1187,7 +1092,7 @@ Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
   if (entry.kind == table::TableKind::kDual) {
     auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
     dml = dual->UpdateWithHint(filter, assignments, stmt.ratio_hint,
-                               FindDmlIndexProbe(stmt.where.get(), scope, dual));
+                               FindDmlIndexProbe(conjuncts, scope, dual));
   } else {
     dml = entry.table->Update(filter, assignments);
   }
@@ -1203,23 +1108,15 @@ Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
   DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
   Scope scope;
   scope.AddTable(stmt.table, entry.table->schema());
-
-  table::ScanSpec filter;
-  filter.meter = exec_.scan_meter;
-  if (stmt.where) {
-    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*stmt.where, scope));
-    filter.predicate = MakePredicate(bound.fn);
-    filter.predicate_columns = bound.columns;
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(*stmt.where, &conjuncts);
-    filter.bounds = ExtractBounds(conjuncts, scope);
-  }
+  const std::vector<const Expr*> conjuncts = Conjuncts(stmt.where);
+  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
+                       BuildScanSpec(conjuncts, scope, {}, exec_.scan_meter));
 
   Result<table::DmlResult> dml = Status::Internal("unset");
   if (entry.kind == table::TableKind::kDual) {
     auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
     dml = dual->DeleteWithHint(filter, stmt.ratio_hint,
-                               FindDmlIndexProbe(stmt.where.get(), scope, dual));
+                               FindDmlIndexProbe(conjuncts, scope, dual));
   } else {
     dml = entry.table->Delete(filter);
   }
@@ -1426,7 +1323,7 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
       scope.AddTable(update->alias.empty() ? update->table : update->alias,
                      dual->schema());
       ExplainDualDml(*dual, dual->PlanUpdate(update->ratio_hint),
-                     FindDmlIndexProbe(update->where.get(), scope, dual), emit);
+                     FindDmlIndexProbe(Conjuncts(update->where), scope, dual), emit);
       emit("  crossover ratio: " +
            std::to_string(dual->cost_model().UpdateCrossoverRatio(
                dual->master()->TotalBytes())));
@@ -1444,55 +1341,15 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
       Scope scope;
       scope.AddTable(del->table, dual->schema());
       ExplainDualDml(*dual, dual->PlanDelete(del->ratio_hint),
-                     FindDmlIndexProbe(del->where.get(), scope, dual), emit);
+                     FindDmlIndexProbe(Conjuncts(del->where), scope, dual), emit);
     } else {
       emit("  plan: full INSERT OVERWRITE rewrite");
     }
     return result;
   }
   if (const auto* select = std::get_if<SelectStmt>(stmt.inner.get())) {
-    auto describe_ref = [&](const TableRef& ref) -> Result<std::string> {
-      if (ref.subquery != nullptr) return "(subquery) " + ref.EffectiveName();
-      DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(ref.table));
-      return ref.table + " (" + table::TableKindName(entry.kind) +
-             (entry.kind == table::TableKind::kDual ? ", UNION READ scan)" : ")");
-    };
-    DTL_ASSIGN_OR_RETURN(std::string from, describe_ref(select->from));
-    emit("SELECT: scan " + from);
-    for (const JoinClause& join : select->joins) {
-      DTL_ASSIGN_OR_RETURN(std::string right, describe_ref(join.table));
-      emit(std::string("  ") + (join.left_outer ? "left outer " : "") + "hash join " +
-           right + " on " + join.on->ToString());
-    }
-    if (select->where) {
-      std::vector<const Expr*> conjuncts;
-      SplitConjuncts(*select->where, &conjuncts);
-      emit("  filter: " + std::to_string(conjuncts.size()) +
-           " conjunct(s), single-table terms pushed into scans");
-      // Surface the index point-lookup route when the single-table plan
-      // would take it (same detection the executor runs).
-      if (select->joins.empty() && select->from.subquery == nullptr) {
-        auto entry = catalog_->Lookup(select->from.table);
-        if (entry.ok() && entry->kind == table::TableKind::kDual) {
-          auto* dual = dynamic_cast<dual::DualTable*>(entry->table.get());
-          if (dual != nullptr && dual->secondary_index() != nullptr) {
-            Scope probe_scope;
-            probe_scope.AddTable(select->from.EffectiveName(), entry->table->schema());
-            size_t col = 0;
-            std::vector<Value> probes;
-            if (FindIndexProbe(conjuncts, probe_scope, entry->table->schema(),
-                               *dual->secondary_index(), &col, &probes)) {
-              emit("  index lookup: column '" +
-                   entry->table->schema().field(col).name + "', " +
-                   std::to_string(probes.size()) + " probe(s)");
-            }
-          }
-        }
-      }
-    }
-    if (!select->group_by.empty() || select->having) emit("  hash aggregate");
-    if (!select->order_by.empty()) emit("  sort");
-    if (select->limit) emit("  limit " + std::to_string(*select->limit));
+    DTL_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(*select));
+    ExplainSelect(plan, "", emit);
     return result;
   }
   if (const auto* compact = std::get_if<CompactStmt>(stmt.inner.get())) {

@@ -1,19 +1,23 @@
-// Statement execution: plans SELECTs into exec operator trees (with
-// predicate pushdown, stats-bound extraction, and hash joins/aggregates) and
-// routes DML to the storage tables — DualTable DML carries the WITH RATIO
-// hint into the cost model, mirroring the paper's DualTable parser that
-// "will choose to generate a Hive-compatible statement ... or our UDTFs,
-// based on the cost evaluator".
+// Statement execution: plans each SELECT once into a SelectPlan (tables and
+// their snapshots, pushed-down scans, bound join/aggregate/sort/project
+// stages, and the routes that can run it) that EXPLAIN prints and the
+// executor runs, and routes DML to the storage tables — DualTable DML
+// carries the WITH RATIO hint into the cost model, mirroring the paper's
+// DualTable parser that "will choose to generate a Hive-compatible statement
+// ... or our UDTFs, based on the cost evaluator".
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "dualtable/dual_table.h"
+#include "exec/operators.h"
 #include "fs/filesystem.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,6 +30,92 @@ class QueryLog;
 }  // namespace dtl::obs
 
 namespace dtl::sql {
+
+/// The ways a SELECT can run, in the planner's order of preference
+/// (DESIGN.md §15). Every route a plan lists returns the same rows in the
+/// same order on the plan's snapshots.
+enum class SelectRoute {
+  /// `col = lit` / `col IN (...)` on an indexed column of one DualTable, no
+  /// aggregate or ORDER BY: candidate record ids from the secondary index.
+  kIndexLookup,
+  /// Global aggregates (no GROUP BY/HAVING/ORDER BY) over one DualTable when
+  /// the session runs parallel: morsel workers merged at one barrier.
+  kParallelAggregate,
+  /// One stored table, no aggregate or ORDER BY: scan, project and limit on
+  /// batches.
+  kVectorized,
+  /// Row operators; runs every SELECT (joins, GROUP BY, ORDER BY, derived
+  /// tables).
+  kOperatorTree,
+};
+
+/// "index lookup", "parallel aggregate", "vectorized scan", "operator tree".
+const char* SelectRouteName(SelectRoute route);
+
+/// A SELECT as Engine::PlanSelect bound it. Expressions are compiled
+/// closures and every table's snapshot is pinned, so the plan no longer
+/// refers to the statement and can run, by any of its routes, any number of
+/// times with the same answer. EXPLAIN prints the conjunct lists and the
+/// `*_text` fields.
+struct SelectPlan {
+  struct Table {
+    std::string qualifier;
+    /// "dualtable", "hive", ... or "subquery".
+    std::string kind;
+    /// Null for a derived table, which runs `subquery` instead.
+    std::shared_ptr<table::StorageTable> storage;
+    std::shared_ptr<const SelectPlan> subquery;
+    /// Statement snapshot of a DualTable, pinned at plan time.
+    dual::SnapshotPtr snapshot;
+    size_t width = 0;
+    /// Projection (table-local ordinals), pushed conjuncts and their stripe
+    /// bounds. A derived table uses only the predicate.
+    table::ScanSpec scan;
+    /// The conjuncts bound into scan.predicate; they point into `where`.
+    std::vector<const Expr*> pushed;
+  };
+  /// Left-deep hash join of tables[j + 1] (build) into the rows so far.
+  struct Join {
+    std::vector<exec::ValueFn> probe_keys;
+    std::vector<exec::ValueFn> build_keys;
+    /// Non-equi ON terms of an inner join; null when there are none.
+    table::RowPredicateFn residual;
+    bool left_outer = false;
+    std::string on_text;
+  };
+
+  std::vector<Table> tables;
+  std::vector<Join> joins;
+  /// The WHERE clause after alias substitution, owned by the plan.
+  ExprPtr where;
+  /// WHERE conjuncts that span tables (or sit above an outer join); null
+  /// when there are none.
+  table::RowPredicateFn residual;
+  std::vector<const Expr*> residual_conjuncts;
+
+  bool aggregate = false;
+  std::vector<exec::ValueFn> group_keys;
+  std::vector<exec::AggSpec> aggregates;
+  /// Bound over the aggregate output; null without HAVING.
+  table::RowPredicateFn having;
+  std::string aggregate_text;
+
+  std::vector<exec::ValueFn> sort_keys;
+  std::vector<bool> ascending;
+  std::string sort_text;
+
+  /// Bound over the aggregate output when `aggregate`, else over the joined
+  /// row. `output_columns` holds a bare column ref's flat ordinal, else -1.
+  std::vector<exec::ValueFn> outputs;
+  std::vector<int> output_columns;
+  std::vector<std::string> column_names;
+  std::optional<uint64_t> limit;
+
+  /// What the index route probes; set when `routes` holds kIndexLookup.
+  dual::IndexProbe probe;
+  /// The routes that apply, preferred first; kOperatorTree is always last.
+  std::vector<SelectRoute> routes;
+};
 
 /// Execution knobs for parallel DualTable scans. Only order-insensitive
 /// plans (single-table global aggregates) run parallel; everything else
@@ -84,6 +174,17 @@ class Engine {
 
   Result<QueryResult> ExecuteStatement(const Statement& stmt);
 
+  /// Resolves the tables and pins their snapshots, binds every expression,
+  /// pushes single-table conjuncts into the scans, and lists the routes that
+  /// apply, preferred first. Fails exactly where executing would: unknown
+  /// columns, aggregates in WHERE, joins without an equi condition.
+  Result<SelectPlan> PlanSelect(const SelectStmt& stmt);
+
+  /// Runs `plan` by `route`, which must be one of plan.routes, on the plan's
+  /// snapshots. Under an active tracer the work lands on one
+  /// `execute(<route>)` node.
+  Result<QueryResult> RunSelect(const SelectPlan& plan, SelectRoute route);
+
   void set_exec_options(const ExecOptions& options) { exec_ = options; }
   const ExecOptions& exec_options() const { return exec_; }
 
@@ -91,6 +192,7 @@ class Engine {
   /// The per-kind dispatch body. ExecuteStatement wraps it with query-log
   /// capture (wall clock, registry delta, modeled seconds).
   Result<QueryResult> DispatchStatement(const Statement& stmt);
+  /// PlanSelect, then RunSelect by the preferred route.
   Result<QueryResult> ExecuteSelect(const SelectStmt& stmt);
   Result<QueryResult> ExecuteCreate(const CreateTableStmt& stmt);
   Result<QueryResult> ExecuteDrop(const DropTableStmt& stmt);

@@ -31,7 +31,8 @@ namespace dtl::sql {
 struct SessionOptions {
   fs::FileSystemOptions fs_options;
   fs::ClusterConfig cluster;
-  /// Worker threads for MapReduce-style parallel scans; 0 = hardware threads.
+  /// Worker threads for morsel-parallel scans and parallel COMPACT; 0 =
+  /// hardware threads.
   size_t pool_threads = 0;
   /// Morsel workers per parallel DualTable scan. <=1 keeps every SQL plan on
   /// the serial iterator; >1 routes order-insensitive plans (single-table

@@ -436,6 +436,52 @@ TEST_F(EngineTest, ExplainSurfacesIndexLookup) {
     if (row[0].AsString().find("index-lookup") != std::string::npos) saw_node = true;
   }
   EXPECT_TRUE(saw_node) << "EXPLAIN ANALYZE trace is missing the index-lookup node";
+
+  // EXPLAIN prints the plan the executor runs: its route, and the index
+  // lookup line only when that route runs. Aggregates and ORDER BY scan.
+  auto text_of = [this](const std::string& sql) {
+    std::string text;
+    for (const Row& row : Run(sql).rows) text += row[0].AsString() + "\n";
+    return text;
+  };
+  EXPECT_NE(
+      text_of("EXPLAIN SELECT v FROM te WHERE id = 2").find("  route: index lookup\n"),
+      std::string::npos);
+  EXPECT_NE(text_of("EXPLAIN ANALYZE SELECT v FROM te WHERE id = 2")
+                .find("execute(index lookup)"),
+            std::string::npos);
+  for (const std::string sql : {"SELECT COUNT(*) FROM te WHERE id = 2",
+                                "SELECT v FROM te WHERE id = 2 ORDER BY v"}) {
+    const std::string explained = text_of("EXPLAIN " + sql);
+    EXPECT_EQ(explained.find("index lookup"), std::string::npos) << explained;
+    EXPECT_NE(explained.find("  route: operator tree\n"), std::string::npos) << explained;
+    const std::string analyzed = text_of("EXPLAIN ANALYZE " + sql);
+    EXPECT_NE(analyzed.find("execute(operator tree)"), std::string::npos) << analyzed;
+    EXPECT_EQ(analyzed.find("index-lookup"), std::string::npos) << analyzed;
+  }
+  // A global aggregate has an aggregate stage too.
+  EXPECT_NE(text_of("EXPLAIN SELECT SUM(v) FROM te").find("  aggregate: sum(v)\n"),
+            std::string::npos);
+  // A derived table's plan prints indented under its scan line.
+  const std::string derived =
+      text_of("EXPLAIN SELECT v FROM (SELECT v FROM te WHERE id = 2) s");
+  EXPECT_NE(derived.find("  scan s (subquery)\n    SELECT\n      route: index lookup\n"),
+            std::string::npos)
+      << derived;
+  EXPECT_NE(derived.find("      index lookup: column 'id', 1 probe(s)\n"),
+            std::string::npos)
+      << derived;
+  // A SELECT that cannot run has no plan: EXPLAIN returns the executor's error.
+  for (const std::string sql :
+       {"SELECT nosuch FROM te", "SELECT v FROM te WHERE SUM(v) > 1"}) {
+    auto ran = session_->Execute(sql);
+    auto explained = session_->Execute("EXPLAIN " + sql);
+    ASSERT_FALSE(ran.ok()) << sql;
+    EXPECT_FALSE(explained.ok()) << "EXPLAIN " << sql << " printed a plan";
+    if (!explained.ok()) {
+      EXPECT_EQ(explained.status().ToString(), ran.status().ToString());
+    }
+  }
 }
 
 TEST_F(EngineTest, ExplainDmlShowsThePlanThatRuns) {

@@ -103,9 +103,9 @@ TEST_F(ExplainAnalyzeTest, GoldenSelectTraceStructure) {
   //   query
   //     parse
   //     select
-  //       execute
-  //         scan(t) / sort / project
   //       bind
+  //       execute(operator tree)
+  //         scan(t) / sort / project
   EXPECT_EQ(FindLine(lines, 0, "query"), 0u);
   EXPECT_NE(FindLine(lines, 2, "parse"), std::string::npos);
   const size_t select_at = FindLine(lines, 2, "select");
@@ -144,6 +144,21 @@ TEST_F(ExplainAnalyzeTest, VectorizedPathTracesBatchOperators) {
   const size_t at = lines[scan_at].find(" batches=");
   ASSERT_NE(at, std::string::npos);
   EXPECT_GE(std::stoull(lines[scan_at].substr(at + 9)), 1u);
+}
+
+TEST_F(ExplainAnalyzeTest, DerivedTableBindsOnceAndExecutesOnce) {
+  auto result = Run("EXPLAIN ANALYZE SELECT v FROM (SELECT v FROM t WHERE v > 10) s");
+  std::vector<std::string> lines = Lines(result);
+  // The subquery is planned inside the statement's one bind and runs inside
+  // its one execute node.
+  std::vector<std::string> stages;
+  for (const std::string& line : lines) {
+    if (IndentOf(line) == 4) stages.push_back(line.substr(4, line.find(" wall=") - 4));
+  }
+  EXPECT_EQ(stages, (std::vector<std::string>{"bind", "execute(operator tree)"}));
+  const size_t scan_at = FindLine(lines, 6, "scan(t)");
+  ASSERT_NE(scan_at, std::string::npos);
+  EXPECT_EQ(RowsOf(lines[scan_at]), 4u);
 }
 
 TEST_F(ExplainAnalyzeTest, DmlTraceCarriesPlanAndResult) {
