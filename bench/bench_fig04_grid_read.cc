@@ -35,8 +35,10 @@ void BM_GridSelect2(benchmark::State& state, const std::string& kind) {
   }
 }
 
-// Raw storage scan of the big consumption table, row-at-a-time (the seed
-// read path, kept as ScanLegacyRows) vs the vectorized batch pipeline.
+// Raw storage scan of the big consumption table, row-at-a-time vs batch.
+// The "row" series is DualTable::Scan: the batch UNION READ plus the
+// BatchToRowAdapter that row consumers actually run (the row-at-a-time
+// UNION READ is gone). The "batch" series drains ScanBatches directly.
 // Feeds the row-vs-batch rows/sec comparison in BENCH_scan.json.
 void BM_RawScan(benchmark::State& state, const std::string& path) {
   Env env = MakeGridTableII("dualtable");
@@ -53,7 +55,7 @@ void BM_RawScan(benchmark::State& state, const std::string& path) {
     dtl::Stopwatch watch;
     uint64_t n = 0;
     if (path == "row") {
-      auto it = dual->ScanLegacyRows({});
+      auto it = dual->Scan({});
       if (!it.ok()) { state.SkipWithError("scan failed"); return; }
       while ((*it)->Next()) {
         benchmark::DoNotOptimize((*it)->row());

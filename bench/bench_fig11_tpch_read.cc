@@ -46,7 +46,9 @@ void BM_QueryC(benchmark::State& state, const std::string& kind) {
 }
 
 // Raw lineitem scan, row-at-a-time vs batch pipeline, for BENCH_scan.json.
-// Lineitem's 16 columns make the per-row Row materialization cost explicit.
+// The "row" series is DualTable::Scan: the batch UNION READ plus the
+// BatchToRowAdapter that row consumers actually run. Lineitem's 16 columns
+// make the per-row Row materialization cost explicit.
 void BM_RawScan(benchmark::State& state, const std::string& path) {
   Env env = MakeTpch("dualtable", PlanMode::kCostModel, /*with_orders=*/false);
   auto entry = env.session->catalog()->Lookup("lineitem");
@@ -62,7 +64,7 @@ void BM_RawScan(benchmark::State& state, const std::string& path) {
     dtl::Stopwatch watch;
     uint64_t n = 0;
     if (path == "row") {
-      auto it = dual->ScanLegacyRows({});
+      auto it = dual->Scan({});
       if (!it.ok()) { state.SkipWithError("scan failed"); return; }
       while ((*it)->Next()) {
         benchmark::DoNotOptimize((*it)->row());

@@ -45,6 +45,13 @@ Enforced invariants (see DESIGN.md §7):
                       pass a pinned generation as the first argument. The
                       snapshot machinery itself (master_table, attached_table,
                       snapshot.h) and the non-MVCC baselines are exempt.
+  9. cached-reads     In the same MVCC layers, stripes are read through the
+                      shared StripeCache (OrcReader::ReadStripeShared, with
+                      CacheFill::kNoAdmit where the output replaces the
+                      file): no uncached OrcReader::ReadStripe( call. Exempt:
+                      master_table.cc (the baselines' MasterScanIterator)
+                      and DualTable::IndexStagedFiles, which reads staged
+                      files that belong to no generation.
 
 Usage:  scripts/lint.py [paths...]      (defaults to src/ tests/ bench/ examples/)
 Exit status: 0 clean, 1 findings (one line each: path:line: [rule] message).
@@ -123,9 +130,17 @@ LATEST_SCANNER_RE = re.compile(r"\b(NewScanner|NewCellScanner|NewRowScanner)\s*\
 # generation (the generation-less overloads pin CurrentGeneration() per call,
 # which tears under a racing COMPACT).
 MASTER_SCAN_RE = re.compile(
-    r"\b(NewScanIterator|NewFileScanIterator|NewBatchScanIterator|"
-    r"NewFileBatchScanIterator|PlanMorsels|NewMorselBatchScanIterator)\s*\(")
+    r"\b(NewScanIterator|NewBatchScanIterator|PlanMorsels|"
+    r"NewMorselBatchScanIterator)\s*\(")
 PINNED_ARG_RE = re.compile(r"gen|snapshot", re.I)
+
+# Rule 9: one cached read path. ReadStripeShared and ReadRawStripe do not
+# match (the name must be followed by the call parenthesis).
+UNCACHED_READ_RE = re.compile(r"\bReadStripe\s*\(")
+UNCACHED_READ_EXEMPT_FILES = {"src/dualtable/master_table.cc"}
+UNCACHED_READ_EXEMPT_FUNCTIONS = {"DualTable::IndexStagedFiles"}
+# A function definition starts at column 0: `Type Class::Name(`.
+FUNCTION_DEF_RE = re.compile(r"^[A-Za-z_].*?\b(\w+::\w+)\s*\(")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -401,6 +416,19 @@ def check_file(path: Path, findings):
                                      f"{m.group(1)} without a pinned generation; "
                                      "pass snapshot->generation so a racing "
                                      "COMPACT cannot tear the scan"))
+
+    # Rule 9: in the MVCC layers, stripes come through the shared cache.
+    if rp.startswith(SNAPSHOT_GUARDED_DIRS) and rp not in UNCACHED_READ_EXEMPT_FILES:
+        function = None
+        for i, line in enumerate(lines, 1):
+            m = FUNCTION_DEF_RE.match(line)
+            if m:
+                function = m.group(1)
+            if UNCACHED_READ_RE.search(line) and function not in UNCACHED_READ_EXEMPT_FUNCTIONS:
+                findings.append((rp, i, "cached-reads",
+                                 "uncached OrcReader::ReadStripe in an MVCC layer; "
+                                 "read through ReadStripeShared (CacheFill::kNoAdmit "
+                                 "when the output replaces the file)"))
 
     # Rule 5: no (void)-discarded calls; DTL_IGNORE_STATUS is the audit trail.
     if rp != "src/common/status.h":  # the macro's own definition

@@ -227,43 +227,14 @@ table::ScanSpec DualTable::MasterSpecFor(const table::ScanSpec& spec,
   return master_spec;
 }
 
-Result<std::unique_ptr<UnionReadIterator>> DualTable::NewUnionRead(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(auto master_it,
-                       master_->NewScanIterator(snapshot->generation,
-                                                MasterSpecFor(spec, snapshot),
-                                                /*apply_predicate=*/false));
-  auto attached_it = attached_->NewScannerAt(snapshot->attached);
-  auto it = std::make_unique<UnionReadIterator>(std::move(master_it),
-                                                std::move(attached_it), spec.predicate,
-                                                schema_.num_fields());
-  it->AnchorSnapshot(snapshot);
-  return it;
-}
-
-Result<std::unique_ptr<UnionReadIterator>> DualTable::NewUnionReadForFile(
-    const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(
-      auto master_it,
-      master_->NewFileScanIterator(snapshot->generation, file_id,
-                                   MasterSpecFor(spec, snapshot),
-                                   /*apply_predicate=*/false));
-  auto attached_it = attached_->NewScannerAt(
-      snapshot->attached, MakeRecordId(file_id, 0), MakeRecordId(file_id + 1, 0));
-  auto it = std::make_unique<UnionReadIterator>(std::move(master_it),
-                                                std::move(attached_it), spec.predicate,
-                                                schema_.num_fields());
-  it->AnchorSnapshot(snapshot);
-  return it;
-}
-
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatch(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec, uint64_t as_of) {
+    const SnapshotPtr& snapshot, const table::ScanSpec& spec, uint64_t as_of,
+    orc::CacheFill fill) {
   DTL_ASSIGN_OR_RETURN(auto master_it,
                        master_->NewBatchScanIterator(snapshot->generation,
                                                      MasterSpecFor(spec, snapshot),
                                                      /*apply_predicate=*/false,
-                                                     options_.scan_batch_rows));
+                                                     options_.scan_batch_rows, fill));
   auto attached_it =
       attached_->NewScannerAt(snapshot->attached, 0, UINT64_MAX, as_of);
   auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
@@ -293,14 +264,14 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForM
 
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForMorselAt(
     const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
-    table::ScanMeter* meter) {
+    table::ScanMeter* meter, orc::CacheFill fill) {
   table::ScanSpec master_spec = MasterSpecFor(spec, snapshot);
   master_spec.meter = meter;
   DTL_ASSIGN_OR_RETURN(
       auto master_it,
       master_->NewMorselBatchScanIterator(snapshot->generation, morsel, master_spec,
                                           /*apply_predicate=*/false,
-                                          options_.scan_batch_rows));
+                                          options_.scan_batch_rows, fill));
   auto attached_it = attached_->NewScannerAt(snapshot->attached,
                                              morsel.first_record_id,
                                              morsel.end_record_id);
@@ -313,6 +284,21 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForM
 }
 
 namespace {
+
+/// Drains a UNION READ, handing `fn` each visible row (full width, columns
+/// the scan did not read NULL) with its record ID, in record-ID order.
+Status ForEachRow(table::BatchIterator* it,
+                  const std::function<Status(uint64_t record_id, Row* row)>& fn) {
+  table::RowBatch batch;
+  Row row;
+  while (it->Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &row);
+      DTL_RETURN_NOT_OK(fn(batch.record_id(i), &row));
+    }
+  }
+  return it->status();
+}
 
 // Counts the rows a UNION READ scan emits and reports the total — plus the
 // scan's wall seconds, construction to destruction — into the per-table
@@ -373,12 +359,6 @@ Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatchesAt(
     const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
   DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
   return ObserveUnionReadRows(std::move(it));
-}
-
-Result<std::unique_ptr<table::RowIterator>> DualTable::ScanLegacyRows(
-    const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(AcquireSnapshot(), spec));
-  return std::unique_ptr<table::RowIterator>(std::move(it));
 }
 
 Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAsOf(
@@ -579,10 +559,10 @@ Status DualTable::ForEachEditMatch(const SnapshotPtr& snapshot,
     for (const auto& [rid, row] : matches) DTL_RETURN_NOT_OK(fn(rid, row));
     return Status::OK();
   }
-  // Scan route: the predicate is applied inside the union read.
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, spec));
-  while (it->Next()) DTL_RETURN_NOT_OK(fn(it->record_id(), it->row()));
-  return it->status();
+  // Scan route: the predicate is applied inside the union read, whose
+  // stripes come from (and warm) the shared column cache.
+  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
+  return ForEachRow(it.get(), [&fn](uint64_t rid, Row* row) { return fn(rid, *row); });
 }
 
 Result<table::DmlResult> DualTable::ExecuteEditUpdate(
@@ -639,39 +619,46 @@ Result<table::DmlResult> DualTable::ExecuteEditUpdate(
   return result;
 }
 
-Result<uint64_t> DualTable::RewriteMaster(
-    const std::function<bool(uint64_t record_id, Row* row)>& transform) {
+Result<uint64_t> DualTable::RewriteMaster(const RowTransform& transform) {
   // Stream the merged view into a staged new master generation. The rewrite
   // folds deltas up to its snapshot's commit timestamp; writers are
   // serialized under mu_, so nothing can commit past it before the publish.
+  // Its output replaces every file it reads, so it admits nothing to the
+  // stripe cache.
   SnapshotPtr snapshot = AcquireSnapshot();
   table::ScanSpec all;  // every column, no predicate
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, all));
-
+  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, all, UINT64_MAX,
+                                                  orc::CacheFill::kNoAdmit));
   std::vector<MasterFileInfo> new_files;
+  DTL_ASSIGN_OR_RETURN(uint64_t rows_out,
+                       WriteRewriteFiles(it.get(), transform, &new_files));
+  DTL_RETURN_NOT_OK(PublishRewrite(std::move(new_files)));
+  return rows_out;
+}
+
+Result<uint64_t> DualTable::WriteRewriteFiles(table::BatchIterator* union_read,
+                                              const RowTransform& transform,
+                                              std::vector<MasterFileInfo>* new_files) {
   std::unique_ptr<MasterFileWriter> writer;
   uint64_t rows_out = 0;
-  Row row;
-  while (it->Next()) {
-    row = it->row();
-    if (!transform(it->record_id(), &row)) continue;
+  DTL_RETURN_NOT_OK(ForEachRow(union_read, [&](uint64_t rid, Row* row) -> Status {
+    if (!transform(rid, row)) return Status::OK();
     if (writer == nullptr) {
       DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
     }
-    DTL_RETURN_NOT_OK(writer->Append(row));
+    DTL_RETURN_NOT_OK(writer->Append(*row));
     ++rows_out;
     if (writer->rows_written() >= options_.rewrite_file_rows) {
       DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
+      new_files->push_back(std::move(info));
       writer.reset();
     }
-  }
-  DTL_RETURN_NOT_OK(it->status());
+    return Status::OK();
+  }));
   if (writer != nullptr) {
     DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files.push_back(std::move(info));
+    new_files->push_back(std::move(info));
   }
-  DTL_RETURN_NOT_OK(PublishRewrite(std::move(new_files)));
   return rows_out;
 }
 
@@ -770,26 +757,19 @@ Result<uint64_t> DualTable::RewriteMasterParallel() {
   TaskGroup group(options_.pool);
   for (FileJob& job : jobs) {
     group.Spawn([this, &job, &snapshot]() -> Status {
+      ScanMorsel whole_file;
+      whole_file.file_id = job.file_id;
+      whole_file.stripe_end = SIZE_MAX;  // every stripe of the file
+      whole_file.first_record_id = MakeRecordId(job.file_id, 0);
+      whole_file.end_record_id = MakeRecordId(job.file_id + 1, 0);
       table::ScanSpec all;  // every column, no predicate
-      DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadForFile(snapshot, job.file_id, all));
-      std::unique_ptr<MasterFileWriter> writer;
-      while (it->Next()) {
-        if (writer == nullptr) {
-          DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-        }
-        DTL_RETURN_NOT_OK(writer->Append(it->row()));
-        ++job.rows_out;
-        if (writer->rows_written() >= options_.rewrite_file_rows) {
-          DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-          job.new_files.push_back(std::move(info));
-          writer.reset();
-        }
-      }
-      DTL_RETURN_NOT_OK(it->status());
-      if (writer != nullptr) {
-        DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-        job.new_files.push_back(std::move(info));
-      }
+      DTL_ASSIGN_OR_RETURN(auto it,
+                           NewUnionReadBatchForMorselAt(snapshot, whole_file, all,
+                                                        /*meter=*/nullptr,
+                                                        orc::CacheFill::kNoAdmit));
+      auto keep_all = [](uint64_t, Row*) { return true; };
+      DTL_ASSIGN_OR_RETURN(job.rows_out,
+                           WriteRewriteFiles(it.get(), keep_all, &job.new_files));
       return Status::OK();
     });
   }
@@ -935,12 +915,15 @@ Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
       ++stats->stripes_copied;
       continue;
     }
-    // Dirty stripe: decode, patch updates, mask deletes, re-encode.
-    DTL_ASSIGN_OR_RETURN(orc::StripeBatch batch, reader->ReadStripe(s));
+    // Dirty stripe: decode, patch updates, mask deletes, re-encode. The
+    // replacement file supersedes this one, so the read admits nothing to
+    // the stripe cache.
+    DTL_ASSIGN_OR_RETURN(auto batch,
+                         reader->ReadStripeShared(s, {}, orc::CacheFill::kNoAdmit));
     ++stats->stripes_rewritten;
-    stats->rows_rewritten += batch.num_rows;
-    for (size_t i = 0; i < batch.num_rows; ++i) {
-      const uint64_t rid = MakeRecordId(file.file_id, batch.first_row + i);
+    stats->rows_rewritten += batch->num_rows;
+    for (size_t i = 0; i < batch->num_rows; ++i) {
+      const uint64_t rid = MakeRecordId(file.file_id, batch->first_row + i);
       while (mod_valid && mods->modification().record_id < rid) {
         // Mod for a row this walk already passed (cannot normally happen);
         // its cells die with the file either way.
@@ -957,12 +940,12 @@ Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
         if (mod.deleted) {
           deleted = true;
         } else {
-          row = batch.GetRow(i);
+          row = batch->GetRow(i);
           for (const auto& [col, value] : mod.updates) row[col] = value;
         }
         mod_valid = mods->Next();
       } else {
-        row = batch.GetRow(i);
+        row = batch->GetRow(i);
       }
       if (deleted) continue;
       if (writer == nullptr) {
@@ -1326,12 +1309,15 @@ Status DualTable::RebuildIndex() {
   index_->CountRebuild();
   DTL_RETURN_NOT_OK(index_->ClearAll());
   SnapshotPtr snapshot = AcquireSnapshot();
-  table::ScanSpec all;  // every column, no predicate
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionRead(snapshot, all));
-  while (it->Next()) {
-    DTL_RETURN_NOT_OK(index_->AddRow(it->row(), it->record_id()));
-  }
-  DTL_RETURN_NOT_OK(it->status());
+  // Only the indexed columns are read; a one-off full scan admits nothing
+  // to the stripe cache.
+  table::ScanSpec indexed;
+  indexed.projection = index_->columns();
+  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, indexed, UINT64_MAX,
+                                                  orc::CacheFill::kNoAdmit));
+  DTL_RETURN_NOT_OK(ForEachRow(it.get(), [this](uint64_t rid, Row* row) {
+    return index_->AddRow(*row, rid);
+  }));
   DTL_RETURN_NOT_OK(index_->Sync());
   return CommitIndexMeta();
 }
@@ -1346,8 +1332,7 @@ Status DualTable::IndexStagedFiles(const std::vector<MasterFileInfo>& files) {
       for (size_t i = 0; i < batch.num_rows; ++i) {
         const uint64_t rid = MakeRecordId(info.file_id, batch.first_row + i);
         for (size_t c = 0; c < batch.projection.size(); ++c) {
-          DTL_RETURN_NOT_OK(
-              index_->Add(batch.projection[c], batch.columns[c][i], rid));
+          DTL_RETURN_NOT_OK(index_->Add(batch.projection[c], batch.at(c, i), rid));
         }
       }
     }
@@ -1433,7 +1418,7 @@ Result<std::vector<std::pair<uint64_t, Row>>> DualTable::IndexLookupAt(
     const size_t local = static_cast<size_t>(row_no - stripe->first_row);
     Row row(num_fields, Value::Null());
     for (size_t c = 0; c < stripe->projection.size(); ++c) {
-      row[stripe->projection[c]] = stripe->columns[c][local];
+      row[stripe->projection[c]] = stripe->at(c, local);
     }
     if (mod.has_value()) {
       // Patch every updated column, matching UNION READ exactly (it patches

@@ -272,9 +272,11 @@ class DualTable : public table::StorageTable {
   Result<std::vector<ScanMorsel>> PlanScanMorselsAt(const SnapshotPtr& snapshot,
                                                     const table::ScanSpec& spec,
                                                     size_t stripes_per_morsel);
+  /// `fill` kNoAdmit reads cached columns without inserting the ones it
+  /// decodes (a whole-file rewrite, whose output replaces what it reads).
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorselAt(
       const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
-      table::ScanMeter* meter);
+      table::ScanMeter* meter, orc::CacheFill fill = orc::CacheFill::kAdmit);
 
   /// Tracker behind the snapshot.* metric views.
   const SnapshotTracker* snapshot_tracker() const { return snapshot_tracker_.get(); }
@@ -359,11 +361,6 @@ class DualTable : public table::StorageTable {
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorsel(
       const ScanMorsel& morsel, const table::ScanSpec& spec, table::ScanMeter* meter);
 
-  /// The row-at-a-time UNION READ. Scan, ScanBatches and ScanAsOf run the
-  /// vectorized one; this stays for the batch-vs-row equivalence tests and
-  /// the scan benchmarks.
-  Result<std::unique_ptr<table::RowIterator>> ScanLegacyRows(const table::ScanSpec& spec);
-
   /// Snapshot read: the table as it looked when the attached table's clock
   /// was at `as_of` (see AttachedTable::LastTimestamp). Built on the HBase
   /// multi-version feature the paper highlights in §V-C; only history since
@@ -416,14 +413,11 @@ class DualTable : public table::StorageTable {
         cost_model_(cluster, options_.cost_params) {}
 
   // All internal UNION READ constructors read from an explicit snapshot;
-  // there is no latest-visible read path left (lint rule 8).
-  Result<std::unique_ptr<UnionReadIterator>> NewUnionRead(const SnapshotPtr& snapshot,
-                                                          const table::ScanSpec& spec);
-  Result<std::unique_ptr<UnionReadIterator>> NewUnionReadForFile(
-      const SnapshotPtr& snapshot, uint64_t file_id, const table::ScanSpec& spec);
+  // there is no latest-visible read path left (lint rule 8). `fill` as in
+  // NewUnionReadBatchForMorselAt.
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatch(
       const SnapshotPtr& snapshot, const table::ScanSpec& spec,
-      uint64_t as_of = UINT64_MAX);
+      uint64_t as_of = UINT64_MAX, orc::CacheFill fill = orc::CacheFill::kAdmit);
   /// Clears stripe-stat bounds when the snapshot's attached state could
   /// invalidate them.
   table::ScanSpec MasterSpecFor(const table::ScanSpec& spec,
@@ -514,17 +508,25 @@ class DualTable : public table::StorageTable {
                           const std::function<Status(uint64_t, const Row&)>& fn,
                           table::DmlResult* result);
 
+  using RowTransform = std::function<bool(uint64_t record_id, Row* row)>;
+
   /// Streams the union-read view through `transform` into a fresh master
   /// generation; used by OVERWRITE plans and COMPACT. `transform` returns
   /// false to drop the row and may mutate it in place.
-  Result<uint64_t> RewriteMaster(
-      const std::function<bool(uint64_t record_id, Row* row)>& transform);
+  Result<uint64_t> RewriteMaster(const RowTransform& transform);
 
   /// COMPACT's parallel rewrite: one job per master file on options_.pool,
-  /// each streaming its file's union-read view into fresh files; all new
-  /// files land in ONE ReplaceAllFiles call, so the manifest rename stays
-  /// the single commit point.
+  /// each streaming its file's union-read view (one whole-file morsel) into
+  /// fresh files; all new files land in ONE ReplaceAllFiles call, so the
+  /// manifest rename stays the single commit point.
   Result<uint64_t> RewriteMasterParallel();
+
+  /// Writes every row `union_read` emits that `transform` keeps into fresh
+  /// staged master files of at most options_.rewrite_file_rows rows,
+  /// appending their infos to `new_files`. Returns the rows written.
+  Result<uint64_t> WriteRewriteFiles(table::BatchIterator* union_read,
+                                     const RowTransform& transform,
+                                     std::vector<MasterFileInfo>* new_files);
 
   DmlPlanChoice PlanDml(bool update, std::optional<double> ratio_hint) const;
   double AvgRowBytes() const;

@@ -44,9 +44,12 @@ MasterGeneration::~MasterGeneration() {
   // still pinned by a snapshot; the last pin dropping is the earliest moment
   // they can go. The manifest no longer lists them, so a failed delete here
   // (or a crash before this runs) is re-collected by the next Open().
-  for (const std::string& path : doomed_paths_) {
-    DTL_IGNORE_STATUS(fs_->Delete(path),
+  for (const MasterFileInfo& f : doomed_files_) {
+    DTL_IGNORE_STATUS(fs_->Delete(f.path),
                       "deferred generation GC: next Open() re-collects unlisted files");
+    // No generation lists the file any more, so its cached columns can never
+    // be hit again; free them now instead of waiting for LRU pressure.
+    if (stripe_cache_ != nullptr) stripe_cache_->EraseFile(cache_owner_, f.file_id);
   }
   if (live_counter_ != nullptr) {
     live_counter_->fetch_sub(1, std::memory_order_relaxed);
@@ -183,7 +186,7 @@ bool MasterScanIterator::Next() {
     const size_t i = index_in_batch_++;
     row_.assign(num_fields_, Value::Null());
     for (size_t p = 0; p < batch_.projection.size(); ++p) {
-      row_[batch_.projection[p]] = batch_.columns[p][i];
+      row_[batch_.projection[p]] = batch_.at(p, i);
     }
     if (apply_predicate_ && spec_.predicate && !spec_.predicate(row_)) continue;
     record_id_ = MakeRecordId(file_ids_[file_index_], batch_.first_row + i);
@@ -196,13 +199,14 @@ bool MasterScanIterator::Next() {
 MasterScanBatchIterator::MasterScanBatchIterator(
     std::vector<std::shared_ptr<orc::OrcReader>> readers, std::vector<uint64_t> file_ids,
     table::ScanSpec spec, size_t num_fields, bool apply_predicate, size_t batch_rows,
-    size_t stripe_begin, size_t stripe_end, bool count_skips)
+    orc::CacheFill fill, size_t stripe_begin, size_t stripe_end, bool count_skips)
     : readers_(std::move(readers)),
       file_ids_(std::move(file_ids)),
       spec_(std::move(spec)),
       num_fields_(num_fields),
       apply_predicate_(apply_predicate),
       batch_rows_(std::max<size_t>(1, batch_rows)),
+      fill_(fill),
       stripe_end_limit_(stripe_end),
       count_skips_(count_skips) {
   required_ = spec_.RequiredColumns(num_fields_);
@@ -233,7 +237,7 @@ bool MasterScanBatchIterator::LoadNextStripe() {
       continue;
     }
     ++survivors_in_file_;
-    auto read = reader->ReadStripeShared(stripe_index_, required_);
+    auto read = reader->ReadStripeShared(stripe_index_, required_, fill_);
     if (!read.ok()) {
       status_ = read.status();
       return false;
@@ -490,14 +494,14 @@ Status MasterTable::ReplaceAllFiles(std::vector<MasterFileInfo> new_files) {
   // keep reading byte-identical data; nothing tears. Files carried into the
   // new generation untouched (incremental COMPACT) must NOT be doomed: the
   // new generation still reads them.
-  std::vector<std::string> doomed;
+  std::vector<MasterFileInfo> doomed;
   doomed.reserve(current_->files_.size());
   for (const auto& f : current_->files_) {
     bool kept = false;
     for (const auto& nf : next->files_) kept |= (nf.path == f.path);
-    if (!kept) doomed.push_back(f.path);
+    if (!kept) doomed.push_back(f);
   }
-  current_->doomed_paths_ = std::move(doomed);
+  current_->doomed_files_ = std::move(doomed);
   current_ = std::move(next);
   return Status::OK();
 }
@@ -511,8 +515,8 @@ Result<std::shared_ptr<orc::OrcReader>> MasterTable::OpenReader(
 }
 
 Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewScanIterator(
-    const MasterGenerationPtr& gen, const table::ScanSpec& spec,
-    bool apply_predicate) const {
+    const table::ScanSpec& spec, bool apply_predicate) const {
+  const MasterGenerationPtr gen = CurrentGeneration();
   std::vector<std::shared_ptr<orc::OrcReader>> readers;
   std::vector<uint64_t> file_ids;
   readers.reserve(gen->files().size());
@@ -526,21 +530,9 @@ Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewScanIterator(
                              schema_.num_fields(), apply_predicate));
 }
 
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewFileScanIterator(
-    const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-    bool apply_predicate) const {
-  for (const MasterFileInfo& info : gen->files()) {
-    if (info.file_id != file_id) continue;
-    DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
-    return std::unique_ptr<MasterScanIterator>(new MasterScanIterator(
-        {std::move(reader)}, {file_id}, spec, schema_.num_fields(), apply_predicate));
-  }
-  return Status::NotFound("no master file with ID " + std::to_string(file_id));
-}
-
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterator(
     const MasterGenerationPtr& gen, const table::ScanSpec& spec, bool apply_predicate,
-    size_t batch_rows) const {
+    size_t batch_rows, orc::CacheFill fill) const {
   std::vector<std::shared_ptr<orc::OrcReader>> readers;
   std::vector<uint64_t> file_ids;
   readers.reserve(gen->files().size());
@@ -551,12 +543,8 @@ Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterat
   }
   return std::unique_ptr<MasterScanBatchIterator>(
       new MasterScanBatchIterator(std::move(readers), std::move(file_ids), spec,
-                                  schema_.num_fields(), apply_predicate, batch_rows));
-}
-
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewScanIterator(
-    const table::ScanSpec& spec, bool apply_predicate) const {
-  return NewScanIterator(CurrentGeneration(), spec, apply_predicate);
+                                  schema_.num_fields(), apply_predicate, batch_rows,
+                                  fill));
 }
 
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterator(
@@ -609,13 +597,13 @@ Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(
 
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewMorselBatchScanIterator(
     const MasterGenerationPtr& gen, const ScanMorsel& morsel, const table::ScanSpec& spec,
-    bool apply_predicate, size_t batch_rows) const {
+    bool apply_predicate, size_t batch_rows, orc::CacheFill fill) const {
   for (const MasterFileInfo& info : gen->files()) {
     if (info.file_id != morsel.file_id) continue;
     DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
     return std::unique_ptr<MasterScanBatchIterator>(new MasterScanBatchIterator(
         {std::move(reader)}, {morsel.file_id}, spec, schema_.num_fields(),
-        apply_predicate, batch_rows, morsel.stripe_begin, morsel.stripe_end,
+        apply_predicate, batch_rows, fill, morsel.stripe_begin, morsel.stripe_end,
         /*count_skips=*/false));
   }
   return Status::NotFound("no master file with ID " + std::to_string(morsel.file_id));

@@ -19,6 +19,7 @@
 #include "orc/reader.h"
 #include "orc/writer.h"
 #include "table/spec.h"
+#include "table/storage_table.h"
 
 namespace dtl::dual {
 
@@ -45,7 +46,8 @@ class MasterTable;
 /// retired generation never mix stripes across file sets) and, when it was
 /// replaced wholesale (COMPACT / OVERWRITE), the list of files it doomed:
 /// those are deleted by the destructor, i.e. only after the last snapshot
-/// pin drops. A crash before that point leaves orphans the next Open()
+/// pin drops, and their decoded columns leave the stripe cache with them.
+/// A crash before that point leaves orphans the next Open()
 /// garbage-collects, so deferral never loses the GC.
 class MasterGeneration {
  public:
@@ -66,13 +68,14 @@ class MasterGeneration {
 
   fs::SimFileSystem* fs_ = nullptr;
   uint64_t number_ = 0;
-  /// Shared decoded-stripe cache (null = per-reader LRU) and the owning
+  /// Shared decoded-column cache (null = uncached reads) and the owning
   /// table's process-unique cache token; stamped onto every reader opened.
   orc::StripeCache* stripe_cache_ = nullptr;
   uint64_t cache_owner_ = 0;
   std::vector<MasterFileInfo> files_;  // ascending file_id
-  /// Files this generation replaced; deleted when the generation dies.
-  std::vector<std::string> doomed_paths_;
+  /// Files this generation replaced; deleted (and erased from the stripe
+  /// cache) when the generation dies.
+  std::vector<MasterFileInfo> doomed_files_;
   /// Shared live-generation counter (snapshot.pinned_generations view);
   /// decremented by the destructor.
   std::shared_ptr<std::atomic<int64_t>> live_counter_;
@@ -129,6 +132,7 @@ class MasterFileWriter {
 /// Streams (record_id, row) pairs from the master files in record-ID order,
 /// honoring projection, stripe pruning, and (optionally deferred) predicate
 /// evaluation. Rows are full schema width with non-required columns NULL.
+/// Decodes every stripe uncached; only the Hive and ACID baselines use it.
 class MasterScanIterator {
  public:
   /// Advances to the next surviving row; false at end or error.
@@ -181,8 +185,8 @@ class MasterScanBatchIterator : public table::BatchIterator {
   MasterScanBatchIterator(std::vector<std::shared_ptr<orc::OrcReader>> readers,
                           std::vector<uint64_t> file_ids, table::ScanSpec spec,
                           size_t num_fields, bool apply_predicate, size_t batch_rows,
-                          size_t stripe_begin = 0, size_t stripe_end = SIZE_MAX,
-                          bool count_skips = true);
+                          orc::CacheFill fill, size_t stripe_begin = 0,
+                          size_t stripe_end = SIZE_MAX, bool count_skips = true);
 
   /// Decodes the next surviving stripe; false at end or error.
   bool LoadNextStripe();
@@ -194,6 +198,7 @@ class MasterScanBatchIterator : public table::BatchIterator {
   size_t num_fields_;
   bool apply_predicate_;
   size_t batch_rows_;
+  orc::CacheFill fill_;
 
   /// Stripe window for morsel scans; only meaningful for single-file
   /// iterators (multi-file scans always cover every stripe).
@@ -284,22 +289,14 @@ class MasterTable {
   // racing past it are invisible. The generation-less overloads below pin
   // CurrentGeneration() per call and exist for the non-MVCC baselines.
 
-  /// Sequential scan in record-ID order. `apply_predicate` false defers the
-  /// residual filter to the caller (UNION READ filters after merging).
-  Result<std::unique_ptr<MasterScanIterator>> NewScanIterator(
-      const MasterGenerationPtr& gen, const table::ScanSpec& spec,
-      bool apply_predicate) const;
-
-  /// Scan over a single master file (one parallel-COMPACT rewrite job).
-  Result<std::unique_ptr<MasterScanIterator>> NewFileScanIterator(
-      const MasterGenerationPtr& gen, uint64_t file_id, const table::ScanSpec& spec,
-      bool apply_predicate) const;
-
   /// Vectorized sequential scan in record-ID order (see
-  /// MasterScanBatchIterator for predicate/pruning semantics).
+  /// MasterScanBatchIterator for predicate/pruning semantics). Stripes are
+  /// read through the shared stripe cache; `fill` says whether the columns
+  /// it decodes are admitted.
   Result<std::unique_ptr<MasterScanBatchIterator>> NewBatchScanIterator(
       const MasterGenerationPtr& gen, const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
+      size_t batch_rows = table::kDefaultBatchRows,
+      orc::CacheFill fill = orc::CacheFill::kAdmit) const;
 
   /// Splits the scan into stripe-aligned morsels of at most
   /// `stripes_per_morsel` surviving stripes each, in record-ID order.
@@ -313,10 +310,14 @@ class MasterTable {
   Result<std::unique_ptr<MasterScanBatchIterator>> NewMorselBatchScanIterator(
       const MasterGenerationPtr& gen, const ScanMorsel& morsel,
       const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
+      size_t batch_rows = table::kDefaultBatchRows,
+      orc::CacheFill fill = orc::CacheFill::kAdmit) const;
 
   // --- latest-visible conveniences (baselines and tests; see lint rule 8) ---
 
+  /// Row-at-a-time sequential scan in record-ID order, decoding uncached
+  /// (the Hive and ACID baselines). `apply_predicate` false defers the
+  /// residual filter to the caller.
   Result<std::unique_ptr<MasterScanIterator>> NewScanIterator(const table::ScanSpec& spec,
                                                               bool apply_predicate) const;
   Result<std::unique_ptr<MasterScanBatchIterator>> NewBatchScanIterator(
@@ -349,7 +350,7 @@ class MasterTable {
   Schema schema_;
   std::string dir_;
   orc::WriterOptions writer_options_;
-  /// Shared decoded-stripe cache + this table's owner token (see
+  /// Shared decoded-column cache + this table's owner token (see
   /// MasterFileInfo::born_generation for the full cache-key story).
   orc::StripeCache* stripe_cache_ = nullptr;
   uint64_t cache_owner_ = 0;
@@ -357,7 +358,7 @@ class MasterTable {
   /// Guards generation publication. Held only for pointer swaps and manifest
   /// writes, never across scans.
   mutable std::mutex gen_mu_;
-  /// Non-const internally: the publisher stamps doomed_paths_ on the
+  /// Non-const internally: the publisher stamps doomed_files_ on the
   /// outgoing generation at replace time; readers only ever see it const.
   std::shared_ptr<MasterGeneration> current_;
   /// shared with generations so their destructors can decrement it even if

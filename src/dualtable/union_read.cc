@@ -5,56 +5,6 @@
 
 namespace dtl::dual {
 
-UnionReadIterator::UnionReadIterator(std::unique_ptr<MasterScanIterator> master,
-                                     std::unique_ptr<ModificationScanner> attached,
-                                     table::RowPredicateFn predicate, size_t num_fields)
-    : master_(std::move(master)),
-      attached_(std::move(attached)),
-      predicate_(std::move(predicate)),
-      num_fields_(num_fields) {}
-
-const RecordModification* UnionReadIterator::AttachedAt(uint64_t id) {
-  if (!attached_primed_) {
-    attached_valid_ = attached_->Next();
-    attached_primed_ = true;
-  }
-  while (attached_valid_ && attached_->modification().record_id < id) {
-    attached_valid_ = attached_->Next();
-  }
-  if (!attached_->status().ok()) {
-    status_ = attached_->status();
-    return nullptr;
-  }
-  if (attached_valid_ && attached_->modification().record_id == id) {
-    return &attached_->modification();
-  }
-  return nullptr;
-}
-
-bool UnionReadIterator::Next() {
-  if (!status_.ok()) return false;
-  while (master_->Next()) {
-    const uint64_t id = master_->record_id();
-    const RecordModification* mod = AttachedAt(id);
-    if (!status_.ok()) return false;
-    current_modified_ = mod != nullptr;
-    if (mod != nullptr && mod->deleted) continue;
-    row_ = master_->row();
-    if (mod != nullptr) {
-      for (const auto& [column, value] : mod->updates) {
-        if (column < num_fields_) row_[column] = value;
-      }
-    }
-    if (predicate_ && !predicate_(row_)) continue;
-    record_id_ = id;
-    return true;
-  }
-  status_ = master_->status();
-  return false;
-}
-
-// --- UnionReadBatchIterator --------------------------------------------------------
-
 UnionReadBatchIterator::UnionReadBatchIterator(
     std::unique_ptr<MasterScanBatchIterator> master,
     std::unique_ptr<ModificationScanner> attached, table::RowPredicateFn predicate,

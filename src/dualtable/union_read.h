@@ -12,48 +12,6 @@
 
 namespace dtl::dual {
 
-/// Row iterator producing the up-to-date view: master rows with attached
-/// updates overlaid and deleted records skipped. The residual predicate is
-/// evaluated AFTER the merge so it sees current values.
-class UnionReadIterator : public table::RowIterator {
- public:
-  UnionReadIterator(std::unique_ptr<MasterScanIterator> master,
-                    std::unique_ptr<ModificationScanner> attached,
-                    table::RowPredicateFn predicate, size_t num_fields);
-
-  bool Next() override;
-  const Row& row() const override { return row_; }
-  uint64_t record_id() const override { return record_id_; }
-  const Status& status() const override { return status_; }
-
-  /// True when the current row had attached modifications applied.
-  bool current_row_modified() const { return current_modified_; }
-
-  /// Pins an owner (the Snapshot this iterator reads from) for the iterator's
-  /// lifetime so generation GC and KV keepalives outlive the scan.
-  void AnchorSnapshot(std::shared_ptr<const void> anchor) {
-    anchor_ = std::move(anchor);
-  }
-
- private:
-  std::shared_ptr<const void> anchor_;
-  /// Advances the attached stream until its head is >= id; returns the head
-  /// when it equals id.
-  const RecordModification* AttachedAt(uint64_t id);
-
-  std::unique_ptr<MasterScanIterator> master_;
-  std::unique_ptr<ModificationScanner> attached_;
-  table::RowPredicateFn predicate_;
-  size_t num_fields_;
-
-  bool attached_valid_ = false;
-  bool attached_primed_ = false;
-  Row row_;
-  uint64_t record_id_ = 0;
-  bool current_modified_ = false;
-  Status status_;
-};
-
 /// Vectorized UNION READ: consumes contiguous-record-ID batches from the
 /// master scan and merges the sorted modification stream into them in place.
 /// A batch with no modifications in its ID range passes through untouched —

@@ -33,10 +33,13 @@ inline constexpr const char* kScanStripesSkipped = "scan.stripes_skipped";
 inline constexpr const char* kScanStripesSkippedBloom = "scan.stripes_skipped_bloom";
 inline constexpr const char* kScanFilesSkipped = "scan.files_skipped";
 
-// --- orc::StripeCache (process-wide decoded-stripe cache) ---------------------
+// --- orc::StripeCache (process-wide decoded-column cache) ----------------------
+// hits/misses count stripe reads; a hit decoded no column.
 inline constexpr const char* kStripeCacheHits = "stripe_cache.hits";
 inline constexpr const char* kStripeCacheMisses = "stripe_cache.misses";
+// Real memory of the resident columns: cells × sizeof(Value) + string heap.
 inline constexpr const char* kStripeCacheBytes = "stripe_cache.bytes";
+// Resident decoded columns (one per column of a cached stripe).
 inline constexpr const char* kStripeCacheEntries = "stripe_cache.entries";
 inline constexpr const char* kStripeCacheEvictions = "stripe_cache.evictions";
 

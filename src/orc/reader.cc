@@ -1,13 +1,11 @@
 #include "orc/reader.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
 #include "common/coding.h"
 #include "orc/encoding.h"
 #include "orc/stripe_cache.h"
-#include "table/scan_stats.h"
 
 namespace dtl::orc {
 
@@ -20,8 +18,8 @@ void StripeBatch::SliceInto(size_t start, size_t count, size_t num_fields,
   for (size_t p = 0; p < projection.size(); ++p) {
     const size_t col = projection[p];
     if (col >= num_fields) continue;
-    DTL_DCHECK_EQ(columns[p].size(), num_rows);
-    out->column(col).SetView(columns[p].data() + start, count);
+    DTL_DCHECK_EQ(columns[p]->values.size(), num_rows);
+    out->column(col).SetView(columns[p]->values.data() + start, count);
   }
 }
 
@@ -103,7 +101,7 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
   batch.first_row = info.first_row;
   batch.num_rows = info.num_rows;
   batch.projection = projection;
-  batch.columns.resize(projection.size());
+  batch.columns.reserve(projection.size());
 
   // Precompute each column's stream offset within the stripe.
   std::vector<uint64_t> col_offset(num_cols + 1, 0);
@@ -116,7 +114,9 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
     const size_t col = projection[p];
     if (col >= num_cols) return Status::OutOfRange("projection ordinal out of range");
     const StreamInfo& streams = info.streams[col];
-    batch.encoded_bytes += streams.presence_length + streams.data_length;
+    auto column = std::make_shared<DecodedColumn>();
+    column->encoded_bytes = streams.presence_length + streams.data_length;
+    batch.encoded_bytes += column->encoded_bytes;
     std::string raw;
     DTL_RETURN_NOT_OK(file_->ReadAt(info.offset + col_offset[col],
                                     streams.presence_length + streams.data_length, &raw));
@@ -132,7 +132,7 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
       return Status::Corruption("presence bitmap row-count mismatch");
     }
 
-    std::vector<Value>* out = &batch.columns[p];
+    std::vector<Value>* out = &column->values;
     switch (footer_.schema.field(col).type) {
       case DataType::kInt64:
       case DataType::kDate: {
@@ -166,6 +166,7 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
       case DataType::kNull:
         return Status::Corruption("column with null type in footer");
     }
+    batch.columns.push_back(std::move(column));
   }
   return batch;
 }
@@ -201,37 +202,46 @@ Result<std::string> OrcReader::ReadRawStripe(size_t stripe_index) const {
 }
 
 Result<std::shared_ptr<const StripeBatch>> OrcReader::ReadStripeShared(
-    size_t stripe_index, std::vector<size_t> projection) const {
-  if (shared_cache_ != nullptr) {
-    if (auto hit = shared_cache_->Lookup(cache_owner_, file_id(), cache_generation_,
-                                         stripe_index, projection)) {
-      return hit;
-    }
-    auto read = ReadStripe(stripe_index, projection);
-    if (!read.ok()) return read.status();
-    auto batch = std::make_shared<const StripeBatch>(std::move(read).value());
-    shared_cache_->Insert(cache_owner_, file_id(), cache_generation_, stripe_index,
-                          std::move(projection), batch);
-    return batch;
+    size_t stripe_index, std::vector<size_t> projection, CacheFill fill) const {
+  if (shared_cache_ == nullptr) {
+    DTL_ASSIGN_OR_RETURN(StripeBatch batch,
+                         ReadStripe(stripe_index, std::move(projection)));
+    return std::make_shared<const StripeBatch>(std::move(batch));
   }
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->stripe_index == stripe_index && it->projection == projection) {
-        cache_.splice(cache_.begin(), cache_, it);  // refresh LRU position
-        return cache_.front().batch;
-      }
+  if (stripe_index >= footer_.stripes.size()) {
+    return Status::OutOfRange("stripe index out of range");
+  }
+  if (projection.empty()) {
+    projection.resize(footer_.schema.num_fields());
+    std::iota(projection.begin(), projection.end(), 0);
+  }
+  const StripeKey key{cache_owner_, file_id(), cache_generation_, stripe_index};
+  const StripeInfo& info = footer_.stripes[stripe_index];
+  auto batch = std::make_shared<StripeBatch>();
+  batch->first_row = info.first_row;
+  batch->num_rows = info.num_rows;
+  const size_t missing = shared_cache_->Lookup(key, projection, &batch->columns);
+  if (missing > 0) {
+    // Decode only the columns the cache lacks, outside the cache lock;
+    // concurrent misses may decode a column twice, with identical results
+    // (the file is immutable).
+    std::vector<size_t> absent;
+    absent.reserve(missing);
+    for (size_t p = 0; p < projection.size(); ++p) {
+      if (batch->columns[p] == nullptr) absent.push_back(projection[p]);
+    }
+    DTL_ASSIGN_OR_RETURN(StripeBatch decoded, ReadStripe(stripe_index, absent));
+    if (fill == CacheFill::kAdmit) shared_cache_->Insert(key, absent, decoded.columns);
+    size_t next = 0;
+    for (DecodedColumnPtr& column : batch->columns) {
+      if (column == nullptr) column = std::move(decoded.columns[next++]);
     }
   }
-  // Decode outside the lock; concurrent misses may decode twice, both
-  // results are identical (the file is immutable).
-  auto read = ReadStripe(stripe_index, projection);
-  if (!read.ok()) return read.status();
-  auto batch = std::make_shared<const StripeBatch>(std::move(read).value());
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_.push_front(CachedStripe{stripe_index, std::move(projection), batch});
-  while (cache_.size() > kMaxCachedStripes) cache_.pop_back();
-  return batch;
+  for (const DecodedColumnPtr& column : batch->columns) {
+    batch->encoded_bytes += column->encoded_bytes;
+  }
+  batch->projection = std::move(projection);
+  return std::shared_ptr<const StripeBatch>(std::move(batch));
 }
 
 OrcRowIterator::OrcRowIterator(const OrcReader* reader, std::vector<size_t> projection)
@@ -259,41 +269,6 @@ bool OrcRowIterator::Next() {
     row_number_ = batch_.first_row + index_in_stripe_;
     row_ = batch_.GetRow(index_in_stripe_);
     ++index_in_stripe_;
-    return true;
-  }
-}
-
-OrcBatchIterator::OrcBatchIterator(const OrcReader* reader, std::vector<size_t> projection,
-                                   size_t batch_rows, table::ScanMeter* meter)
-    : reader_(reader),
-      projection_(std::move(projection)),
-      batch_rows_(std::max<size_t>(1, batch_rows)),
-      meter_(meter) {}
-
-bool OrcBatchIterator::Next(table::RowBatch* batch) {
-  if (!status_.ok()) return false;
-  while (true) {
-    if (stripe_ == nullptr || offset_in_stripe_ >= stripe_->num_rows) {
-      if (stripe_index_ >= reader_->num_stripes()) return false;
-      auto read = reader_->ReadStripeShared(stripe_index_, projection_);
-      if (!read.ok()) {
-        status_ = read.status();
-        return false;
-      }
-      ++stripe_index_;
-      if ((*read)->num_rows == 0) continue;
-      stripe_ = std::move(read).value();
-      offset_in_stripe_ = 0;
-    }
-    const size_t count =
-        std::min(batch_rows_, static_cast<size_t>(stripe_->num_rows) - offset_in_stripe_);
-    stripe_->SliceInto(offset_in_stripe_, count, reader_->schema().num_fields(), batch);
-    batch->SetContiguousRecordIds(stripe_->first_row + offset_in_stripe_);
-    batch->SetAnchor(stripe_);
-    // Charge the stripe's encoded bytes to its first slice only.
-    (meter_ != nullptr ? *meter_ : table::GlobalScanMeter())
-        .AddBatch(count, offset_in_stripe_ == 0 ? stripe_->encoded_bytes : 0);
-    offset_in_stripe_ += count;
     return true;
   }
 }

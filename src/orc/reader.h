@@ -5,9 +5,7 @@
 // have no storage cost").
 #pragma once
 
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -16,27 +14,39 @@
 #include "fs/filesystem.h"
 #include "orc/orc_types.h"
 #include "table/row_batch.h"
-#include "table/storage_table.h"
 
 namespace dtl::orc {
 
 class StripeCache;
 
+/// One decoded column of one stripe: the unit the StripeCache holds and
+/// shares across every projection that reads the column.
+struct DecodedColumn {
+  std::vector<Value> values;
+  /// Encoded bytes (presence + data streams) read from the file to decode it.
+  uint64_t encoded_bytes = 0;
+};
+using DecodedColumnPtr = std::shared_ptr<const DecodedColumn>;
+
 /// Decoded, projected columns of one stripe. Column i of `columns` holds the
-/// values (nulls included) of schema ordinal `projection[i]`.
+/// values (nulls included) of schema ordinal `projection[i]`. Columns are
+/// shared: a cached read assembles its batch from cache entries.
 struct StripeBatch {
   uint64_t first_row = 0;
   uint64_t num_rows = 0;
-  /// Encoded bytes read from the file to decode these columns.
+  /// Encoded bytes of the projected columns in the file.
   uint64_t encoded_bytes = 0;
   std::vector<size_t> projection;
-  std::vector<std::vector<Value>> columns;
+  std::vector<DecodedColumnPtr> columns;
+
+  /// Cell of projected column `p` at row `i` (0-based within the stripe).
+  const Value& at(size_t p, size_t i) const { return columns[p]->values[i]; }
 
   /// Materializes row `i` (0-based within the stripe) over the projection.
   Row GetRow(size_t i) const {
     Row row;
     row.reserve(columns.size());
-    for (const auto& col : columns) row.push_back(col[i]);
+    for (const auto& col : columns) row.push_back(col->values[i]);
     return row;
   }
 
@@ -48,6 +58,10 @@ struct StripeBatch {
   void SliceInto(size_t start, size_t count, size_t num_fields,
                  table::RowBatch* out) const;
 };
+
+/// Whether a cached read inserts the columns it had to decode. Whole-table
+/// rewrites read without admitting: their output replaces the files they read.
+enum class CacheFill { kAdmit, kNoAdmit };
 
 /// Immutable view of one ORC file. Thread-safe for concurrent reads.
 class OrcReader {
@@ -70,20 +84,24 @@ class OrcReader {
   Result<StripeBatch> ReadStripe(size_t stripe_index,
                                  std::vector<size_t> projection = {}) const;
 
-  /// Like ReadStripe, but serves from a per-reader decoded-stripe cache
-  /// (LLAP-style): the file is immutable, so a decoded stripe can be shared
-  /// across scans, each taking zero-copy slices anchored by the returned
-  /// shared_ptr. LRU-bounded; a hit performs no file I/O and no decoding.
+  /// Like ReadStripe, but through the shared StripeCache (LLAP-style): the
+  /// file is immutable, so a decoded column can be shared across scans and
+  /// projections, each taking zero-copy slices anchored by the returned
+  /// shared_ptr. The projection is assembled from cached columns under one
+  /// cache lock; only the missing columns are read and decoded, and with
+  /// CacheFill::kAdmit they are inserted. A reader with no cache decodes
+  /// uncached.
   Result<std::shared_ptr<const StripeBatch>> ReadStripeShared(
-      size_t stripe_index, std::vector<size_t> projection = {}) const;
+      size_t stripe_index, std::vector<size_t> projection = {},
+      CacheFill fill = CacheFill::kAdmit) const;
 
   /// Reads one stripe's encoded bytes verbatim (no decode), verifying every
   /// column's CRC first so incremental COMPACT's raw stripe copy can never
   /// propagate a corrupted stripe into a new master file.
   Result<std::string> ReadRawStripe(size_t stripe_index) const;
 
-  /// Routes ReadStripeShared through a process-wide StripeCache instead of
-  /// the per-reader LRU. `owner` is the owning table's unique token and
+  /// Routes ReadStripeShared through a process-wide StripeCache. `owner` is
+  /// the owning table's unique token and
   /// `generation` the master generation that first registered this file;
   /// both become part of the cache key, so a recycled file id or path after
   /// COMPACT can never be served a pre-swap stripe. Call once right after
@@ -98,24 +116,13 @@ class OrcReader {
   OrcReader(std::unique_ptr<fs::RandomAccessFile> file, FileFooter footer)
       : file_(std::move(file)), footer_(std::move(footer)) {}
 
-  struct CachedStripe {
-    size_t stripe_index;
-    std::vector<size_t> projection;
-    std::shared_ptr<const StripeBatch> batch;
-  };
-  /// Decoded stripes worth keeping hot per file; at default stripe sizes
-  /// this bounds the cache to a few tens of MB.
-  static constexpr size_t kMaxCachedStripes = 16;
-
   std::unique_ptr<fs::RandomAccessFile> file_;
   std::string path_;
   FileFooter footer_;
-  /// Shared cache routing (null = legacy per-reader LRU below).
+  /// Shared cache routing (null = every read decodes).
   StripeCache* shared_cache_ = nullptr;
   uint64_t cache_owner_ = 0;
   uint64_t cache_generation_ = 0;
-  mutable std::mutex cache_mu_;
-  mutable std::list<CachedStripe> cache_;  // front = most recently used
 };
 
 /// Streams (row_number, row) pairs across all stripes of one file with a
@@ -144,31 +151,6 @@ class OrcRowIterator {
   bool batch_loaded_ = false;
   uint64_t row_number_ = 0;
   Row row_;
-  Status status_;
-};
-
-/// Streams RowBatches (capacity-bounded slices of decoded stripes) across
-/// all stripes of one file. Record IDs are file-level row numbers; callers
-/// that need full DualTable record IDs rebase them (MasterScanBatchIterator
-/// does). Batches are zero-copy views anchored to the decoded stripe.
-class OrcBatchIterator : public table::BatchIterator {
- public:
-  /// `meter` defaults to the process-global scan meter when null.
-  OrcBatchIterator(const OrcReader* reader, std::vector<size_t> projection,
-                   size_t batch_rows = table::kDefaultBatchRows,
-                   table::ScanMeter* meter = nullptr);
-
-  bool Next(table::RowBatch* batch) override;
-  const Status& status() const override { return status_; }
-
- private:
-  const OrcReader* reader_;
-  std::vector<size_t> projection_;
-  size_t batch_rows_;
-  table::ScanMeter* meter_;
-  size_t stripe_index_ = 0;
-  size_t offset_in_stripe_ = 0;
-  std::shared_ptr<const StripeBatch> stripe_;
   Status status_;
 };
 

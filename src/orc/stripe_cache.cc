@@ -1,5 +1,7 @@
 #include "orc/stripe_cache.h"
 
+#include <string>
+
 namespace dtl::orc {
 
 StripeCache::StripeCache(size_t capacity_bytes, size_t shards)
@@ -19,66 +21,76 @@ uint64_t StripeCache::NewOwnerToken() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-StripeCache::Shard& StripeCache::ShardFor(const Key& key) {
-  // owner/file/stripe mix; generation deliberately excluded so one file's
-  // generations land in the same shard (EraseOwner still scans all shards).
-  const uint64_t h = key.owner * 0x9E3779B97F4A7C15ull + key.file_id * 1315423911ull +
-                     key.stripe_index;
+StripeCache::Shard& StripeCache::ShardFor(const StripeKey& stripe) {
+  // owner/file/stripe mix; the column is left out so one stripe's columns
+  // share a shard, and the generation so one file's generations do too.
+  const uint64_t h = stripe.owner * 0x9E3779B97F4A7C15ull +
+                     stripe.file_id * 1315423911ull + stripe.stripe_index;
   return *shards_[h % shards_.size()];
 }
 
-size_t StripeCache::Charge(const StripeBatch& batch) {
-  size_t charge = sizeof(StripeBatch);
-  for (const auto& col : batch.columns) {
-    for (const Value& v : col) charge += v.ByteSize();
+size_t StripeCache::Footprint(const DecodedColumn& column) {
+  static const size_t kInlineCapacity = std::string().capacity();
+  size_t bytes = column.values.capacity() * sizeof(Value);
+  for (const Value& v : column.values) {
+    if (!v.is_string()) continue;
+    const size_t capacity = v.AsString().capacity();
+    if (capacity > kInlineCapacity) bytes += capacity + 1;
   }
-  return charge;
+  return bytes;
 }
 
-std::shared_ptr<const StripeBatch> StripeCache::Lookup(
-    uint64_t owner, uint64_t file_id, uint64_t generation, size_t stripe_index,
-    const std::vector<size_t>& projection) {
-  Key key{owner, file_id, generation, stripe_index, projection};
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+size_t StripeCache::Lookup(const StripeKey& stripe, const std::vector<size_t>& columns,
+                           std::vector<DecodedColumnPtr>* out) {
+  out->assign(columns.size(), nullptr);
+  size_t missing = 0;
+  Key key{stripe.owner, stripe.file_id, stripe.generation, stripe.stripe_index, 0};
+  Shard& shard = ShardFor(stripe);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (size_t i = 0; i < columns.size(); ++i) {
+      key.column = columns[i];
+      auto it = shard.index.find(key);
+      if (it == shard.index.end()) {
+        ++missing;
+        continue;
+      }
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      (*out)[i] = it->second->column;
+    }
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->batch;
+  (missing == 0 ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return missing;
 }
 
-void StripeCache::Insert(uint64_t owner, uint64_t file_id, uint64_t generation,
-                         size_t stripe_index, const std::vector<size_t>& projection,
-                         std::shared_ptr<const StripeBatch> batch) {
-  if (batch == nullptr) return;
-  Key key{owner, file_id, generation, stripe_index, projection};
-  Entry entry;
-  entry.charge = Charge(*batch);
-  entry.batch = std::move(batch);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    // Refresh in place (a concurrent reader decoded the same stripe).
-    shard.bytes -= it->second->charge;
-    bytes_.fetch_sub(it->second->charge, std::memory_order_relaxed);
-    it->second->charge = entry.charge;
-    it->second->batch = std::move(entry.batch);
-    shard.bytes += entry.charge;
-    bytes_.fetch_add(entry.charge, std::memory_order_relaxed);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+void StripeCache::Insert(const StripeKey& stripe, const std::vector<size_t>& columns,
+                         const std::vector<DecodedColumnPtr>& decoded) {
+  std::vector<size_t> charges(columns.size(), 0);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (decoded[i] != nullptr) charges[i] = Footprint(*decoded[i]);
   }
-  entry.key = key;
-  shard.bytes += entry.charge;
-  bytes_.fetch_add(entry.charge, std::memory_order_relaxed);
-  entries_.fetch_add(1, std::memory_order_relaxed);
-  shard.lru.push_front(std::move(entry));
-  shard.index.emplace(std::move(key), shard.lru.begin());
+  Shard& shard = ShardFor(stripe);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (decoded[i] == nullptr) continue;
+    Key key{stripe.owner, stripe.file_id, stripe.generation, stripe.stripe_index,
+            columns[i]};
+    auto it = shard.index.find(key);
+    if (it != shard.index.end()) {
+      // Refresh in place (a concurrent reader decoded the same column).
+      shard.bytes -= it->second->charge;
+      bytes_.fetch_sub(it->second->charge, std::memory_order_relaxed);
+      it->second->charge = charges[i];
+      it->second->column = decoded[i];
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    } else {
+      entries_.fetch_add(1, std::memory_order_relaxed);
+      shard.lru.push_front(Entry{key, decoded[i], charges[i]});
+      shard.index.emplace(key, shard.lru.begin());
+    }
+    shard.bytes += charges[i];
+    bytes_.fetch_add(charges[i], std::memory_order_relaxed);
+  }
   // Per-shard capacity slice keeps eviction shard-local (no global lock).
   const size_t shard_capacity = capacity_bytes_ / shards_.size() + 1;
   while (shard.bytes > shard_capacity && shard.lru.size() > 1) {
@@ -92,21 +104,34 @@ void StripeCache::Insert(uint64_t owner, uint64_t file_id, uint64_t generation,
   }
 }
 
+template <typename Same>
+void StripeCache::EraseRangeLocked(Shard& shard, const Key& from, Same same) {
+  auto it = shard.index.lower_bound(from);
+  while (it != shard.index.end() && same(it->first)) {
+    const Entry& entry = *it->second;
+    shard.bytes -= entry.charge;
+    bytes_.fetch_sub(entry.charge, std::memory_order_relaxed);
+    entries_.fetch_sub(1, std::memory_order_relaxed);
+    shard.lru.erase(it->second);
+    it = shard.index.erase(it);
+  }
+}
+
 void StripeCache::EraseOwner(uint64_t owner) {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.owner != owner) {
-        ++it;
-        continue;
-      }
-      shard.bytes -= it->charge;
-      bytes_.fetch_sub(it->charge, std::memory_order_relaxed);
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      shard.index.erase(it->key);
-      it = shard.lru.erase(it);
-    }
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    EraseRangeLocked(*shard, Key{owner, 0, 0, 0, 0},
+                     [owner](const Key& k) { return k.owner == owner; });
+  }
+}
+
+void StripeCache::EraseFile(uint64_t owner, uint64_t file_id) {
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    EraseRangeLocked(*shard, Key{owner, file_id, 0, 0, 0},
+                     [owner, file_id](const Key& k) {
+                       return k.owner == owner && k.file_id == file_id;
+                     });
   }
 }
 

@@ -1,16 +1,16 @@
-// Process-wide sharded LRU cache for hot decoded stripes, generalizing
-// OrcReader's per-reader cache (LLAP-style): decoded stripes are shared
-// across every reader, session, and scan in the process, so a hot point-
-// lookup working set is decoded once and served from memory thereafter.
+// Process-wide sharded LRU cache of decoded stripe columns (LLAP-style):
+// decoded data is shared across every reader, session, scan and projection in
+// the process, so a column is decoded once whichever query asks for it, and
+// a hot working set is served from memory thereafter.
 //
 // Key design: file IDs are unique within one MetadataTable but CAN collide
 // across independent DualTable universes in one process (tests open many
 // SimFileSystems), and a COMPACT may produce a new file under a recycled
-// path. The key is therefore (owner, file_id, generation, stripe,
-// projection): `owner` is a process-unique token per MasterTable, and
-// `generation` is the master generation number that first registered the
-// file — a post-COMPACT replacement file gets a fresh file_id AND a fresh
-// generation, so a stale pre-swap stripe can never be served for it.
+// path. The key is therefore (owner, file_id, generation, stripe, column):
+// `owner` is a process-unique token per MasterTable, and `generation` is the
+// master generation number that first registered the file — a post-COMPACT
+// replacement file gets a fresh file_id AND a fresh generation, so a stale
+// pre-swap column can never be served for it.
 #pragma once
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "orc/reader.h"
@@ -28,10 +27,10 @@ namespace dtl::orc {
 
 /// Snapshot of one cache's counters (relaxed reads).
 struct StripeCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t bytes = 0;      // decoded payload bytes currently resident
-  uint64_t entries = 0;    // stripes currently resident
+  uint64_t hits = 0;       // stripe reads served without decoding anything
+  uint64_t misses = 0;     // stripe reads that decoded at least one column
+  uint64_t bytes = 0;      // real memory of the resident decoded columns
+  uint64_t entries = 0;    // decoded columns currently resident
   uint64_t evictions = 0;  // entries dropped to stay under capacity
 
   double HitRate() const {
@@ -40,14 +39,22 @@ struct StripeCacheStats {
   }
 };
 
-/// Sharded LRU over decoded stripes, keyed by
-/// (owner, file_id, generation, stripe_index, projection). Thread-safe;
-/// lookups and inserts take one shard mutex. Capacity is measured in
-/// decoded-payload bytes (Value::ByteSize sum), evicting least-recently-used
-/// entries shard-locally.
+/// Identity of one stripe of one file of one table (see file comment).
+struct StripeKey {
+  uint64_t owner = 0;
+  uint64_t file_id = 0;
+  uint64_t generation = 0;
+  size_t stripe_index = 0;
+};
+
+/// Sharded LRU over decoded columns, keyed by
+/// (owner, file_id, generation, stripe_index, column). Thread-safe. Every
+/// column of one stripe lives in the same shard, so a projection is looked up
+/// (and its missing columns inserted) under one shard mutex. Capacity is
+/// measured in real bytes — cell storage plus string heap — evicting
+/// least-recently-used entries shard-locally.
 class StripeCache {
  public:
-  /// ~64MB default capacity: a few thousand hot stripes at bench sizes.
   explicit StripeCache(size_t capacity_bytes = 64ull << 20, size_t shards = 8);
 
   /// The process-wide instance every MasterTable uses unless its options
@@ -57,22 +64,33 @@ class StripeCache {
   /// Allocates a process-unique owner token (one per MasterTable).
   static uint64_t NewOwnerToken();
 
-  /// Returns the cached stripe or nullptr. A hit promotes the entry.
-  std::shared_ptr<const StripeBatch> Lookup(uint64_t owner, uint64_t file_id,
-                                            uint64_t generation, size_t stripe_index,
-                                            const std::vector<size_t>& projection);
+  /// One stripe read: sets `(*out)[i]` to the cached column `columns[i]` of
+  /// `stripe`, or nullptr when it is not resident, and promotes every entry
+  /// found. Counts a hit when every column was found, else a miss. Returns
+  /// the number of columns not found.
+  size_t Lookup(const StripeKey& stripe, const std::vector<size_t>& columns,
+                std::vector<DecodedColumnPtr>* out);
 
-  /// Inserts (or refreshes) a decoded stripe, evicting LRU entries if needed.
-  void Insert(uint64_t owner, uint64_t file_id, uint64_t generation,
-              size_t stripe_index, const std::vector<size_t>& projection,
-              std::shared_ptr<const StripeBatch> batch);
+  /// Inserts (or refreshes) decoded column `columns[i]` = `decoded[i]` of
+  /// `stripe`, evicting LRU entries if needed.
+  void Insert(const StripeKey& stripe, const std::vector<size_t>& columns,
+              const std::vector<DecodedColumnPtr>& decoded);
 
   /// Drops every entry belonging to `owner` (table drop / destruction).
   void EraseOwner(uint64_t owner);
 
+  /// Drops every entry of one file of `owner`, whatever its generation or
+  /// stripe (the file was deleted, so its keys can never be hit again).
+  void EraseFile(uint64_t owner, uint64_t file_id);
+
   StripeCacheStats Stats() const;
 
   size_t capacity_bytes() const { return capacity_bytes_; }
+
+  /// Real memory one decoded column occupies: its cell storage
+  /// (capacity × sizeof(Value)) plus the heap blocks of strings too long for
+  /// the inline buffer.
+  static size_t Footprint(const DecodedColumn& column);
 
  private:
   struct Key {
@@ -80,21 +98,21 @@ class StripeCache {
     uint64_t file_id = 0;
     uint64_t generation = 0;
     size_t stripe_index = 0;
-    std::vector<size_t> projection;
+    size_t column = 0;
 
     bool operator<(const Key& rhs) const {
       if (owner != rhs.owner) return owner < rhs.owner;
       if (file_id != rhs.file_id) return file_id < rhs.file_id;
       if (generation != rhs.generation) return generation < rhs.generation;
       if (stripe_index != rhs.stripe_index) return stripe_index < rhs.stripe_index;
-      return projection < rhs.projection;
+      return column < rhs.column;
     }
   };
 
   struct Entry {
     Key key;
-    std::shared_ptr<const StripeBatch> batch;
-    size_t charge = 0;  // decoded bytes this entry counts against capacity
+    DecodedColumnPtr column;
+    size_t charge = 0;  // bytes this entry counts against capacity
   };
 
   struct Shard {
@@ -104,8 +122,11 @@ class StripeCache {
     size_t bytes = 0;
   };
 
-  Shard& ShardFor(const Key& key);
-  static size_t Charge(const StripeBatch& batch);
+  Shard& ShardFor(const StripeKey& stripe);
+  /// Drops the entries of `shard` from key `from` onward while `same` holds
+  /// for their keys; caller holds the shard mutex.
+  template <typename Same>
+  void EraseRangeLocked(Shard& shard, const Key& from, Same same);
 
   const size_t capacity_bytes_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -30,6 +30,7 @@
 #include "fs/filesystem.h"
 #include "kv/store.h"
 #include "orc/reader.h"
+#include "orc/stripe_cache.h"
 #include "orc/writer.h"
 #include "table/scan_stats.h"
 
@@ -262,7 +263,7 @@ TEST(OrcStripeCacheStressTest, ConcurrentReadersShareDecodedStripes) {
   Schema schema({{"id", DataType::kInt64}, {"val", DataType::kDouble}});
   orc::WriterOptions wopts;
   wopts.stripe_rows = 64;  // many small stripes -> cache hits, misses, evictions
-  constexpr int64_t kRows = 64 * 40;  // 40 stripes > kMaxCachedStripes
+  constexpr int64_t kRows = 64 * 40;
   {
     auto writer = orc::OrcWriter::Create(&fs, "/warehouse/stress.orc", schema, 1, wopts);
     ASSERT_TRUE(writer.ok());
@@ -273,6 +274,10 @@ TEST(OrcStripeCacheStressTest, ConcurrentReadersShareDecodedStripes) {
   }
   auto reader = orc::OrcReader::Open(&fs, "/warehouse/stress.orc");
   ASSERT_TRUE(reader.ok());
+  // A cache far smaller than the file's 80 decoded columns (~2.6 KB each),
+  // so lookups, partial hits, inserts and evictions all interleave.
+  orc::StripeCache cache(/*capacity_bytes=*/32 << 10, /*shards=*/2);
+  (*reader)->SetSharedCache(&cache, orc::StripeCache::NewOwnerToken(), /*generation=*/1);
 
   std::vector<std::thread> scanners;
   scanners.reserve(kThreads);
@@ -282,18 +287,33 @@ TEST(OrcStripeCacheStressTest, ConcurrentReadersShareDecodedStripes) {
       for (int i = 0; i < 300; ++i) {
         const size_t stripe = static_cast<size_t>(
             rng.UniformRange(0, static_cast<int>((*reader)->num_stripes()) - 1));
-        // Alternate projections so distinct cache entries compete for slots.
+        // Overlapping projections: each read assembles cached columns with
+        // freshly decoded ones.
         std::vector<size_t> projection;
-        if (i % 2 == 0) projection = {0};
+        if (i % 3 == 0) projection = {0};
+        if (i % 3 == 1) projection = {1};
         auto batch = (*reader)->ReadStripeShared(stripe, projection);
         ASSERT_TRUE(batch.ok());
         ASSERT_EQ((*batch)->num_rows, 64u);
-        const int64_t first = (*batch)->columns[0][0].AsInt64();
-        ASSERT_EQ(first, static_cast<int64_t>((*batch)->first_row));
+        const std::vector<size_t>& cols = (*batch)->projection;
+        ASSERT_EQ(cols.size(), projection.empty() ? 2u : 1u);
+        const int64_t row = static_cast<int64_t>((*batch)->first_row) + i % 64;
+        for (size_t p = 0; p < cols.size(); ++p) {
+          const Value& v = (*batch)->at(p, static_cast<size_t>(i % 64));
+          if (cols[p] == 0) {
+            ASSERT_EQ(v.AsInt64(), row);
+          } else {
+            ASSERT_EQ(v.AsDouble(), row * 0.25);
+          }
+        }
       }
     });
   }
   for (auto& t : scanners) t.join();
+  const orc::StripeCacheStats stats = cache.Stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.bytes, cache.capacity_bytes());
 }
 
 TEST(ScanMeterStressTest, ConcurrentCountersSumExactly) {

@@ -157,11 +157,11 @@ TEST(OrcFileTest, NullHandling) {
   ASSERT_TRUE(reader.ok());
   auto batch = (*reader)->ReadStripe(0);
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->columns[0][0].AsInt64(), 1);
-  EXPECT_TRUE(batch->columns[0][1].is_null());
-  EXPECT_TRUE(batch->columns[0][2].is_null());
-  EXPECT_TRUE(batch->columns[1][0].is_null());
-  EXPECT_EQ(batch->columns[1][1].AsString(), "x");
+  EXPECT_EQ(batch->at(0, 0).AsInt64(), 1);
+  EXPECT_TRUE(batch->at(0, 1).is_null());
+  EXPECT_TRUE(batch->at(0, 2).is_null());
+  EXPECT_TRUE(batch->at(1, 0).is_null());
+  EXPECT_EQ(batch->at(1, 1).AsString(), "x");
   // Stats count nulls.
   EXPECT_EQ((*reader)->stripe(0).stats[0].null_count, 2u);
   EXPECT_EQ((*reader)->stripe(0).stats[0].value_count, 3u);

@@ -1,7 +1,7 @@
 // Tests for the vectorized read path: RowBatch/ColumnVector mechanics,
 // the row<->batch adapters, and the batch scan pipeline edge cases (empty
 // table, stripe-aligned batch boundaries, projection-only scans, fully
-// deleted batches, and batch-vs-row equivalence).
+// deleted batches, and planted modifications through the batch UNION READ).
 #include <gtest/gtest.h>
 
 #include "dualtable/dual_table.h"
@@ -254,22 +254,23 @@ TEST_F(BatchScanTest, FullyDeletedBatchIsSkippedNotEmitted) {
   EXPECT_EQ(*table_->CountRows(), 8u);
 }
 
-TEST_F(BatchScanTest, BatchPathMatchesLegacyRowPath) {
+TEST_F(BatchScanTest, BatchPathAppliesPlantedModifications) {
   Open(/*stripe_rows=*/10, /*batch_rows=*/4);  // misaligned on purpose
   InsertSequential(57);
   InsertSequential(13);  // second master file
   // Mixed modifications: updates, deletes, update-after-delete.
   const auto& files = table_->master()->files();
   ASSERT_EQ(files.size(), 2u);
+  const uint64_t f0 = files[0].file_id;
+  const uint64_t f1 = files[1].file_id;
   auto* att = table_->attached();
-  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(files[0].file_id, 3), 1,
-                             Value::Int64(-1)).ok());
-  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(files[0].file_id, 39), 0,
-                             Value::Int64(1000)).ok());
-  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(files[0].file_id, 40)).ok());
-  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(files[1].file_id, 0)).ok());
-  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(files[1].file_id, 5)).ok());
-  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(files[1].file_id, 5), 1,
+  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(f0, 3), 1, Value::Int64(-1)).ok());
+  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(f0, 4), 1, Value::Int64(-4)).ok());
+  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(f0, 39), 0, Value::Int64(1000)).ok());
+  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(f0, 40)).ok());
+  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(f1, 0)).ok());
+  ASSERT_TRUE(att->PutDeleteMarker(dual::MakeRecordId(f1, 5)).ok());
+  ASSERT_TRUE(att->PutUpdate(dual::MakeRecordId(f1, 5), 1,
                              Value::Int64(7)).ok());  // stays deleted
   table_->PublishEditCommit();
 
@@ -277,22 +278,34 @@ TEST_F(BatchScanTest, BatchPathMatchesLegacyRowPath) {
   spec.projection = {0, 1};
   spec.predicate_columns = {0};
   spec.predicate = [](const Row& row) { return row[0].AsInt64() % 3 != 0; };
-
-  auto legacy = table_->ScanLegacyRows(spec);
-  ASSERT_TRUE(legacy.ok());
   auto batch_scan = table_->Scan(spec);  // batch path + adapter
   ASSERT_TRUE(batch_scan.ok());
+  auto rows = Drain(batch_scan->get());
 
-  auto legacy_rows = Drain(legacy->get());
-  auto batch_rows = Drain(batch_scan->get());
-  ASSERT_EQ(legacy_rows.size(), batch_rows.size());
-  for (size_t i = 0; i < legacy_rows.size(); ++i) {
-    EXPECT_EQ(legacy_rows[i].first, batch_rows[i].first) << "record id at row " << i;
-    ASSERT_EQ(legacy_rows[i].second.size(), batch_rows[i].second.size());
-    for (size_t c = 0; c < legacy_rows[i].second.size(); ++c) {
-      EXPECT_EQ(legacy_rows[i].second[c].Compare(batch_rows[i].second[c]), 0)
-          << "row " << i << " col " << c;
-    }
+  // Expected: every row (id = r, v = 10r) of both files in record-ID order,
+  // minus deleted records, with the planted cells patched, filtered AFTER
+  // patching (row 39's new id 1000 passes where 39 would not; row 3's patch
+  // is filtered out with it).
+  std::vector<std::pair<uint64_t, Row>> expected;
+  for (int64_t r = 0; r < 57; ++r) {
+    if (r == 40) continue;
+    Row row = {Value::Int64(r == 39 ? 1000 : r),
+               Value::Int64(r == 3 ? -1 : r == 4 ? -4 : r * 10)};
+    if (row[0].AsInt64() % 3 != 0) expected.emplace_back(dual::MakeRecordId(f0, r), row);
+  }
+  for (int64_t r = 0; r < 13; ++r) {
+    if (r == 0 || r == 5 || r % 3 == 0) continue;
+    expected.emplace_back(dual::MakeRecordId(f1, r),
+                          Row{Value::Int64(r), Value::Int64(r * 10)});
+  }
+  ASSERT_EQ(expected.size(), 45u);
+  EXPECT_EQ(expected[2].first, dual::MakeRecordId(f0, 4));
+  EXPECT_EQ(expected[26].first, dual::MakeRecordId(f0, 39));
+  ASSERT_EQ(rows.size(), expected.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].first, expected[i].first) << "record id at row " << i;
+    EXPECT_EQ(RowToString(rows[i].second), RowToString(expected[i].second))
+        << "row " << i;
   }
 }
 
@@ -300,12 +313,13 @@ TEST_F(BatchScanTest, RowBatchAdapterRoundTripPreservesRowsAndIds) {
   Open(10, 4);
   InsertSequential(33);
   ScanSpec spec;
-  // Legacy rows -> batches -> rows must equal legacy rows directly.
-  auto direct = table_->ScanLegacyRows(spec);
+  // Scan rows -> batches -> rows must equal the scan's rows directly.
+  auto direct = table_->Scan(spec);
   ASSERT_TRUE(direct.ok());
   auto direct_rows = Drain(direct->get());
+  ASSERT_EQ(direct_rows.size(), 33u);
 
-  auto inner = table_->ScanLegacyRows(spec);
+  auto inner = table_->Scan(spec);
   ASSERT_TRUE(inner.ok());
   auto round_trip = std::make_unique<BatchToRowAdapter>(
       std::make_unique<RowToBatchAdapter>(std::move(*inner),
