@@ -34,6 +34,9 @@ ARRAY_SCHEMAS = {
         "workload", "workers", "rows", "seconds",
         "wall_speedup", "modeled_speedup",
     },
+    "BENCH_attached_scan.json": {
+        "layout", "level", "cells", "records", "sstables", "seconds", "ns_per_cell",
+    },
     "BENCH_observability.json": {
         "workload", "scan", "rows", "rows_per_sec_on", "rows_per_sec_off",
         "overhead_pct", "cost_audit_records",

@@ -28,7 +28,7 @@ class HBaseRowIterator : public table::RowIterator {
   bool Next() override {
     while (rows_->Next()) {
       const kv::RowView& view = rows_->view();
-      if (view.row.size() != 8) continue;  // non-data row
+      if (view.row().size() != 8) continue;  // non-data row
       row_.assign(num_fields_, Value::Null());
       bool bad = false;
       for (const kv::Cell& cell : view.cells) {
@@ -46,7 +46,7 @@ class HBaseRowIterator : public table::RowIterator {
       }
       if (bad) return false;
       if (spec_.predicate && !spec_.predicate(row_)) continue;
-      record_id_ = DecodeBigEndian64(view.row.data());
+      record_id_ = DecodeBigEndian64(view.row().data());
       return true;
     }
     status_ = rows_->status();
@@ -89,10 +89,8 @@ Result<uint64_t> HBaseTable::NextRowId() {
     auto scanner = store_->NewCellScanner();
     uint64_t max_id = 0;
     while (scanner->Valid()) {
-      const kv::Cell& cell = scanner->cell();
-      if (cell.key.row.size() == 8) {
-        max_id = std::max(max_id, DecodeBigEndian64(cell.key.row.data()));
-      }
+      const std::string& row = scanner->key().row;
+      if (row.size() == 8) max_id = std::max(max_id, DecodeBigEndian64(row.data()));
       scanner->Next();
     }
     DTL_RETURN_NOT_OK(scanner->status());

@@ -26,41 +26,9 @@ Status AttachedTable::PutDeleteMarker(uint64_t record_id) {
   return store_->Put(RecordIdKey(record_id), kDeleteMarkerQualifier, "");
 }
 
-namespace {
-
-Status CellsToModification(uint64_t record_id, const std::vector<kv::Cell>& cells,
-                           RecordModification* out) {
-  out->record_id = record_id;
-  out->deleted = false;
-  out->updates.clear();
-  for (const kv::Cell& cell : cells) {
-    if (cell.key.qualifier == kDeleteMarkerQualifier) {
-      out->deleted = true;
-      continue;
-    }
-    Slice in(cell.value.value);
-    Value v;
-    DTL_RETURN_NOT_OK(Value::DecodeFrom(&in, &v));
-    out->updates.emplace(cell.key.qualifier, std::move(v));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::optional<RecordModification>> AttachedTable::GetModification(
-    uint64_t record_id) {
-  // One bounded scan positioned at the record's key retrieves the whole row.
-  auto scanner = NewScanner(record_id, record_id + 1);
-  if (scanner->Next()) {
-    return std::optional<RecordModification>(scanner->modification());
-  }
-  DTL_RETURN_NOT_OK(scanner->status());
-  return std::optional<RecordModification>();
-}
-
 Result<std::optional<RecordModification>> AttachedTable::GetModificationAt(
     const kv::KvSnapshot& snapshot, uint64_t record_id) const {
+  // One bounded scan positioned at the record's key retrieves the whole row.
   auto scanner = NewScannerAt(snapshot, record_id, record_id + 1);
   if (scanner->Next()) {
     return std::optional<RecordModification>(scanner->modification());
@@ -69,21 +37,10 @@ Result<std::optional<RecordModification>> AttachedTable::GetModificationAt(
   return std::optional<RecordModification>();
 }
 
-std::unique_ptr<ModificationScanner> AttachedTable::NewScanner(uint64_t start_id,
-                                                               uint64_t end_id,
-                                                               uint64_t as_of) {
-  std::string start_key = RecordIdKey(start_id);
-  auto rows = store_->NewRowScanner(start_id == 0 ? nullptr : &start_key, as_of);
-  return std::unique_ptr<ModificationScanner>(
-      new ModificationScanner(std::move(rows), end_id));
-}
-
 std::unique_ptr<ModificationScanner> AttachedTable::NewScannerAt(
-    const kv::KvSnapshot& snapshot, uint64_t start_id, uint64_t end_id,
-    uint64_t as_of) const {
+    const kv::KvSnapshot& snapshot, uint64_t start_id, uint64_t end_id) const {
   std::string start_key = RecordIdKey(start_id);
-  auto rows =
-      store_->NewRowScannerAt(snapshot, start_id == 0 ? nullptr : &start_key, as_of);
+  auto rows = store_->NewRowScannerAt(snapshot, start_id == 0 ? nullptr : &start_key);
   return std::unique_ptr<ModificationScanner>(
       new ModificationScanner(std::move(rows), end_id));
 }
@@ -115,14 +72,22 @@ bool ModificationScanner::Next() {
     return false;
   }
   const kv::RowView& view = rows_->view();
-  if (view.row.size() != 8) {
+  if (view.row().size() != 8) {
     status_ = Status::Corruption("attached table row key is not a record ID");
     return false;
   }
-  const uint64_t id = RecordIdFromKey(view.row);
+  const uint64_t id = RecordIdFromKey(view.row());
   if (id >= end_id_) return false;
-  status_ = CellsToModification(id, view.cells, &mod_);
-  return status_.ok();
+  // The visible cells arrive in qualifier order, the delete marker last.
+  mod_.Reset(id);
+  for (const kv::Cell& cell : view.cells) {
+    if (cell.key.qualifier == kDeleteMarkerQualifier) {
+      mod_.deleted = true;
+    } else {
+      mod_.AddUpdate(cell.key.qualifier, Slice(cell.value.value));
+    }
+  }
+  return true;
 }
 
 }  // namespace dtl::dual

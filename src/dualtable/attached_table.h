@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,19 +21,57 @@ namespace dtl::dual {
 /// every real column ordinal but before the KV-level row tombstone.
 inline constexpr uint32_t kDeleteMarkerQualifier = 0xFFFFFFFEu;
 
-/// Visible modification state of one record.
-struct RecordModification {
+/// Visible modification state of one record. Its updates are a flat run in
+/// ascending column order: update `i` sets column(i) to the value whose
+/// Value::EncodeTo bytes are value_bytes(i). Nothing is decoded until a
+/// reader asks, so a reader decodes only the columns it needs, straight into
+/// its own storage. A scanner reuses one RecordModification for every
+/// record, so filling it allocates nothing once its buffers have grown.
+class RecordModification {
+ public:
   uint64_t record_id = 0;
   bool deleted = false;
-  /// Latest new value per updated column ordinal.
-  std::map<uint32_t, Value> updates;
+
+  size_t num_updates() const { return updates_.size(); }
+  uint32_t column(size_t i) const { return updates_[i].column; }
+  Slice value_bytes(size_t i) const {
+    const uint32_t begin = i == 0 ? 0 : updates_[i - 1].end;
+    return Slice(bytes_.data() + begin, updates_[i].end - begin);
+  }
+  /// Decodes update `i` into `*out`.
+  Status DecodeValue(size_t i, Value* out) const {
+    Slice in = value_bytes(i);
+    return Value::DecodeFrom(&in, out);
+  }
+
+  /// Empties the run for `id`, keeping the buffers' capacity.
+  void Reset(uint64_t id) {
+    record_id = id;
+    deleted = false;
+    updates_.clear();
+    bytes_.clear();
+  }
+  /// Appends an update; columns must arrive in ascending order.
+  void AddUpdate(uint32_t column, Slice encoded) {
+    bytes_.append(encoded.data(), encoded.size());
+    updates_.push_back({column, static_cast<uint32_t>(bytes_.size())});
+  }
+
+ private:
+  struct Update {
+    uint32_t column;
+    uint32_t end;  // end offset of the encoded value in bytes_
+  };
+  std::vector<Update> updates_;
+  std::string bytes_;
 };
 
-/// Sorted stream of record modifications (ascending record ID), optionally
-/// bounded to [start_id, end_id).
+/// Sorted stream of record modifications (ascending record ID), bounded to
+/// [start_id, end_id).
 class ModificationScanner {
  public:
   bool Next();
+  /// The current record's modification, valid until the next Next().
   const RecordModification& modification() const { return mod_; }
   const Status& status() const { return status_; }
 
@@ -62,36 +99,26 @@ class AttachedTable {
   /// EDIT-plan DELETE: stores the delete marker for the record.
   Status PutDeleteMarker(uint64_t record_id);
 
-  /// Random read of one record's visible modification state; nullopt when
-  /// the record has no attached data. This is the random-read capability the
-  /// paper credits for making UNION READ efficient.
-  Result<std::optional<RecordModification>> GetModification(uint64_t record_id);
-
-  /// Snapshot-pinned random read: like GetModification but sees exactly the
-  /// pinned KV state. Index point lookups patch candidate rows through this,
-  /// so the patched values match what a UNION READ scan under the same
+  /// Random read of one record's visible modification state in the pinned
+  /// KV state; nullopt when the record has no attached data. This is the
+  /// random-read capability the paper credits for making UNION READ
+  /// efficient. Index point lookups patch candidate rows through this, so
+  /// the patched values match what a UNION READ scan under the same
   /// snapshot would produce.
   Result<std::optional<RecordModification>> GetModificationAt(
       const kv::KvSnapshot& snapshot, uint64_t record_id) const;
 
-  /// Sorted scan over [start_id, end_id). Defaults cover everything.
-  /// `as_of` limits visibility to modifications written at or before that
-  /// store timestamp (time travel over the HBase versions; history written
-  /// before the last Clear()/Compact() is not reconstructible).
-  std::unique_ptr<ModificationScanner> NewScanner(uint64_t start_id = 0,
-                                                  uint64_t end_id = UINT64_MAX,
-                                                  uint64_t as_of = UINT64_MAX);
-
-  /// Snapshot-pinned scan over [start_id, end_id): reads exactly the pinned
-  /// KV state, with visibility clamped to min(as_of, snapshot.read_ts).
-  /// Concurrent EDITs, flushes, compactions, and Clear()s are invisible.
+  /// Sorted scan over [start_id, end_id) of exactly the pinned KV state,
+  /// resolved at snapshot.read_ts. Concurrent EDITs, flushes, compactions,
+  /// and Clear()s are invisible. A time-travel read pins a snapshot whose
+  /// read_ts is clamped to the past timestamp (history written before the
+  /// last Clear()/Compact() is not reconstructible).
   std::unique_ptr<ModificationScanner> NewScannerAt(const kv::KvSnapshot& snapshot,
                                                     uint64_t start_id = 0,
-                                                    uint64_t end_id = UINT64_MAX,
-                                                    uint64_t as_of = UINT64_MAX) const;
+                                                    uint64_t end_id = UINT64_MAX) const;
 
-  /// Store timestamp of the most recent modification; pass to ScanAsOf for a
-  /// snapshot "now".
+  /// Store timestamp of the most recent modification; a snapshot clamped to
+  /// it reads the state "now".
   uint64_t LastTimestamp() const { return store_->LastTimestamp(); }
 
   /// Change history of one cell via HBase multi-versioning (paper §V-C):

@@ -140,7 +140,7 @@ DualTable::~DualTable() {
   if (scheduler_job_ != 0) options_.scheduler->Unregister(scheduler_job_);
 }
 
-SnapshotPtr DualTable::AcquireSnapshot() const {
+SnapshotPtr DualTable::AcquireSnapshot(uint64_t as_of) const {
   auto snap = std::make_shared<Snapshot>();
   {
     // The generation and the KV state must be captured as one unit: pairing
@@ -152,8 +152,8 @@ SnapshotPtr DualTable::AcquireSnapshot() const {
     snap->attached = attached_->store()->GetSnapshot();
     // Clamp visibility to the last acknowledged EDIT: cells an in-flight
     // statement already wrote (timestamps past commit_ts_) stay invisible
-    // until its WAL sync publishes them.
-    snap->attached.read_ts = std::min(snap->attached.read_ts, commit_ts_);
+    // until its WAL sync publishes them. A time-travel read clamps further.
+    snap->attached.read_ts = std::min({snap->attached.read_ts, commit_ts_, as_of});
     if (index_ != nullptr) {
       // Same clamp for the index store: entries an in-flight statement wrote
       // ahead of its commit stay invisible, so the index view and the table
@@ -228,19 +228,15 @@ table::ScanSpec DualTable::MasterSpecFor(const table::ScanSpec& spec,
 }
 
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatch(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec, uint64_t as_of,
-    orc::CacheFill fill) {
+    const SnapshotPtr& snapshot, const table::ScanSpec& spec, orc::CacheFill fill) {
   DTL_ASSIGN_OR_RETURN(auto master_it,
                        master_->NewBatchScanIterator(snapshot->generation,
                                                      MasterSpecFor(spec, snapshot),
                                                      /*apply_predicate=*/false,
                                                      options_.scan_batch_rows, fill));
-  auto attached_it =
-      attached_->NewScannerAt(snapshot->attached, 0, UINT64_MAX, as_of);
-  auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
-                                                     std::move(attached_it),
-                                                     spec.predicate,
-                                                     schema_.num_fields(), spec.meter);
+  auto it = std::make_unique<UnionReadBatchIterator>(
+      std::move(master_it), attached_->NewScannerAt(snapshot->attached), spec,
+      schema_.num_fields(), spec.meter);
   it->AnchorSnapshot(snapshot);
   return it;
 }
@@ -276,8 +272,7 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForM
                                              morsel.first_record_id,
                                              morsel.end_record_id);
   auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
-                                                     std::move(attached_it),
-                                                     spec.predicate,
+                                                     std::move(attached_it), spec,
                                                      schema_.num_fields(), meter);
   it->AnchorSnapshot(snapshot);
   return it;
@@ -363,9 +358,7 @@ Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatchesAt(
 
 Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAsOf(
     const table::ScanSpec& spec, uint64_t as_of) {
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(AcquireSnapshot(), spec, as_of));
-  return std::unique_ptr<table::RowIterator>(
-      std::make_unique<table::BatchToRowAdapter>(std::move(it), spec.meter));
+  return ScanAt(AcquireSnapshot(as_of), spec);
 }
 
 Status DualTable::InsertRows(const std::vector<Row>& rows) {
@@ -627,8 +620,8 @@ Result<uint64_t> DualTable::RewriteMaster(const RowTransform& transform) {
   // stripe cache.
   SnapshotPtr snapshot = AcquireSnapshot();
   table::ScanSpec all;  // every column, no predicate
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, all, UINT64_MAX,
-                                                  orc::CacheFill::kNoAdmit));
+  DTL_ASSIGN_OR_RETURN(auto it,
+                       NewUnionReadBatch(snapshot, all, orc::CacheFill::kNoAdmit));
   std::vector<MasterFileInfo> new_files;
   DTL_ASSIGN_OR_RETURN(uint64_t rows_out,
                        WriteRewriteFiles(it.get(), transform, &new_files));
@@ -941,7 +934,10 @@ Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
           deleted = true;
         } else {
           row = batch->GetRow(i);
-          for (const auto& [col, value] : mod.updates) row[col] = value;
+          for (size_t u = 0; u < mod.num_updates(); ++u) {
+            if (mod.column(u) >= row.size()) continue;
+            DTL_RETURN_NOT_OK(mod.DecodeValue(u, &row[mod.column(u)]));
+          }
         }
         mod_valid = mods->Next();
       } else {
@@ -1313,8 +1309,8 @@ Status DualTable::RebuildIndex() {
   // to the stripe cache.
   table::ScanSpec indexed;
   indexed.projection = index_->columns();
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, indexed, UINT64_MAX,
-                                                  orc::CacheFill::kNoAdmit));
+  DTL_ASSIGN_OR_RETURN(auto it,
+                       NewUnionReadBatch(snapshot, indexed, orc::CacheFill::kNoAdmit));
   DTL_RETURN_NOT_OK(ForEachRow(it.get(), [this](uint64_t rid, Row* row) {
     return index_->AddRow(*row, rid);
   }));
@@ -1421,10 +1417,12 @@ Result<std::vector<std::pair<uint64_t, Row>>> DualTable::IndexLookupAt(
       row[stripe->projection[c]] = stripe->at(c, local);
     }
     if (mod.has_value()) {
-      // Patch every updated column, matching UNION READ exactly (it patches
-      // beyond the required set too).
-      for (const auto& [col, value] : mod->updates) {
-        if (col < num_fields) row[col] = value;
+      // Patch the required columns only, as UNION READ does; the rest stay
+      // NULL.
+      for (size_t u = 0; u < mod->num_updates(); ++u) {
+        const uint32_t col = mod->column(u);
+        if (!std::binary_search(required.begin(), required.end(), col)) continue;
+        DTL_RETURN_NOT_OK(mod->DecodeValue(u, &row[col]));
       }
     }
     // Re-verify the indexed column against the probes: stale entries (the

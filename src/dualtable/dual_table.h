@@ -254,8 +254,9 @@ class DualTable : public table::StorageTable {
   /// to a scan executed at acquisition time, no matter how many EDITs,
   /// COMPACTs, or OVERWRITEs commit meanwhile. Unsynced (unacknowledged)
   /// EDIT cells are invisible. Releasing the last SnapshotPtr unpins the
-  /// generation and lets deferred file GC run.
-  SnapshotPtr AcquireSnapshot() const;
+  /// generation and lets deferred file GC run. `as_of` clamps the attached
+  /// read timestamp further, for a time-travel read (ScanAsOf).
+  SnapshotPtr AcquireSnapshot(uint64_t as_of = UINT64_MAX) const;
 
   /// Snapshot-pinned scans: the explicit-snapshot forms of Scan/ScanBatches.
   /// The snapshot-less overloads above acquire one per call, so every read
@@ -362,9 +363,10 @@ class DualTable : public table::StorageTable {
       const ScanMorsel& morsel, const table::ScanSpec& spec, table::ScanMeter* meter);
 
   /// Snapshot read: the table as it looked when the attached table's clock
-  /// was at `as_of` (see AttachedTable::LastTimestamp). Built on the HBase
-  /// multi-version feature the paper highlights in §V-C; only history since
-  /// the last COMPACT/OVERWRITE is reconstructible (both reset the clock).
+  /// was at `as_of` (see AttachedTable::LastTimestamp), i.e. ScanAt over
+  /// AcquireSnapshot(as_of). Built on the HBase multi-version feature the
+  /// paper highlights in §V-C; only history since the last COMPACT/OVERWRITE
+  /// is reconstructible (both reset the clock).
   Result<std::unique_ptr<table::RowIterator>> ScanAsOf(const table::ScanSpec& spec,
                                                        uint64_t as_of);
 
@@ -417,7 +419,7 @@ class DualTable : public table::StorageTable {
   // NewUnionReadBatchForMorselAt.
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatch(
       const SnapshotPtr& snapshot, const table::ScanSpec& spec,
-      uint64_t as_of = UINT64_MAX, orc::CacheFill fill = orc::CacheFill::kAdmit);
+      orc::CacheFill fill = orc::CacheFill::kAdmit);
   /// Clears stripe-stat bounds when the snapshot's attached state could
   /// invalidate them.
   table::ScanSpec MasterSpecFor(const table::ScanSpec& spec,

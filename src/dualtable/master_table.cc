@@ -267,7 +267,8 @@ bool MasterScanBatchIterator::Next(table::RowBatch* batch) {
         .AddBatch(count, offset_in_stripe_ == 0 ? stripe_->encoded_bytes : 0);
     offset_in_stripe_ += count;
     if (apply_predicate_ && spec_.predicate) {
-      batch->FilterSelected(spec_.predicate, &scratch_, spec_.meter);
+      batch->FilterSelected(spec_.predicate, &scratch_, spec_.meter,
+                            spec_.predicate_columns);
       if (batch->empty()) continue;  // never emit an all-filtered batch
     }
     return true;

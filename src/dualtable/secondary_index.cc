@@ -140,7 +140,7 @@ Result<std::vector<uint64_t>> SecondaryIndex::LookupAt(
   if (!EncodePrefix(column, value, &prefix)) return out;
   auto rows = store_->NewRowScannerAt(snapshot, &prefix);
   while (rows->Next()) {
-    const std::string& key = rows->view().row;
+    const std::string& key = rows->view().row();
     if (!StartsWith(key, prefix)) break;
     if (key.size() != prefix.size() + 8) continue;
     out.push_back(DecodeBigEndian64(key.data() + prefix.size()));
@@ -157,7 +157,7 @@ Status SecondaryIndex::FoldDeadFiles(
   const std::string meta_key = MetaKey();
   auto rows = store_->NewRowScannerAt(store_->GetSnapshot(), nullptr);
   while (rows->Next()) {
-    const std::string& key = rows->view().row;
+    const std::string& key = rows->view().row();
     if (key == meta_key || key.size() < 4 + 1 + 8) continue;
     const uint64_t rid = DecodeBigEndian64(key.data() + key.size() - 8);
     if (dead_file_ids.count(RecordFileId(rid)) > 0) dead_keys.push_back(key);

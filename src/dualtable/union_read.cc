@@ -7,13 +7,16 @@ namespace dtl::dual {
 
 UnionReadBatchIterator::UnionReadBatchIterator(
     std::unique_ptr<MasterScanBatchIterator> master,
-    std::unique_ptr<ModificationScanner> attached, table::RowPredicateFn predicate,
+    std::unique_ptr<ModificationScanner> attached, const table::ScanSpec& spec,
     size_t num_fields, table::ScanMeter* meter)
     : master_(std::move(master)),
       attached_(std::move(attached)),
-      predicate_(std::move(predicate)),
-      num_fields_(num_fields),
-      meter_(meter) {}
+      predicate_(spec.predicate),
+      predicate_columns_(spec.predicate_columns),
+      patched_(num_fields, false),
+      meter_(meter) {
+  for (size_t c : spec.RequiredColumns(num_fields)) patched_[c] = true;
+}
 
 table::ScanMeter& UnionReadBatchIterator::meter() {
   return meter_ != nullptr ? *meter_ : table::GlobalScanMeter();
@@ -52,23 +55,24 @@ bool UnionReadBatchIterator::ApplyModifications(table::RowBatch* batch) {
     return true;
   }
 
-  std::vector<bool> deleted;
   size_t num_deleted = 0;
   size_t num_patched = 0;
   while (attached_valid_ && attached_->modification().record_id <= last_id) {
     const RecordModification& mod = attached_->modification();
     const size_t idx = static_cast<size_t>(mod.record_id - first_id);
     if (mod.deleted) {
-      if (deleted.empty()) deleted.assign(n, false);
-      if (!deleted[idx]) {
-        deleted[idx] = true;
+      if (num_deleted == 0) deleted_.assign(n, false);
+      if (!deleted_[idx]) {
+        deleted_[idx] = true;
         ++num_deleted;
       }
     } else {
       bool touched = false;
-      for (const auto& [column, value] : mod.updates) {
-        if (column >= num_fields_) continue;
-        batch->column(column).MakeMutable(n)[idx] = value;
+      for (size_t u = 0; u < mod.num_updates(); ++u) {
+        const uint32_t column = mod.column(u);
+        if (column >= patched_.size() || !patched_[column]) continue;
+        status_ = mod.DecodeValue(u, batch->column(column).MakeMutable(n) + idx);
+        if (!status_.ok()) return false;
         touched = true;
       }
       if (touched) ++num_patched;
@@ -84,7 +88,7 @@ bool UnionReadBatchIterator::ApplyModifications(table::RowBatch* batch) {
     std::vector<uint32_t> selection;
     selection.reserve(n - num_deleted);
     for (size_t i = 0; i < n; ++i) {
-      if (!deleted[i]) selection.push_back(static_cast<uint32_t>(i));
+      if (!deleted_[i]) selection.push_back(static_cast<uint32_t>(i));
     }
     batch->SetSelection(std::move(selection));
     meter().AddMaskedRows(num_deleted);
@@ -98,7 +102,9 @@ bool UnionReadBatchIterator::Next(table::RowBatch* batch) {
   while (master_->Next(batch)) {
     if (batch->num_rows() == 0) continue;
     if (!ApplyModifications(batch)) return false;
-    if (predicate_) batch->FilterSelected(predicate_, &scratch_, meter_);
+    if (predicate_) {
+      batch->FilterSelected(predicate_, &scratch_, meter_, predicate_columns_);
+    }
     if (batch->size() == 0) continue;  // every row deleted or filtered out
     return true;
   }

@@ -17,18 +17,22 @@ namespace dtl::dual {
 /// A batch with no modifications in its ID range passes through untouched —
 /// zero-copy stripe views, no per-row work — which is the common case the
 /// paper's §V-B "cheap merge" argument rests on. Deleted records are masked
-/// via the selection vector; updated cells are patched copy-on-write. The
-/// residual predicate runs AFTER the merge so it sees current values.
+/// via the selection vector; updates are decoded straight into copy-on-write
+/// batch columns, and only into the columns the scan materializes (an absent
+/// column reads NULL to every consumer, patched or not). The residual
+/// predicate runs AFTER the merge, over its own columns, so it sees current
+/// values.
 class UnionReadBatchIterator : public table::BatchIterator {
  public:
   /// `master` must emit contiguous-record-ID batches (MasterScanBatchIterator
-  /// does: each batch is a slice of one stripe of one file) and must NOT have
-  /// applied the predicate already. `meter` receives the merge's pass-through
-  /// / patch / mask counts; nullptr means the process-global meter (parallel
-  /// scans pass a worker-local one).
+  /// does: each batch is a slice of one stripe of one file), must read
+  /// `spec`'s required columns, and must NOT have applied the predicate
+  /// already. `meter` receives the merge's pass-through / patch / mask
+  /// counts; nullptr means the process-global meter (parallel scans pass a
+  /// worker-local one).
   UnionReadBatchIterator(std::unique_ptr<MasterScanBatchIterator> master,
                          std::unique_ptr<ModificationScanner> attached,
-                         table::RowPredicateFn predicate, size_t num_fields,
+                         const table::ScanSpec& spec, size_t num_fields,
                          table::ScanMeter* meter = nullptr);
 
   bool Next(table::RowBatch* batch) override;
@@ -51,7 +55,10 @@ class UnionReadBatchIterator : public table::BatchIterator {
   std::unique_ptr<MasterScanBatchIterator> master_;
   std::unique_ptr<ModificationScanner> attached_;
   table::RowPredicateFn predicate_;
-  size_t num_fields_;
+  std::vector<size_t> predicate_columns_;
+  /// patched_[c]: column c is materialized by the scan, so updates to it
+  /// are decoded into the batch.
+  std::vector<bool> patched_;
   table::ScanMeter* meter_;
 
   bool attached_valid_ = false;
@@ -59,6 +66,8 @@ class UnionReadBatchIterator : public table::BatchIterator {
   /// Record-ID monotonicity watermark: master batches must arrive in
   /// nondecreasing ID order (checked with DTL_DCHECK in ApplyModifications).
   uint64_t next_expected_id_ = 0;
+  /// Per-batch delete mask, reused across batches.
+  std::vector<bool> deleted_;
   Row scratch_;
   Status status_;
 };

@@ -77,7 +77,9 @@ inline void EncodeCell(const Cell& cell, std::string* dst) {
 inline Status DecodeCell(Slice* input, Cell* out) {
   Slice row;
   DTL_RETURN_NOT_OK(GetLengthPrefixed(input, &row));
-  out->key.row = row.ToString();
+  // assign() reuses the destination's capacity: iterators decode every cell
+  // into one reused Cell without a heap allocation per cell.
+  out->key.row.assign(row.data(), row.size());
   DTL_RETURN_NOT_OK(GetVarint32(input, &out->key.qualifier));
   DTL_RETURN_NOT_OK(GetVarint64(input, &out->key.timestamp));
   if (input->empty()) return Status::Corruption("truncated cell type");
@@ -85,7 +87,7 @@ inline Status DecodeCell(Slice* input, Cell* out) {
   input->RemovePrefix(1);
   Slice value;
   DTL_RETURN_NOT_OK(GetLengthPrefixed(input, &value));
-  out->value.value = value.ToString();
+  out->value.value.assign(value.data(), value.size());
   return Status::OK();
 }
 

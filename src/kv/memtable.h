@@ -39,7 +39,9 @@ class MemTable {
     void SeekToFirst() { it_.SeekToFirst(); }
     void Seek(const CellKey& target) { it_.Seek(target); }
     void Next() { it_.Next(); }
-    Cell cell() const { return Cell{it_.key(), it_.value()}; }
+    const CellKey& key() const { return it_.key(); }
+    const CellValue& value() const { return it_.value(); }
+    Cell cell() const { return Cell{key(), value()}; }
 
    private:
     List::Iterator it_;

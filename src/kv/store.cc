@@ -8,15 +8,13 @@ namespace dtl::kv {
 
 // --- CellScanner --------------------------------------------------------------
 
-/// One input of the k-way merge: the memtable or an SSTable. Lower rank wins
-/// ties on identical keys (rank 0 = memtable = newest data).
+/// One input of the k-way merge: the memtable or an SSTable.
 struct CellScanner::Source {
   std::unique_ptr<MemTable::Iterator> mem_it;
   std::unique_ptr<SstReader::Iterator> sst_it;
-  int rank = 0;
 
   bool Valid() const { return mem_it ? mem_it->Valid() : sst_it->Valid(); }
-  Cell cell() const { return mem_it ? mem_it->cell() : sst_it->cell(); }
+  const CellKey& key() const { return mem_it ? mem_it->key() : sst_it->cell().key; }
   void Next() {
     if (mem_it) {
       mem_it->Next();
@@ -24,7 +22,7 @@ struct CellScanner::Source {
       sst_it->Next();
     }
   }
-  Status status() const { return mem_it ? Status::OK() : sst_it->status(); }
+  bool ok() const { return mem_it || sst_it->status().ok(); }
 };
 
 CellScanner::~CellScanner() = default;
@@ -32,7 +30,6 @@ CellScanner::~CellScanner() = default;
 CellScanner::CellScanner(std::shared_ptr<const MemTable> mem,
                          std::vector<std::shared_ptr<SstReader>> tables,
                          const CellKey* start) {
-  int rank = 0;
   if (mem != nullptr) {
     auto src = std::make_unique<Source>();
     src->mem_it = std::make_unique<MemTable::Iterator>(mem.get());
@@ -41,10 +38,9 @@ CellScanner::CellScanner(std::shared_ptr<const MemTable> mem,
     } else {
       src->mem_it->SeekToFirst();
     }
-    src->rank = rank++;
     sources_.push_back(std::move(src));
   }
-  // Newest SSTable gets the lower rank.
+  // Newest SSTable first.
   for (auto it = tables.rbegin(); it != tables.rend(); ++it) {
     auto src = std::make_unique<Source>();
     src->sst_it = std::make_unique<SstReader::Iterator>(it->get());
@@ -53,7 +49,6 @@ CellScanner::CellScanner(std::shared_ptr<const MemTable> mem,
     } else {
       src->sst_it->SeekToFirst();
     }
-    src->rank = rank++;
     sources_.push_back(std::move(src));
   }
   // Keep the memtable and SstReaders alive for the life of the scan: a
@@ -64,111 +59,116 @@ CellScanner::CellScanner(std::shared_ptr<const MemTable> mem,
 }
 
 void CellScanner::FindNext() {
-  while (true) {
-    Source* best = nullptr;
-    for (auto& src : sources_) {
-      if (!src->status().ok()) {
-        status_ = src->status();
-        valid_ = false;
-        return;
-      }
-      if (!src->Valid()) continue;
-      if (best == nullptr) {
-        best = src.get();
-        continue;
-      }
-      int c = src->cell().key.Compare(best->cell().key);
-      if (c < 0 || (c == 0 && src->rank < best->rank)) best = src.get();
-    }
-    if (best == nullptr) {
-      valid_ = false;
+  current_ = nullptr;
+  valid_ = false;
+  for (auto& src : sources_) {
+    if (!src->ok()) {
+      status_ = src->sst_it->status();
       return;
     }
-    Cell candidate = best->cell();
-    // Advance every source positioned at this exact key (dedup shadowed copies).
-    for (auto& src : sources_) {
-      while (src->Valid() && src->cell().key.Compare(candidate.key) == 0) src->Next();
+    if (!src->Valid()) continue;
+    // Strictly smaller only: on a tie the newer (earlier) source stays.
+    if (current_ == nullptr || src->key().Compare(current_->key()) < 0) {
+      current_ = src.get();
     }
-    cell_ = std::move(candidate);
-    valid_ = true;
-    return;
   }
+  if (current_ == nullptr) return;
+  // Step the older sources past their shadowed copies of this key; the
+  // current source moves on at Next().
+  for (auto& src : sources_) {
+    if (src.get() == current_ || !src->Valid()) continue;
+    if (src->key().Compare(current_->key()) == 0) src->Next();
+  }
+  valid_ = true;
 }
 
 void CellScanner::Next() {
   if (!valid_) return;
+  current_->Next();
   FindNext();
+}
+
+const CellKey& CellScanner::key() const { return current_->key(); }
+
+void CellScanner::CopyTo(Cell* out) const {
+  if (current_->mem_it) {
+    out->key = current_->mem_it->key();
+    out->value = current_->mem_it->value();
+  } else {
+    *out = current_->sst_it->cell();
+  }
 }
 
 // --- visibility resolution -----------------------------------------------------
 
-void ResolveRowCells(const std::vector<Cell>& raw, int max_versions,
-                     std::vector<Cell>* visible, uint64_t as_of) {
-  visible->clear();
-  if (raw.empty()) return;
-  // Row tombstone timestamp (cells may appear anywhere; reserved qualifier
-  // sorts last, so scan for it first).
+size_t ResolveRowCells(Cell* cells, size_t n, int max_versions, uint64_t as_of) {
+  // Most attached rows hold one cell, which nothing else can mask.
+  if (n == 1) {
+    return cells[0].value.type == CellType::kPut && cells[0].key.timestamp <= as_of;
+  }
+  // Row tombstone timestamp (the reserved qualifier sorts last, so scan for
+  // it first).
   uint64_t row_tomb_ts = 0;
-  for (const Cell& c : raw) {
-    if (c.key.timestamp > as_of) continue;
-    if (c.value.type == CellType::kDeleteRow && c.key.timestamp > row_tomb_ts) {
+  for (size_t k = 0; k < n; ++k) {
+    const Cell& c = cells[k];
+    if (c.value.type == CellType::kDeleteRow && c.key.timestamp <= as_of &&
+        c.key.timestamp > row_tomb_ts) {
       row_tomb_ts = c.key.timestamp;
     }
   }
-  // Cells arrive qualifier-ascending, timestamp-descending.
+  // Cells arrive qualifier-ascending, timestamp-descending. Visible cells
+  // are swapped down to `out`, which never passes the cell being read, so a
+  // group's cells are all read before any of them moves.
+  size_t out = 0;
   size_t i = 0;
-  while (i < raw.size()) {
-    const uint32_t qual = raw[i].key.qualifier;
+  while (i < n) {
+    const uint32_t qual = cells[i].key.qualifier;
     uint64_t col_tomb_ts = 0;
     // First pass over this qualifier group: find the column tombstone.
     size_t j = i;
-    while (j < raw.size() && raw[j].key.qualifier == qual) {
-      if (raw[j].value.type == CellType::kDeleteColumn &&
-          raw[j].key.timestamp <= as_of && raw[j].key.timestamp > col_tomb_ts) {
-        col_tomb_ts = raw[j].key.timestamp;
+    for (; j < n && cells[j].key.qualifier == qual; ++j) {
+      if (cells[j].value.type == CellType::kDeleteColumn &&
+          cells[j].key.timestamp <= as_of && cells[j].key.timestamp > col_tomb_ts) {
+        col_tomb_ts = cells[j].key.timestamp;
       }
-      ++j;
     }
     const uint64_t mask_ts = std::max(row_tomb_ts, col_tomb_ts);
     int taken = 0;
     for (size_t k = i; k < j && taken < max_versions; ++k) {
-      const Cell& c = raw[k];
+      Cell& c = cells[k];
       if (c.value.type != CellType::kPut) continue;
       if (c.key.timestamp > as_of) continue;
       if (c.key.timestamp <= mask_ts) continue;
-      visible->push_back(c);
+      if (out != k) std::swap(cells[out], c);
+      ++out;
       ++taken;
     }
     i = j;
   }
+  return out;
 }
 
 // --- RowScanner ----------------------------------------------------------------
 
 bool RowScanner::Next() {
   if (!status_.ok()) return false;
-  while (true) {
-    if (!cells_->Valid()) {
-      status_ = cells_->status();
-      return false;
-    }
-    std::vector<Cell> raw;
-    const std::string row = cells_->cell().key.row;
-    while (cells_->Valid() && cells_->cell().key.row == row) {
-      raw.push_back(cells_->cell());
+  while (cells_->Valid()) {
+    // Copy the row's cells into the reused slots of raw_; the row ends where
+    // the merged stream's key leaves raw_[0]'s row.
+    size_t n = 0;
+    do {
+      if (n == raw_.size()) raw_.emplace_back();
+      cells_->CopyTo(&raw_[n++]);
       cells_->Next();
-    }
-    if (!cells_->status().ok()) {
-      status_ = cells_->status();
-      return false;
-    }
-    std::vector<Cell> visible;
-    ResolveRowCells(raw, /*max_versions=*/1, &visible, as_of_);
-    if (visible.empty()) continue;  // fully deleted (or not-yet-written) row
-    view_.row = row;
-    view_.cells = std::move(visible);
+    } while (cells_->Valid() && cells_->key().row == raw_[0].key.row);
+    if (!cells_->status().ok()) break;
+    const size_t visible = ResolveRowCells(raw_.data(), n, max_versions_, as_of_);
+    if (visible == 0) continue;  // fully deleted (or not-yet-written) row
+    view_.cells = std::span<const Cell>(raw_.data(), visible);
     return true;
   }
+  status_ = cells_->status();
+  return false;
 }
 
 // --- KvStore --------------------------------------------------------------------
@@ -424,9 +424,9 @@ Status KvStore::GetVersions(const Slice& row, uint32_t qualifier, int max_versio
                           return a.key.Compare(b.key) == 0;
                         }),
             raw.end());
-  std::vector<Cell> visible;
-  ResolveRowCells(raw, max_versions, &visible);
-  for (const Cell& c : visible) {
+  const size_t visible = ResolveRowCells(raw.data(), raw.size(), max_versions);
+  for (size_t i = 0; i < visible; ++i) {
+    const Cell& c = raw[i];
     if (c.key.qualifier == qualifier) out->emplace_back(c.key.timestamp, c.value.value);
   }
   return Status::OK();
@@ -447,9 +447,9 @@ std::unique_ptr<CellScanner> KvStore::NewCellScanner(const std::string* start_ro
       memtable_, sstables_, start.has_value() ? &*start : nullptr));
 }
 
-std::unique_ptr<RowScanner> KvStore::NewRowScanner(const std::string* start_row,
-                                                   uint64_t as_of) {
-  return std::unique_ptr<RowScanner>(new RowScanner(NewCellScanner(start_row), as_of));
+std::unique_ptr<RowScanner> KvStore::NewRowScanner(const std::string* start_row) {
+  return std::unique_ptr<RowScanner>(
+      new RowScanner(NewCellScanner(start_row), UINT64_MAX, 1));
 }
 
 KvSnapshot KvStore::GetSnapshot() const {
@@ -471,14 +471,12 @@ std::unique_ptr<CellScanner> KvStore::NewCellScannerAt(const KvSnapshot& snapsho
       snapshot.mem, snapshot.tables, start.has_value() ? &*start : nullptr));
 }
 
-std::unique_ptr<RowScanner> KvStore::NewRowScannerAt(const KvSnapshot& snapshot,
-                                                     const std::string* start_row,
-                                                     uint64_t as_of) const {
+std::unique_ptr<RowScanner> KvStore::NewRowScannerAt(
+    const KvSnapshot& snapshot, const std::string* start_row) const {
   // Clamp visibility to the snapshot's clock: cells racing into the pinned
   // memtable after acquisition carry larger timestamps and resolve away.
-  const uint64_t effective = std::min(as_of, snapshot.read_ts);
   return std::unique_ptr<RowScanner>(
-      new RowScanner(NewCellScannerAt(snapshot, start_row), effective));
+      new RowScanner(NewCellScannerAt(snapshot, start_row), snapshot.read_ts, 1));
 }
 
 Status KvStore::Flush() {
@@ -530,26 +528,18 @@ Status KvStore::CompactLocked() {
   stats_.compactions.fetch_add(1, std::memory_order_relaxed);
   // Full merge with visibility resolution per row; tombstones and shadowed
   // versions are dropped (nothing below survives a full compaction).
-  CellScanner scanner(nullptr, sstables_, nullptr);
+  RowScanner rows(
+      std::unique_ptr<CellScanner>(new CellScanner(nullptr, sstables_, nullptr)),
+      UINT64_MAX, options_.max_versions);
   const std::string path = SstPath(next_sst_seq_++, last_ts_.load(std::memory_order_relaxed));
   const std::string tmp_path = path + ".tmp";
   uint64_t expected = 0;
   for (const auto& sst : sstables_) expected += sst->cell_count();
   DTL_ASSIGN_OR_RETURN(auto writer, SstWriter::Create(fs_, tmp_path, expected));
-
-  while (scanner.Valid()) {
-    std::vector<Cell> raw;
-    const std::string row = scanner.cell().key.row;
-    while (scanner.Valid() && scanner.cell().key.row == row) {
-      raw.push_back(scanner.cell());
-      scanner.Next();
-    }
-    DTL_RETURN_NOT_OK(scanner.status());
-    std::vector<Cell> visible;
-    ResolveRowCells(raw, options_.max_versions, &visible);
-    for (const Cell& c : visible) DTL_RETURN_NOT_OK(writer->Add(c));
+  while (rows.Next()) {
+    for (const Cell& c : rows.view().cells) DTL_RETURN_NOT_OK(writer->Add(c));
   }
-  DTL_RETURN_NOT_OK(scanner.status());
+  DTL_RETURN_NOT_OK(rows.status());
   DTL_RETURN_NOT_OK(writer->Finish());
   // Atomic commit: the merged table becomes visible in one rename. A crash
   // before this point leaves only the temp file; a crash after it leaves the

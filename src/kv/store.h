@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,13 +60,23 @@ struct KvStoreOptions {
 /// a concurrent flush, compaction, or Clear(); it observes the store as of
 /// its creation plus whatever memtable inserts land in the key range ahead
 /// of its cursor (the skip list supports lock-free readers).
+///
+/// The merge compares keys in place and copies nothing: the current cell
+/// stays in the source that holds it until Next(). A key held by several
+/// sources (a WAL replay can leave a memtable copy of a flushed cell) is
+/// emitted once, from the newest source. No single source holds a key twice
+/// (the memtable overwrites in place; SSTables are written from one such
+/// sorted stream).
 class CellScanner {
  public:
   ~CellScanner();  // out-of-line: Source is incomplete here
 
   bool Valid() const { return valid_; }
   void Next();
-  const Cell& cell() const { return cell_; }
+  /// The current key, by reference; valid until Next().
+  const CellKey& key() const;
+  /// Copies the current cell into `*out`, reusing its string capacity.
+  void CopyTo(Cell* out) const;
   const Status& status() const { return status_; }
 
  private:
@@ -76,24 +87,28 @@ class CellScanner {
 
   void FindNext();
 
-  std::vector<std::unique_ptr<Source>> sources_;
+  std::vector<std::unique_ptr<Source>> sources_;  // newest first
   std::shared_ptr<const MemTable> mem_keepalive_;
   std::vector<std::shared_ptr<SstReader>> keepalive_;
-  Cell cell_;
+  Source* current_ = nullptr;  // the source holding the current cell
   bool valid_ = false;
   Status status_;
 };
 
-/// One row's visible state after multi-version and tombstone resolution.
+/// One row's visible state after multi-version and tombstone resolution: a
+/// view of the scanner's reused buffer, valid until its next Next().
 struct RowView {
-  std::string row;
-  /// Latest visible put per qualifier, ascending by qualifier.
-  std::vector<Cell> cells;
+  /// Latest visible put per qualifier, ascending by qualifier; never empty.
+  std::span<const Cell> cells;
+
+  const std::string& row() const { return cells.front().key.row; }
 };
 
-/// Groups a CellScanner's output by row and applies visibility rules,
-/// optionally as of a historical timestamp (cells newer than `as_of` are
-/// invisible — HBase's timestamp-range reads).
+/// Groups a CellScanner's output by row and applies visibility rules as of
+/// a timestamp (cells newer than `as_of` are invisible — a pinned snapshot's
+/// read_ts, or HBase's timestamp-range reads). Each row's cells are copied
+/// once, into slots the scanner reuses, and resolved there in place, so a
+/// scan allocates nothing per row or per cell once its buffer has grown.
 class RowScanner {
  public:
   /// Advances to the next row that has at least one visible cell.
@@ -103,13 +118,17 @@ class RowScanner {
 
  private:
   friend class KvStore;
-  RowScanner(std::unique_ptr<CellScanner> cells, uint64_t as_of)
-      : cells_(std::move(cells)), as_of_(as_of) {}
+  /// Keeps `max_versions` visible puts per qualifier: 1 for reads, the
+  /// store's retention for compaction.
+  RowScanner(std::unique_ptr<CellScanner> cells, uint64_t as_of, int max_versions)
+      : cells_(std::move(cells)), as_of_(as_of), max_versions_(max_versions) {}
 
   std::unique_ptr<CellScanner> cells_;
   uint64_t as_of_;
+  int max_versions_;
+  /// The current row's cells; slots past it keep their string capacity.
+  std::vector<Cell> raw_;
   RowView view_;
-  bool cells_primed_ = false;
   Status status_;
 };
 
@@ -173,10 +192,9 @@ class KvStore {
   /// Raw merged scan from the beginning (or from `start_row`).
   std::unique_ptr<CellScanner> NewCellScanner(const std::string* start_row = nullptr);
 
-  /// Visibility-resolved scan grouped by row, optionally from `start_row`
-  /// and as of a historical timestamp (default: latest).
-  std::unique_ptr<RowScanner> NewRowScanner(const std::string* start_row = nullptr,
-                                            uint64_t as_of = UINT64_MAX);
+  /// Visibility-resolved scan of the latest state grouped by row, optionally
+  /// from `start_row`.
+  std::unique_ptr<RowScanner> NewRowScanner(const std::string* start_row = nullptr);
 
   /// Pins the store's current state: the memtable, the SSTable set, and the
   /// write clock, captured atomically under the store mutex. Readers built
@@ -192,11 +210,11 @@ class KvStore {
       const KvSnapshot& snapshot, const std::string* start_row = nullptr) const;
 
   /// Visibility-resolved scan pinned to a snapshot: rows resolve as of
-  /// min(as_of, snapshot.read_ts), so later writes — including ones racing
-  /// into the still-shared memtable — are invisible.
-  std::unique_ptr<RowScanner> NewRowScannerAt(const KvSnapshot& snapshot,
-                                              const std::string* start_row = nullptr,
-                                              uint64_t as_of = UINT64_MAX) const;
+  /// snapshot.read_ts, so later writes — including ones racing into the
+  /// still-shared memtable — are invisible. A historical read (HBase's
+  /// timestamp-range read) lowers read_ts on a copy of the snapshot.
+  std::unique_ptr<RowScanner> NewRowScannerAt(
+      const KvSnapshot& snapshot, const std::string* start_row = nullptr) const;
 
   /// The timestamp assigned to the most recent write (0 when empty). Reads
   /// "as of" this value see the current state. Safe to call concurrently
@@ -273,9 +291,11 @@ class KvStore {
 };
 
 /// Resolves one row's raw cells (all versions, tombstones included, in
-/// CellKey order) into the visible latest-put-per-qualifier view, ignoring
-/// cells newer than `as_of`. Exposed for tests and for compaction.
-void ResolveRowCells(const std::vector<Cell>& raw, int max_versions,
-                     std::vector<Cell>* visible, uint64_t as_of = UINT64_MAX);
+/// CellKey order) in place: the visible cells, the latest `max_versions` puts
+/// per qualifier not masked by a tombstone and not newer than `as_of`, move
+/// to the front of `cells` in order. Returns their count; the cells past it
+/// are left in an unspecified order.
+size_t ResolveRowCells(Cell* cells, size_t n, int max_versions,
+                       uint64_t as_of = UINT64_MAX);
 
 }  // namespace dtl::kv

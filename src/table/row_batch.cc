@@ -46,37 +46,53 @@ void RowBatch::TruncateSelection(size_t n) {
   }
 }
 
-void RowBatch::MaterializeRow(size_t i, Row* row) const {
-  const size_t phys = row_index(i);
+void RowBatch::MaterializePhysical(size_t phys, Row* row) const {
   row->resize(num_columns_);
   for (size_t c = 0; c < num_columns_; ++c) (*row)[c] = columns_[c].at(phys);
 }
 
+bool RowBatch::Passes(const RowPredicateFn& pred, std::span<const size_t> columns,
+                      size_t phys, Row* scratch) const {
+  if (columns.empty()) {
+    MaterializePhysical(phys, scratch);
+    return pred(*scratch);
+  }
+  for (size_t c : columns) (*scratch)[c] = columns_[c].at(phys);
+  const bool verdict = pred(*scratch);
+#ifndef NDEBUG
+  // A predicate that reads a column outside its list sees NULL there and can
+  // decide differently from the full-width row: the caller's list is short.
+  Row full;
+  MaterializePhysical(phys, &full);
+  DTL_DCHECK_EQ(pred(full), verdict);
+#endif
+  return verdict;
+}
+
 size_t RowBatch::FilterSelected(const RowPredicateFn& pred, Row* scratch,
-                                ScanMeter* meter) {
+                                ScanMeter* meter, std::span<const size_t> columns) {
   const size_t before = size();
   if (before == 0) return 0;
+  // Cells outside `columns` are never written below, so they read NULL.
+  if (!columns.empty()) scratch->assign(num_columns_, Value::Null());
   if (!has_selection_) {
     // Fast path: scan for the first drop before touching the selection.
     size_t first_drop = 0;
     for (; first_drop < num_rows_; ++first_drop) {
-      MaterializeRow(first_drop, scratch);
-      if (!pred(*scratch)) break;
+      if (!Passes(pred, columns, first_drop, scratch)) break;
     }
     if (first_drop == num_rows_) return 0;  // everything survives, no selection
     selection_.clear();
     selection_.reserve(num_rows_);
     for (size_t i = 0; i < first_drop; ++i) selection_.push_back(static_cast<uint32_t>(i));
     for (size_t i = first_drop + 1; i < num_rows_; ++i) {
-      MaterializeRow(i, scratch);
-      if (pred(*scratch)) selection_.push_back(static_cast<uint32_t>(i));
+      if (Passes(pred, columns, i, scratch)) selection_.push_back(static_cast<uint32_t>(i));
     }
     has_selection_ = true;
   } else {
     size_t out = 0;
     for (size_t i = 0; i < selection_.size(); ++i) {
-      MaterializeRow(i, scratch);
-      if (pred(*scratch)) selection_[out++] = selection_[i];
+      if (Passes(pred, columns, selection_[i], scratch)) selection_[out++] = selection_[i];
     }
     selection_.resize(out);
   }

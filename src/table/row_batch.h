@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -73,8 +74,7 @@ class ColumnVector {
 
   /// Copy-on-write: after this call the column owns its cells and they may
   /// be patched through the returned pointer. Absent columns materialize as
-  /// `size` NULLs (the row path also lets updates land on non-projected
-  /// columns, so an overlay may need to write into an absent column).
+  /// `size` NULLs.
   Value* MakeMutable(size_t size);
 
   static const Value& NullValue();
@@ -138,13 +138,19 @@ class RowBatch {
   /// Keeps only the first `n` visible rows (LIMIT).
   void TruncateSelection(size_t n);
 
-  /// Filters the visible rows through `pred`, materializing each candidate
-  /// into `*scratch` (reused, full width). Compresses the selection in
-  /// place; when nothing is dropped and no selection existed, none is
-  /// created (the pass-through fast path). Returns the number dropped.
-  /// Drops are charged to `meter`, or to the global meter when null.
+  /// Filters the visible rows through `pred`. Each candidate is copied into
+  /// `*scratch` (reused, full width), but only its `columns` — the
+  /// predicate's own, ScanSpec::predicate_columns — are copied; the other
+  /// cells read NULL. An empty `columns` copies every column. Debug builds
+  /// also test the full-width row and check that both verdicts agree, which
+  /// catches a caller whose list misses a column its predicate reads.
+  /// Compresses the selection in place; when nothing is dropped and no
+  /// selection existed, none is created (the pass-through fast path).
+  /// Returns the number dropped. Drops are charged to `meter`, or to the
+  /// global meter when null.
   size_t FilterSelected(const RowPredicateFn& pred, Row* scratch,
-                        ScanMeter* meter = nullptr);
+                        ScanMeter* meter = nullptr,
+                        std::span<const size_t> columns = {});
 
   // --- record IDs ---
   /// Record IDs ascending contiguously from `first` (a master-file slice).
@@ -172,7 +178,9 @@ class RowBatch {
 
   /// Copies visible row `i` into `*row` as a full-width row (absent columns
   /// NULL), reusing the row's storage.
-  void MaterializeRow(size_t i, Row* row) const;
+  void MaterializeRow(size_t i, Row* row) const {
+    MaterializePhysical(row_index(i), row);
+  }
 
   /// Holds the backing storage of view columns alive (e.g. the decoded
   /// stripe). Cleared by Reset().
@@ -180,6 +188,12 @@ class RowBatch {
   const std::shared_ptr<const void>& anchor() const { return anchor_; }
 
  private:
+  /// MaterializeRow by physical row index.
+  void MaterializePhysical(size_t phys, Row* row) const;
+  /// FilterSelected's verdict on physical row `phys`.
+  bool Passes(const RowPredicateFn& pred, std::span<const size_t> columns, size_t phys,
+              Row* scratch) const;
+
   size_t num_columns_ = 0;
   size_t num_rows_ = 0;
   std::vector<ColumnVector> columns_;

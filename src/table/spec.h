@@ -24,8 +24,10 @@ struct ColumnBound {
   std::optional<Value> upper;
 };
 
-/// Row filter evaluated over a full-schema-width row (non-required columns
-/// hold NULL). Shared so operators can hold copies cheaply.
+/// Row filter evaluated over a full-schema-width row. Only the spec's
+/// predicate_columns are guaranteed current: a storage-side filter copies
+/// just those cells of each candidate (RowBatch::FilterSelected), and the
+/// other cells may read NULL. Shared so operators can hold copies cheaply.
 using RowPredicateFn = std::function<bool(const Row&)>;
 
 /// What a scan must produce.
@@ -34,8 +36,9 @@ struct ScanSpec {
   std::vector<size_t> projection;
   /// Optional residual filter; evaluated on the storage side.
   RowPredicateFn predicate;
-  /// Columns the predicate touches (must be materialized even if not
-  /// projected).
+  /// Every column the predicate reads: materialized even if not projected,
+  /// and the only cells the storage-side filter copies for it (an empty
+  /// list makes the filter copy every column).
   std::vector<size_t> predicate_columns;
   /// Stats-prunable bounds implied by the predicate (conjunctive).
   std::vector<ColumnBound> bounds;

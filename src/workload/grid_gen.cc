@@ -221,22 +221,29 @@ std::string GridSelect1() {
 
 std::string GridSelect2() { return "SELECT COUNT(*) FROM tj_gbsjwzl_mx"; }
 
-std::string GridUpdateDays(int days) {
-  const int64_t cutoff = kDayBase + days;
+std::string GridDaysPredicate(int days) {
+  return "rq < " + std::to_string(kDayBase + days);
+}
+
+namespace {
+
+std::string DaysRatio(int days) {
   char ratio[32];
   std::snprintf(ratio, sizeof(ratio), "%.6f",
                 static_cast<double>(days) / static_cast<double>(kGridDays));
-  return "UPDATE tj_gbsjwzl_mx SET cjbm = 'recollected' WHERE rq < " +
-         std::to_string(cutoff) + " WITH RATIO " + ratio;
+  return ratio;
+}
+
+}  // namespace
+
+std::string GridUpdateDays(int days) {
+  return "UPDATE tj_gbsjwzl_mx SET cjbm = 'recollected' WHERE " +
+         GridDaysPredicate(days) + " WITH RATIO " + DaysRatio(days);
 }
 
 std::string GridDeleteDays(int days) {
-  const int64_t cutoff = kDayBase + days;
-  char ratio[32];
-  std::snprintf(ratio, sizeof(ratio), "%.6f",
-                static_cast<double>(days) / static_cast<double>(kGridDays));
-  return "DELETE FROM tj_gbsjwzl_mx WHERE rq < " + std::to_string(cutoff) +
-         " WITH RATIO " + ratio;
+  return "DELETE FROM tj_gbsjwzl_mx WHERE " + GridDaysPredicate(days) + " WITH RATIO " +
+         DaysRatio(days);
 }
 
 std::string GridReadAfterDml() {

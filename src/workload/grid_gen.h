@@ -69,6 +69,8 @@ std::string GridSelect1();
 /// Grid SELECT #2 (Fig. 4): COUNT(*) on tj_gbsjwzl_mx.
 std::string GridSelect2();
 
+/// WHERE predicate selecting the first `days` of the 36-day span.
+std::string GridDaysPredicate(int days);
 /// UPDATE touching the first `days` of the 36-day span of tj_gbsjwzl_mx
 /// (Fig. 5); selects days/36 of the rows.
 std::string GridUpdateDays(int days);

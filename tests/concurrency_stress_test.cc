@@ -570,6 +570,115 @@ std::string EncodeRows(const std::vector<Row>& rows) {
   return bytes;
 }
 
+// Pinned UNION READ drains race every writer of the attached store: EDIT
+// commits, memtable flushes, KV compactions and Clear(). Each drain owns its
+// merge buffers and only reads the memtable and SSTables it pinned, so a
+// drain of a pinned snapshot returns its acquisition-time answer — patched
+// columns, masked rows, predicate verdicts — whichever writer lands
+// mid-scan, and a drain of the live table never loses a row.
+TEST(ParallelScanStressTest, PinnedDrainsRaceFlushCompactAndClear) {
+  fs::SimFileSystem fs;
+  auto metadata = dual::MetadataTable::Open(&fs);
+  ASSERT_TRUE(metadata.ok());
+  fs::ClusterModel cluster;
+
+  dual::DualTableOptions options;
+  options.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
+  options.writer_options.stripe_rows = 64;
+  options.scan_batch_rows = 40;
+  options.attached_options.memtable_flush_bytes = 2 * 1024;
+  options.attached_options.l0_compaction_trigger = 2;
+  auto table = dual::DualTable::Open(&fs, metadata->get(), &cluster, "pinned",
+                                     DualStressSchema(), options);
+  ASSERT_TRUE(table.ok());
+  constexpr int64_t kRows = 400;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < kRows; ++i) {
+    rows.push_back(Row{Value::Int64(i), Value::Double(i * 0.5)});
+  }
+  ASSERT_TRUE((*table)->InsertRows(rows).ok());
+  ASSERT_TRUE(StressUpdate(table->get(), 3, 1, 1000.0).ok());
+  {
+    // Delete every 13th row through the attached store directly.
+    auto it = (*table)->Scan(table::ScanSpec{});
+    ASSERT_TRUE(it.ok());
+    std::vector<uint64_t> doomed;
+    for (int64_t i = 0; (*it)->Next(); ++i) {
+      if (i % 13 == 0) doomed.push_back((*it)->record_id());
+    }
+    for (uint64_t rid : doomed) {
+      ASSERT_TRUE((*table)->attached()->PutDeleteMarker(rid).ok());
+    }
+    (*table)->PublishEditCommit();
+  }
+
+  // A post-merge predicate: only patched rows pass it.
+  table::ScanSpec spec;
+  spec.projection = {1};
+  spec.predicate_columns = {1};
+  spec.predicate = [](const Row& row) { return row[1].AsDouble() >= 1000.0; };
+  auto drain = [&table, &spec](const dual::SnapshotPtr& snapshot) {
+    auto it = (*table)->ScanBatchesAt(snapshot, spec);
+    EXPECT_TRUE(it.ok());
+    std::vector<Row> out;
+    table::RowBatch batch;
+    while ((*it)->Next(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        Row row;
+        batch.MaterializeRow(i, &row);
+        out.push_back(std::move(row));
+      }
+    }
+    EXPECT_TRUE((*it)->status().ok());
+    return out;
+  };
+  const dual::SnapshotPtr pinned = (*table)->AcquireSnapshot();
+  const std::vector<Row> baseline = drain(pinned);
+  ASSERT_FALSE(baseline.empty());
+  const std::string baseline_bytes = EncodeRows(baseline);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&table, &done] {
+    dual::AttachedTable* attached = (*table)->attached();
+    for (int round = 0; round < 40; ++round) {
+      ASSERT_TRUE(StressUpdate(table->get(), 4, round % 4, 0.5).ok());
+      if (round % 5 == 2) ASSERT_TRUE(attached->store()->Flush().ok());
+      if (round % 7 == 3) ASSERT_TRUE(attached->store()->Compact().ok());
+      if (round % 13 == 12) {
+        ASSERT_TRUE(attached->Clear().ok());
+        (*table)->PublishEditCommit();
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  readers.reserve(2);
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      do {
+        ASSERT_EQ(EncodeRows(drain(pinned)), baseline_bytes);
+        if (t == 0) {
+          auto it = (*table)->ScanBatches(table::ScanSpec{});
+          ASSERT_TRUE(it.ok());
+          table::RowBatch batch;
+          uint64_t seen = 0;
+          while ((*it)->Next(&batch)) seen += batch.size();
+          ASSERT_TRUE((*it)->status().ok());
+          ASSERT_LE(seen, static_cast<uint64_t>(kRows));
+        } else {
+          auto mods = (*table)->attached()->NewScannerAt(pinned->attached);
+          uint64_t n = 0;
+          while (mods->Next()) ++n;
+          ASSERT_TRUE(mods->status().ok());
+          ASSERT_GT(n, 0u);
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+}
+
 Result<std::vector<Row>> CollectSnapshotRows(dual::DualTable* table,
                                              const dual::SnapshotPtr& snapshot) {
   DTL_ASSIGN_OR_RETURN(auto it, table->ScanAt(snapshot, table::ScanSpec{}));

@@ -143,8 +143,8 @@ TEST_F(KvStoreTest, ScanSeesMergedSortedCells) {
   int count = 0;
   std::string prev;
   while (scanner->Next()) {
-    EXPECT_LT(prev, scanner->view().row);
-    prev = scanner->view().row;
+    EXPECT_LT(prev, scanner->view().row());
+    prev = scanner->view().row();
     ++count;
   }
   ASSERT_TRUE(scanner->status().ok());
@@ -259,10 +259,8 @@ TEST(ResolveRowCellsTest, ColumnTombstoneThenNewerPut) {
       {{"r", 1, 2}, {CellType::kDeleteColumn, ""}},
       {{"r", 1, 1}, {CellType::kPut, "old"}},
   };
-  std::vector<Cell> visible;
-  ResolveRowCells(raw, 5, &visible);
-  ASSERT_EQ(visible.size(), 1u);
-  EXPECT_EQ(visible[0].value.value, "new");
+  ASSERT_EQ(ResolveRowCells(raw.data(), raw.size(), 5), 1u);
+  EXPECT_EQ(raw[0].value.value, "new");
 }
 
 TEST(SstableTest, GetVersionsUsesBloomAndIndex) {

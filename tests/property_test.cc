@@ -184,8 +184,8 @@ TEST_P(KvModelTest, StoreMatchesReferenceModel) {
   std::map<std::pair<std::string, uint32_t>, std::string> scanned;
   std::string prev_row;
   while (scanner->Next()) {
-    EXPECT_LE(prev_row, scanner->view().row);
-    prev_row = scanner->view().row;
+    EXPECT_LE(prev_row, scanner->view().row());
+    prev_row = scanner->view().row();
     for (const kv::Cell& cell : scanner->view().cells) {
       scanned[{cell.key.row, cell.key.qualifier}] = cell.value.value;
     }

@@ -214,16 +214,21 @@ TEST_F(UnionReadTest, GetModificationRandomAccess) {
   ASSERT_TRUE((*it)->Next());
   uint64_t rid = (*it)->record_id();
 
-  auto none = table_->attached()->GetModification(rid);
+  AttachedTable* attached = table_->attached();
+  auto none = attached->GetModificationAt(attached->store()->GetSnapshot(), rid);
   ASSERT_TRUE(none.ok());
   EXPECT_FALSE(none->has_value());
 
-  ASSERT_TRUE(table_->attached()->PutUpdate(rid, 1, Value::Int64(3)).ok());
-  auto some = table_->attached()->GetModification(rid);
+  ASSERT_TRUE(attached->PutUpdate(rid, 1, Value::Int64(3)).ok());
+  auto some = attached->GetModificationAt(attached->store()->GetSnapshot(), rid);
   ASSERT_TRUE(some.ok());
   ASSERT_TRUE(some->has_value());
   EXPECT_FALSE((*some)->deleted);
-  EXPECT_EQ((*some)->updates.at(1).AsInt64(), 3);
+  ASSERT_EQ((*some)->num_updates(), 1u);
+  EXPECT_EQ((*some)->column(0), 1u);
+  Value value;
+  ASSERT_TRUE((*some)->DecodeValue(0, &value).ok());
+  EXPECT_EQ(value.AsInt64(), 3);
 }
 
 }  // namespace
