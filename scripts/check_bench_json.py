@@ -59,6 +59,17 @@ OBJECT_SCHEMAS = {
             "second_half_mean_error", "edit_cost_scale", "overwrite_cost_scale",
         },
     },
+    "BENCH_orc_codec.json": {
+        "columns": {
+            "dataset", "type", "columns", "values", "encoded_bytes",
+            "encode_ns_per_value", "decode_ns_per_value",
+        },
+        "rows": {
+            "dataset", "rows", "columns", "file_bytes",
+            "encode_ns_per_row", "decode_ns_per_row",
+        },
+        "crc": {"path", "bytes", "ns_per_byte", "crc"},
+    },
     "BENCH_adaptive_maintenance.json": {
         "rounds": {
             "mode", "round", "burst", "read_modeled_seconds",

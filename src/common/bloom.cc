@@ -5,6 +5,21 @@
 
 namespace dtl {
 
+namespace {
+
+bool Probe(const uint8_t* bits, size_t num_bytes, int num_probes, const BloomHash& hash) {
+  const uint64_t h1 = hash.h0();
+  const uint64_t h2 = hash.h1() | 1;  // odd so it cycles all positions
+  const uint64_t nbits = num_bytes * 8;
+  for (int i = 0; i < num_probes; ++i) {
+    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % nbits;
+    if ((bits[bit / 8] & (1u << (bit % 8))) == 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key) {
   size_t bits = std::max<size_t>(64, expected_keys * static_cast<size_t>(bits_per_key));
   bits_.assign((bits + 7) / 8, 0);
@@ -27,35 +42,27 @@ BloomFilter BloomFilter::Deserialize(const Slice& data) {
   return f;
 }
 
-uint64_t BloomFilter::Hash(const Slice& key, uint64_t seed) {
-  // FNV-1a with a seed mixed in.
-  uint64_t h = 1469598103934665603ull ^ (seed * 0x9E3779B97F4A7C15ull);
-  for (size_t i = 0; i < key.size(); ++i) {
-    h ^= static_cast<unsigned char>(key[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-void BloomFilter::Add(const Slice& key) {
-  const uint64_t h1 = Hash(key, 0);
-  const uint64_t h2 = Hash(key, 1) | 1;  // odd so it cycles all positions
+void BloomFilter::Add(const BloomHash& hash) {
+  const uint64_t h1 = hash.h0();
+  const uint64_t h2 = hash.h1() | 1;
   const uint64_t nbits = bits_.size() * 8;
   for (int i = 0; i < num_probes_; ++i) {
-    uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % nbits;
+    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % nbits;
     bits_[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
   }
 }
 
-bool BloomFilter::MayContain(const Slice& key) const {
-  const uint64_t h1 = Hash(key, 0);
-  const uint64_t h2 = Hash(key, 1) | 1;
-  const uint64_t nbits = bits_.size() * 8;
-  for (int i = 0; i < num_probes_; ++i) {
-    uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % nbits;
-    if ((bits_[bit / 8] & (1u << (bit % 8))) == 0) return false;
-  }
-  return true;
+bool BloomFilter::MayContain(const BloomHash& hash) const {
+  return Probe(bits_.data(), bits_.size(), num_probes_, hash);
+}
+
+bool BloomFilter::MayContainSerialized(const Slice& serialized, const BloomHash& hash) {
+  // A filter with no bit bytes deserializes to all-zero bits: nothing passes.
+  if (serialized.size() <= 1) return false;
+  const int num_probes = std::max(1, static_cast<int>(
+                                            static_cast<unsigned char>(serialized[0])));
+  return Probe(reinterpret_cast<const uint8_t*>(serialized.data() + 1),
+               serialized.size() - 1, num_probes, hash);
 }
 
 std::string BloomFilter::Serialize() const {

@@ -1,6 +1,7 @@
 #include "common/coding.h"
 
 #include <array>
+#include <cstring>
 
 namespace dtl {
 
@@ -35,26 +36,20 @@ uint64_t DecodeFixed64(const char* p) {
 void PutVarint32(std::string* dst, uint32_t v) { PutVarint64(dst, v); }
 
 void PutVarint64(std::string* dst, uint64_t v) {
-  while (v >= 0x80) {
-    dst->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  dst->push_back(static_cast<char>(v));
+  char buf[kMaxVarint64Bytes];
+  const char* end = EncodeVarint64(buf, v);
+  dst->append(buf, static_cast<size_t>(end - buf));
 }
 
 Status GetVarint64(Slice* input, uint64_t* value) {
-  uint64_t result = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
-    if (input->empty()) return Status::Corruption("truncated varint");
-    auto byte = static_cast<unsigned char>((*input)[0]);
-    input->RemovePrefix(1);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return Status::OK();
-    }
+  const char* limit = input->data() + input->size();
+  const char* p = GetVarint64Ptr(input->data(), limit, value);
+  if (p == nullptr) {
+    return Status::Corruption(input->size() < kMaxVarint64Bytes ? "truncated varint"
+                                                                 : "varint too long");
   }
-  return Status::Corruption("varint too long");
+  input->RemovePrefix(static_cast<size_t>(p - input->data()));
+  return Status::OK();
 }
 
 Status GetVarint32(Slice* input, uint32_t* value) {
@@ -94,29 +89,78 @@ uint64_t DecodeBigEndian64(const char* p) {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  // CRC-32C (Castagnoli), reflected polynomial 0x82F63B78.
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int j = 0; j < 8; ++j) {
-      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+// Slice-by-8 tables for CRC-32C (reflected polynomial 0x82F63B78): row 0 is
+// the bytewise table, row k advances a byte k positions further.
+struct CrcTables {
+  std::array<std::array<uint32_t, 256>, 8> t{};
+  CrcTables() {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int j = 0; j < 8; ++j) crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+      t[0][i] = crc;
     }
-    table[i] = crc;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
+    }
   }
-  return table;
+};
+
+const CrcTables& Tables() {
+  static const CrcTables kTables;
+  return kTables;
 }
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) uint32_t Crc32Sse42(const char* data, size_t n) {
+  uint64_t crc = 0xFFFFFFFFu;
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = __builtin_ia32_crc32di(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n) crc32 = __builtin_ia32_crc32qi(crc32, *p++);
+  return crc32 ^ 0xFFFFFFFFu;
+}
+#endif
 
 }  // namespace
 
-uint32_t Crc32(const char* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
+uint32_t Crc32Table(const char* data, size_t n) {
+  const auto& t = Tables().t;
   uint32_t crc = 0xFFFFFFFFu;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = crc ^ DecodeFixed32(reinterpret_cast<const char*>(p));
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; n > 0; --n) crc = t[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
+}
+
+bool Crc32HardwareAvailable() {
+#if defined(__x86_64__)
+  static const bool kAvailable = __builtin_cpu_supports("sse4.2");
+  return kAvailable;
+#else
+  return false;
+#endif
+}
+
+uint32_t Crc32Hardware(const char* data, size_t n) {
+#if defined(__x86_64__)
+  return Crc32Sse42(data, n);
+#else
+  return Crc32Table(data, n);
+#endif
+}
+
+uint32_t Crc32(const char* data, size_t n) {
+  return Crc32HardwareAvailable() ? Crc32Hardware(data, n) : Crc32Table(data, n);
 }
 
 }  // namespace dtl

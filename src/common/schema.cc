@@ -55,6 +55,8 @@ void Schema::EncodeTo(std::string* dst) const {
 Status Schema::DecodeFrom(Slice* input, Schema* out) {
   uint64_t n = 0;
   DTL_RETURN_NOT_OK(GetVarint64(input, &n));
+  // Each field takes at least two bytes (name length, type).
+  if (n > input->size() / 2) return Status::Corruption("schema field count out of range");
   std::vector<Field> fields;
   fields.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

@@ -1,17 +1,89 @@
 #include "orc/encoding.h"
 
-#include <map>
+#include <algorithm>
+#include <bit>
+#include <functional>
+#include <numeric>
 
 #include "common/coding.h"
 
 namespace dtl::orc {
 
 namespace {
+
 constexpr size_t kMaxGroup = 0x7FFFFFFF;  // control fits a varint32 comfortably
+
+/// Appends varints to a string through a stack buffer, so a stream of small
+/// values costs one append per few hundred bytes instead of one per value.
+class VarintSink {
+ public:
+  explicit VarintSink(std::string* dst) : dst_(dst) {}
+  void Put(uint64_t v) {
+    if (pos_ > buf_ + sizeof(buf_) - kMaxVarint64Bytes) Flush();
+    pos_ = EncodeVarint64(pos_, v);
+  }
+  void Flush() {
+    dst_->append(buf_, static_cast<size_t>(pos_ - buf_));
+    pos_ = buf_;
+  }
+
+ private:
+  std::string* dst_;
+  char buf_[512];
+  char* pos_ = buf_;
+};
+
+void EncodeStringDirect(std::span<const std::string_view> values, std::string* dst) {
+  size_t bytes = 0;
+  for (std::string_view v : values) bytes += v.size();
+  dst->reserve(dst->size() + 1 + kMaxVarint64Bytes + bytes + values.size() * 2);
+  dst->push_back(0);
+  PutVarint64(dst, values.size());
+  for (std::string_view v : values) PutLengthPrefixed(dst, Slice(v.data(), v.size()));
 }
 
-void EncodeInt64Stream(const std::vector<int64_t>& values, std::string* dst) {
-  PutVarint64(dst, values.size());
+/// Assigns each value the id of its first occurrence, in first-seen order.
+/// Returns false as soon as more than `limit` distinct values are seen.
+bool AssignFirstSeenIds(std::span<const std::string_view> values, size_t limit,
+                        std::vector<std::string_view>* distinct,
+                        std::vector<uint32_t>* ids) {
+  // Open addressing at load <= 1/2; a slot holds id + 1 (0 = empty).
+  const size_t capacity = std::bit_ceil(2 * limit + 2);
+  const size_t mask = capacity - 1;
+  std::vector<uint32_t> slots(capacity, 0);
+  std::vector<size_t> hashes;
+  hashes.reserve(limit);
+  distinct->reserve(limit);
+  ids->resize(values.size());
+  const std::hash<std::string_view> hasher;
+  for (size_t i = 0; i < values.size(); ++i) {
+    const std::string_view v = values[i];
+    const size_t h = hasher(v);
+    for (size_t slot = h & mask;; slot = (slot + 1) & mask) {
+      const uint32_t entry = slots[slot];
+      if (entry == 0) {
+        if (distinct->size() == limit) return false;
+        const auto id = static_cast<uint32_t>(distinct->size());
+        slots[slot] = id + 1;
+        distinct->push_back(v);
+        hashes.push_back(h);
+        (*ids)[i] = id;
+        break;
+      }
+      if (hashes[entry - 1] == h && (*distinct)[entry - 1] == v) {
+        (*ids)[i] = entry - 1;
+        break;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+void EncodeInt64Stream(std::span<const int64_t> values, std::string* dst) {
+  VarintSink out(dst);
+  out.Put(values.size());
   size_t i = 0;
   const size_t n = values.size();
   while (i < n) {
@@ -19,8 +91,8 @@ void EncodeInt64Stream(const std::vector<int64_t>& values, std::string* dst) {
     size_t run = 1;
     while (i + run < n && values[i + run] == values[i] && run < kMaxGroup) ++run;
     if (run >= 3) {
-      PutVarint64(dst, (static_cast<uint64_t>(run) << 1) | 1);
-      PutVarint64(dst, ZigZagEncode(values[i]));
+      out.Put((static_cast<uint64_t>(run) << 1) | 1);
+      out.Put(ZigZagEncode(values[i]));
       i += run;
       continue;
     }
@@ -37,152 +109,305 @@ void EncodeInt64Stream(const std::vector<int64_t>& values, std::string* dst) {
       count = 1;
       i = start + 1;
     }
-    PutVarint64(dst, static_cast<uint64_t>(count) << 1);
-    for (size_t j = start; j < start + count; ++j) {
-      PutVarint64(dst, ZigZagEncode(values[j]));
-    }
+    out.Put(static_cast<uint64_t>(count) << 1);
+    for (size_t j = start; j < start + count; ++j) out.Put(ZigZagEncode(values[j]));
   }
+  out.Flush();
 }
 
-Status DecodeInt64Stream(Slice input, std::vector<int64_t>* out) {
-  uint64_t total = 0;
-  DTL_RETURN_NOT_OK(GetVarint64(&input, &total));
-  out->clear();
-  out->reserve(total);
-  while (out->size() < total) {
-    uint64_t control = 0;
-    DTL_RETURN_NOT_OK(GetVarint64(&input, &control));
-    uint64_t count = control >> 1;
-    if (count == 0 || out->size() + count > total) {
-      return Status::Corruption("bad int64 RLE group");
-    }
-    if (control & 1) {
-      uint64_t zz = 0;
-      DTL_RETURN_NOT_OK(GetVarint64(&input, &zz));
-      out->insert(out->end(), count, ZigZagDecode(zz));
-    } else {
-      for (uint64_t j = 0; j < count; ++j) {
-        uint64_t zz = 0;
-        DTL_RETURN_NOT_OK(GetVarint64(&input, &zz));
-        out->push_back(ZigZagDecode(zz));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-void EncodeDoubleStream(const std::vector<double>& values, std::string* dst) {
+void EncodeDoubleStream(std::span<const double> values, std::string* dst) {
   PutVarint64(dst, values.size());
-  for (double d : values) {
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    PutFixed64(dst, bits);
+  if constexpr (std::endian::native == std::endian::little) {
+    dst->append(reinterpret_cast<const char*>(values.data()),
+                values.size() * sizeof(double));
+  } else {
+    for (double d : values) PutFixed64(dst, std::bit_cast<uint64_t>(d));
   }
 }
 
-Status DecodeDoubleStream(Slice input, std::vector<double>* out) {
-  uint64_t total = 0;
-  DTL_RETURN_NOT_OK(GetVarint64(&input, &total));
-  if (input.size() < total * 8) return Status::Corruption("truncated double stream");
-  out->clear();
-  out->reserve(total);
-  for (uint64_t i = 0; i < total; ++i) {
-    uint64_t bits = DecodeFixed64(input.data() + i * 8);
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    out->push_back(d);
+void EncodeStringStream(std::span<const std::string_view> values, std::string* dst) {
+  // Dictionary mode needs distinct <= n/2; count them until they pass it.
+  std::vector<std::string_view> distinct;
+  std::vector<uint32_t> ids;
+  if (values.empty() || !AssignFirstSeenIds(values, values.size() / 2, &distinct, &ids)) {
+    EncodeStringDirect(values, dst);
+    return;
   }
+  // Dictionary ids follow sorted key order (bytewise, unsigned).
+  std::vector<uint32_t> order(distinct.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&distinct](uint32_t a, uint32_t b) { return distinct[a] < distinct[b]; });
+  std::vector<int64_t> rank(distinct.size());
+  for (size_t k = 0; k < order.size(); ++k) rank[order[k]] = static_cast<int64_t>(k);
+
+  dst->push_back(1);
+  PutVarint64(dst, distinct.size());
+  for (uint32_t k : order) {
+    PutLengthPrefixed(dst, Slice(distinct[k].data(), distinct[k].size()));
+  }
+  std::vector<int64_t> indices(values.size());
+  for (size_t i = 0; i < values.size(); ++i) indices[i] = rank[ids[i]];
+  EncodeInt64Stream(indices, dst);
+}
+
+void EncodeBoolStream(std::span<const uint8_t> values, std::string* dst) {
+  PutVarint64(dst, values.size());
+  const size_t full = values.size() / 8;
+  const size_t base = dst->size();
+  dst->resize(base + (values.size() + 7) / 8);
+  char* out = dst->data() + base;
+  const uint8_t* in = values.data();
+  for (size_t b = 0; b < full; ++b, in += 8) {
+    out[b] = static_cast<char>(in[0] | (in[1] << 1) | (in[2] << 2) | (in[3] << 3) |
+                               (in[4] << 4) | (in[5] << 5) | (in[6] << 6) | (in[7] << 7));
+  }
+  if (full * 8 < values.size()) {
+    uint8_t byte = 0;
+    for (size_t bit = 0; full * 8 + bit < values.size(); ++bit) {
+      byte |= static_cast<uint8_t>(in[bit] << bit);
+    }
+    out[full] = static_cast<char>(byte);
+  }
+}
+
+// --- decoder ------------------------------------------------------------------
+
+namespace {
+
+/// A bit-packed stream read in place: `count` bits at `bits`.
+struct BitsView {
+  const uint8_t* bits = nullptr;
+  uint64_t count = 0;
+
+  bool at(uint64_t i) const { return ((bits[i >> 3] >> (i & 7)) & 1) != 0; }
+
+  /// Set bits among the first `count`.
+  uint64_t CountSet() const {
+    const uint64_t full = count / 8;
+    uint64_t set = 0;
+    for (uint64_t b = 0; b < full; ++b) {
+      set += static_cast<uint64_t>(std::popcount(bits[b]));
+    }
+    if (full * 8 < count) {
+      const auto mask = static_cast<uint8_t>((1u << (count - full * 8)) - 1);
+      const auto tail = static_cast<uint8_t>(bits[full] & mask);
+      set += static_cast<uint64_t>(std::popcount(tail));
+    }
+    return set;
+  }
+};
+
+/// Reads a bool stream's header and checks that it holds `expected` bits.
+Status ReadBits(Slice input, uint64_t expected, BitsView* out) {
+  uint64_t count = 0;
+  DTL_RETURN_NOT_OK(GetVarint64(&input, &count));
+  if (count != expected) return Status::Corruption("bit stream count mismatch");
+  if (count / 8 + static_cast<uint64_t>(count % 8 != 0) > input.size()) {
+    return Status::Corruption("truncated bool stream");
+  }
+  out->bits = reinterpret_cast<const uint8_t*>(input.data());
+  out->count = count;
   return Status::OK();
 }
 
-void EncodeStringStream(const std::vector<std::string>& values, std::string* dst) {
-  // First pass: distinct count via an ordered map (keeps encoding deterministic).
-  std::map<std::string, int64_t> dict;
-  for (const auto& v : values) dict.emplace(v, 0);
-  const bool use_dict = !values.empty() && dict.size() * 2 <= values.size();
-  if (use_dict) {
-    dst->push_back(1);
-    int64_t next_id = 0;
-    for (auto& [key, id] : dict) id = next_id++;
-    PutVarint64(dst, dict.size());
-    for (const auto& [key, id] : dict) PutLengthPrefixed(dst, Slice(key));
-    std::vector<int64_t> indices;
-    indices.reserve(values.size());
-    for (const auto& v : values) indices.push_back(dict[v]);
-    EncodeInt64Stream(indices, dst);
-  } else {
-    dst->push_back(0);
-    PutVarint64(dst, values.size());
-    for (const auto& v : values) PutLengthPrefixed(dst, Slice(v));
-  }
-}
+/// Pulls the values of an int64 RLE stream one at a time, parsing varints in
+/// place. Start() checks the stream's value count; Next() fails on a
+/// malformed group or a truncated varint.
+class Int64Reader {
+ public:
+  explicit Int64Reader(Slice input)
+      : p_(input.data()), limit_(input.data() + input.size()) {}
 
-Status DecodeStringStream(Slice input, std::vector<std::string>* out) {
-  if (input.empty()) return Status::Corruption("empty string stream");
-  const char mode = input[0];
-  input.RemovePrefix(1);
-  out->clear();
-  if (mode == 1) {
-    uint64_t dict_size = 0;
-    DTL_RETURN_NOT_OK(GetVarint64(&input, &dict_size));
-    std::vector<std::string> dict;
-    dict.reserve(dict_size);
-    for (uint64_t i = 0; i < dict_size; ++i) {
-      Slice s;
-      DTL_RETURN_NOT_OK(GetLengthPrefixed(&input, &s));
-      dict.push_back(s.ToString());
-    }
-    std::vector<int64_t> indices;
-    DTL_RETURN_NOT_OK(DecodeInt64Stream(input, &indices));
-    out->reserve(indices.size());
-    for (int64_t idx : indices) {
-      if (idx < 0 || static_cast<uint64_t>(idx) >= dict.size()) {
-        return Status::Corruption("dictionary index out of range");
-      }
-      out->push_back(dict[static_cast<size_t>(idx)]);
-    }
+  Status Start(uint64_t expected) {
+    uint64_t total = 0;
+    p_ = GetVarint64Ptr(p_, limit_, &total);
+    if (p_ == nullptr) return Status::Corruption("truncated int64 stream");
+    if (total != expected) return Status::Corruption("int64 stream count mismatch");
+    remaining_ = total;
     return Status::OK();
   }
+
+  bool Next(int64_t* v) {
+    if (group_left_ == 0 && !NextGroup()) return false;
+    --group_left_;
+    if (run_) {
+      *v = run_value_;
+      return true;
+    }
+    uint64_t zz = 0;
+    p_ = GetVarint64Ptr(p_, limit_, &zz);
+    if (p_ == nullptr) return false;
+    *v = ZigZagDecode(zz);
+    return true;
+  }
+
+ private:
+  bool NextGroup() {
+    uint64_t control = 0;
+    p_ = GetVarint64Ptr(p_, limit_, &control);
+    if (p_ == nullptr) return false;
+    const uint64_t count = control >> 1;
+    if (count == 0 || count > remaining_) return false;
+    remaining_ -= count;
+    group_left_ = count;
+    run_ = (control & 1) != 0;
+    if (run_) {
+      uint64_t zz = 0;
+      p_ = GetVarint64Ptr(p_, limit_, &zz);
+      if (p_ == nullptr) return false;
+      run_value_ = ZigZagDecode(zz);
+    }
+    return true;
+  }
+
+  const char* p_;
+  const char* limit_;
+  uint64_t remaining_ = 0;   // values in groups not yet opened
+  uint64_t group_left_ = 0;  // values left in the open group
+  bool run_ = false;
+  int64_t run_value_ = 0;
+};
+
+/// Reads one length-prefixed string in place from [*p, limit).
+bool NextString(const char** p, const char* limit, std::string_view* out) {
+  uint64_t len = 0;
+  const char* q = GetVarint64Ptr(*p, limit, &len);
+  if (q == nullptr || len > static_cast<uint64_t>(limit - q)) return false;
+  *out = std::string_view(q, len);
+  *p = q + len;
+  return true;
+}
+
+/// Appends one cell per row: NULL for an absent row, and for a present one
+/// whatever `push(out)` appends. Fails with `what` when `push` does.
+template <typename Push>
+Status FillRows(const BitsView& presence, const char* what, std::vector<Value>* out,
+                Push push) {
+  for (uint64_t i = 0; i < presence.count; ++i) {
+    if (!presence.at(i)) {
+      out->emplace_back();
+    } else if (!push(out)) {
+      return Status::Corruption(what);
+    }
+  }
+  return Status::OK();
+}
+
+Status DecodeInt64s(const BitsView& presence, uint64_t present, Slice data,
+                    std::vector<Value>* out) {
+  Int64Reader reader(data);
+  DTL_RETURN_NOT_OK(reader.Start(present));
+  return FillRows(presence, "bad int64 RLE stream", out,
+                  [&reader](std::vector<Value>* o) {
+                    int64_t v = 0;
+                    if (!reader.Next(&v)) return false;
+                    o->push_back(Value::Int64(v));
+                    return true;
+                  });
+}
+
+Status DecodeDoubles(const BitsView& presence, uint64_t present, Slice data,
+                     std::vector<Value>* out) {
+  uint64_t total = 0;
+  DTL_RETURN_NOT_OK(GetVarint64(&data, &total));
+  if (total != present) return Status::Corruption("double stream count mismatch");
+  if (total > data.size() / 8) return Status::Corruption("truncated double stream");
+  const char* p = data.data();
+  return FillRows(presence, "bad double stream", out, [&p](std::vector<Value>* o) {
+    o->push_back(Value::Double(std::bit_cast<double>(DecodeFixed64(p))));
+    p += 8;
+    return true;
+  });
+}
+
+Status DecodeBools(const BitsView& presence, uint64_t present, Slice data,
+                   std::vector<Value>* out) {
+  BitsView values;
+  DTL_RETURN_NOT_OK(ReadBits(data, present, &values));
+  uint64_t next = 0;
+  return FillRows(presence, "bad bool stream", out,
+                  [&values, &next](std::vector<Value>* o) {
+                    o->push_back(Value::Bool(values.at(next++)));
+                    return true;
+                  });
+}
+
+Status DecodeStrings(const BitsView& presence, uint64_t present, Slice data,
+                     std::vector<Value>* out) {
+  if (data.empty()) return Status::Corruption("empty string stream");
+  const char mode = data[0];
+  data.RemovePrefix(1);
   if (mode == 0) {
     uint64_t total = 0;
-    DTL_RETURN_NOT_OK(GetVarint64(&input, &total));
-    out->reserve(total);
-    for (uint64_t i = 0; i < total; ++i) {
-      Slice s;
-      DTL_RETURN_NOT_OK(GetLengthPrefixed(&input, &s));
-      out->push_back(s.ToString());
-    }
-    return Status::OK();
+    DTL_RETURN_NOT_OK(GetVarint64(&data, &total));
+    if (total != present) return Status::Corruption("string stream count mismatch");
+    const char* p = data.data();
+    const char* limit = p + data.size();
+    return FillRows(presence, "truncated string stream", out,
+                    [&p, limit](std::vector<Value>* o) {
+                      std::string_view s;
+                      if (!NextString(&p, limit, &s)) return false;
+                      o->push_back(Value::String(std::string(s)));
+                      return true;
+                    });
   }
-  return Status::Corruption("bad string stream mode");
+  if (mode != 1) return Status::Corruption("bad string stream mode");
+  // A dictionary never has more keys than values, and each key takes at
+  // least one byte.
+  uint64_t dict_size = 0;
+  DTL_RETURN_NOT_OK(GetVarint64(&data, &dict_size));
+  if (dict_size > present || dict_size > data.size()) {
+    return Status::Corruption("dictionary size out of range");
+  }
+  // Keys are decoded once per stripe; each row copies its key.
+  std::vector<Value> dict;
+  dict.reserve(dict_size);
+  const char* p = data.data();
+  const char* limit = p + data.size();
+  for (uint64_t k = 0; k < dict_size; ++k) {
+    std::string_view key;
+    if (!NextString(&p, limit, &key)) return Status::Corruption("truncated dictionary");
+    dict.push_back(Value::String(std::string(key)));
+  }
+  Int64Reader indices(Slice(p, static_cast<size_t>(limit - p)));
+  DTL_RETURN_NOT_OK(indices.Start(present));
+  return FillRows(presence, "bad dictionary index", out,
+                  [&indices, &dict](std::vector<Value>* o) {
+                    int64_t idx = 0;
+                    if (!indices.Next(&idx) || idx < 0 ||
+                        static_cast<uint64_t>(idx) >= dict.size()) {
+                      return false;
+                    }
+                    o->push_back(dict[static_cast<size_t>(idx)]);
+                    return true;
+                  });
 }
 
-void EncodeBoolStream(const std::vector<bool>& values, std::string* dst) {
-  PutVarint64(dst, values.size());
-  uint8_t byte = 0;
-  int bit = 0;
-  for (bool v : values) {
-    if (v) byte |= static_cast<uint8_t>(1u << bit);
-    if (++bit == 8) {
-      dst->push_back(static_cast<char>(byte));
-      byte = 0;
-      bit = 0;
-    }
-  }
-  if (bit != 0) dst->push_back(static_cast<char>(byte));
-}
+}  // namespace
 
-Status DecodeBoolStream(Slice input, std::vector<bool>* out) {
-  uint64_t total = 0;
-  DTL_RETURN_NOT_OK(GetVarint64(&input, &total));
-  if (input.size() * 8 < total) return Status::Corruption("truncated bool stream");
+Status DecodeColumn(DataType type, Slice presence, Slice data, uint64_t num_rows,
+                    std::vector<Value>* out) {
   out->clear();
-  out->reserve(total);
-  for (uint64_t i = 0; i < total; ++i) {
-    auto byte = static_cast<unsigned char>(input[i / 8]);
-    out->push_back((byte >> (i % 8)) & 1);
+  BitsView rows;
+  DTL_RETURN_NOT_OK(ReadBits(presence, num_rows, &rows));
+  const uint64_t present = rows.CountSet();
+  // num_rows is now bounded by the presence bytes actually read.
+  out->reserve(num_rows);
+  switch (type) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      return DecodeInt64s(rows, present, data, out);
+    case DataType::kDouble:
+      return DecodeDoubles(rows, present, data, out);
+    case DataType::kString:
+      return DecodeStrings(rows, present, data, out);
+    case DataType::kBool:
+      return DecodeBools(rows, present, data, out);
+    case DataType::kNull:
+      break;
   }
-  return Status::OK();
+  return Status::Corruption("column with null type in footer");
 }
 
 }  // namespace dtl::orc

@@ -6,39 +6,54 @@
 //   * boolean      — bit-packed,
 //   * presence     — bit-packed null bitmap (data streams hold only
 //                    non-null values, as in real ORC).
+//
+// The writer hands the encoders typed values; the reader decodes a column's
+// presence and data streams in one pass straight into Values.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/value.h"
 
 namespace dtl::orc {
 
-// --- integer RLE -------------------------------------------------------------
+// --- encoders -----------------------------------------------------------------
 
-/// Encodes values as groups: control varint c; if c&1 the group is a run of
-/// (c>>1) copies of one zig-zag varint, else (c>>1) literal zig-zag varints.
-void EncodeInt64Stream(const std::vector<int64_t>& values, std::string* dst);
-Status DecodeInt64Stream(Slice input, std::vector<int64_t>* out);
+/// A varint value count, then groups: control varint c; if c&1 the group is a
+/// run of (c>>1) copies of one zig-zag varint, else (c>>1) literal zig-zag
+/// varints.
+void EncodeInt64Stream(std::span<const int64_t> values, std::string* dst);
 
-// --- doubles ------------------------------------------------------------------
+/// A varint value count, then each value's little-endian fixed64 bits.
+void EncodeDoubleStream(std::span<const double> values, std::string* dst);
 
-void EncodeDoubleStream(const std::vector<double>& values, std::string* dst);
-Status DecodeDoubleStream(Slice input, std::vector<double>* out);
+/// A mode byte, then the values dictionary-encoded (mode 1: sorted distinct
+/// keys, then their indexes as an int64 stream) when distinct values are at
+/// most half of the total (ORC's heuristic), direct otherwise (mode 0: count,
+/// then length-prefixed values). Keys sort bytewise, unsigned. Distinct values
+/// are counted in a hash table that stops once they pass half, so a unique
+/// column costs one probe per value before it falls back to direct.
+void EncodeStringStream(std::span<const std::string_view> values, std::string* dst);
 
-// --- strings ------------------------------------------------------------------
+/// A varint value count, then the values packed LSB-first, eight per byte.
+/// Each input byte is one value (0 or 1).
+void EncodeBoolStream(std::span<const uint8_t> values, std::string* dst);
 
-/// Chooses dictionary encoding when distinct values are at most half of the
-/// total (mirrors ORC's dictionary heuristic), direct encoding otherwise.
-void EncodeStringStream(const std::vector<std::string>& values, std::string* dst);
-Status DecodeStringStream(Slice input, std::vector<std::string>* out);
+// --- decoder ------------------------------------------------------------------
 
-// --- booleans / presence bitmaps ----------------------------------------------
-
-void EncodeBoolStream(const std::vector<bool>& values, std::string* dst);
-Status DecodeBoolStream(Slice input, std::vector<bool>* out);
+/// Decodes one column of one stripe in one pass: `presence` is read in place
+/// and `data` straight into `num_rows` Values (nulls included). `num_rows` is
+/// the stripe directory's row count. Every count a stream carries is checked
+/// against it, or against the bytes left, before anything is allocated, so a
+/// malformed stream yields Corruption, never an oversized allocation or an
+/// out-of-bounds read.
+Status DecodeColumn(DataType type, Slice presence, Slice data, uint64_t num_rows,
+                    std::vector<Value>* out);
 
 }  // namespace dtl::orc

@@ -1,31 +1,46 @@
 #include "orc/orc_types.h"
 
-#include "common/bloom.h"
 #include "common/coding.h"
 
 namespace dtl::orc {
 
-void ColumnStats::Update(const Value& v) {
-  ++value_count;
-  if (v.is_null()) {
-    ++null_count;
-    return;
-  }
-  if (!has_min_max) {
-    min = v;
-    max = v;
-    has_min_max = true;
-    return;
-  }
-  if (v.Compare(min) < 0) min = v;
-  if (v.Compare(max) > 0) max = v;
+namespace {
+// Value::EncodeTo tags of the kinds stripe filters are built over.
+constexpr char kInt64Tag = 1;
+constexpr char kStringTag = 3;
+}  // namespace
+
+BloomHash BloomKeyHashInt64(int64_t v) {
+  char buf[1 + kMaxVarint64Bytes];
+  buf[0] = kInt64Tag;
+  const char* end = EncodeVarint64(buf + 1, ZigZagEncode(v));
+  BloomHash hash;
+  hash.Update(buf, static_cast<size_t>(end - buf));
+  return hash;
+}
+
+BloomHash BloomKeyHashString(std::string_view s) {
+  char buf[1 + kMaxVarint64Bytes];
+  buf[0] = kStringTag;
+  const char* end = EncodeVarint64(buf + 1, s.size());
+  BloomHash hash;
+  hash.Update(buf, static_cast<size_t>(end - buf));
+  hash.Update(s.data(), s.size());
+  return hash;
+}
+
+BloomHash BloomKeyHash(const Value& v) {
+  if (v.is_int64()) return BloomKeyHashInt64(v.AsInt64());
+  if (v.is_string()) return BloomKeyHashString(v.AsString());
+  // No filter is built over other kinds; hash their encoding all the same.
+  std::string key;
+  v.EncodeTo(&key);
+  return BloomHash::Of(key);
 }
 
 bool ColumnStats::BloomMayContain(const Value& v) const {
   if (bloom.empty()) return true;
-  std::string key;
-  v.EncodeTo(&key);
-  return BloomFilter::Deserialize(bloom).MayContain(key);
+  return BloomFilter::MayContainSerialized(bloom, BloomKeyHash(v));
 }
 
 void ColumnStats::EncodeTo(std::string* dst) const {
@@ -117,6 +132,8 @@ Status FileFooter::DecodeFrom(Slice input, FileFooter* out) {
   DTL_RETURN_NOT_OK(GetVarint64(&input, &out->num_rows));
   uint64_t num_stripes = 0;
   DTL_RETURN_NOT_OK(GetVarint64(&input, &num_stripes));
+  // Each directory entry takes at least one byte.
+  if (num_stripes > input.size()) return Status::Corruption("stripe count out of range");
   out->stripes.resize(num_stripes);
   for (uint64_t i = 0; i < num_stripes; ++i) {
     DTL_RETURN_NOT_OK(

@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/bloom.h"
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/value.h"
@@ -20,6 +22,12 @@
 namespace dtl::orc {
 
 inline constexpr uint32_t kOrcMagic = 0x31524F44;  // "DOR1" little-endian
+
+/// Bloom hash of the bytes Value::EncodeTo writes for a value, computed
+/// without building them: stripe bloom filters are keyed by those bytes.
+BloomHash BloomKeyHashInt64(int64_t v);
+BloomHash BloomKeyHashString(std::string_view s);
+BloomHash BloomKeyHash(const Value& v);
 
 /// Min/max/null statistics for one column within one stripe; drives
 /// stripe-level predicate pruning. May additionally carry a serialized
@@ -35,11 +43,9 @@ struct ColumnStats {
   /// non-null values; empty = no filter (legacy files, or bloom disabled).
   std::string bloom;
 
-  /// Folds one observed cell into the stats.
-  void Update(const Value& v);
-
   /// Bloom-probe for an equality predicate. True (may match) when no filter
-  /// is present; false only when the filter proves the value absent.
+  /// is present; false only when the filter proves the value absent. Probes
+  /// the serialized filter in place.
   bool BloomMayContain(const Value& v) const;
 
   void EncodeTo(std::string* dst) const;

@@ -62,29 +62,6 @@ Result<std::unique_ptr<OrcReader>> OrcReader::Open(const fs::SimFileSystem* fs,
   return reader;
 }
 
-namespace {
-
-/// Expands a typed data stream plus presence bitmap into Values with nulls.
-template <typename T, typename MakeValue>
-Status Materialize(const std::vector<bool>& presence, const std::vector<T>& data,
-                   MakeValue make, std::vector<Value>* out) {
-  out->clear();
-  out->reserve(presence.size());
-  size_t data_index = 0;
-  for (bool present : presence) {
-    if (present) {
-      if (data_index >= data.size()) return Status::Corruption("presence/data mismatch");
-      out->push_back(make(data[data_index++]));
-    } else {
-      out->push_back(Value::Null());
-    }
-  }
-  if (data_index != data.size()) return Status::Corruption("presence/data mismatch");
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
                                           std::vector<size_t> projection) const {
   if (stripe_index >= footer_.stripes.size()) {
@@ -110,62 +87,29 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
         col_offset[c] + info.streams[c].presence_length + info.streams[c].data_length;
   }
 
+  // One buffer for every projected column's bytes; each column is checked
+  // against its CRC, then decoded in one pass into its Values.
+  std::string raw;
   for (size_t p = 0; p < projection.size(); ++p) {
     const size_t col = projection[p];
     if (col >= num_cols) return Status::OutOfRange("projection ordinal out of range");
     const StreamInfo& streams = info.streams[col];
+    const uint64_t length = streams.presence_length + streams.data_length;
     auto column = std::make_shared<DecodedColumn>();
-    column->encoded_bytes = streams.presence_length + streams.data_length;
-    batch.encoded_bytes += column->encoded_bytes;
-    std::string raw;
-    DTL_RETURN_NOT_OK(file_->ReadAt(info.offset + col_offset[col],
-                                    streams.presence_length + streams.data_length, &raw));
+    column->encoded_bytes = length;
+    batch.encoded_bytes += length;
+    DTL_RETURN_NOT_OK(file_->ReadAt(info.offset + col_offset[col], length, &raw));
+    if (raw.size() != length) {
+      return Status::Corruption("ORC stream runs past the end of " + path_);
+    }
     if (Crc32(raw.data(), raw.size()) != streams.crc) {
       return Status::Corruption("ORC stream checksum mismatch in " + path_);
     }
-    Slice presence_slice(raw.data(), streams.presence_length);
-    Slice data_slice(raw.data() + streams.presence_length, streams.data_length);
-
-    std::vector<bool> presence;
-    DTL_RETURN_NOT_OK(DecodeBoolStream(presence_slice, &presence));
-    if (presence.size() != info.num_rows) {
-      return Status::Corruption("presence bitmap row-count mismatch");
-    }
-
-    std::vector<Value>* out = &column->values;
-    switch (footer_.schema.field(col).type) {
-      case DataType::kInt64:
-      case DataType::kDate: {
-        std::vector<int64_t> data;
-        DTL_RETURN_NOT_OK(DecodeInt64Stream(data_slice, &data));
-        DTL_RETURN_NOT_OK(
-            Materialize(presence, data, [](int64_t v) { return Value::Int64(v); }, out));
-        break;
-      }
-      case DataType::kDouble: {
-        std::vector<double> data;
-        DTL_RETURN_NOT_OK(DecodeDoubleStream(data_slice, &data));
-        DTL_RETURN_NOT_OK(
-            Materialize(presence, data, [](double v) { return Value::Double(v); }, out));
-        break;
-      }
-      case DataType::kString: {
-        std::vector<std::string> data;
-        DTL_RETURN_NOT_OK(DecodeStringStream(data_slice, &data));
-        DTL_RETURN_NOT_OK(Materialize(
-            presence, data, [](const std::string& v) { return Value::String(v); }, out));
-        break;
-      }
-      case DataType::kBool: {
-        std::vector<bool> data;
-        DTL_RETURN_NOT_OK(DecodeBoolStream(data_slice, &data));
-        DTL_RETURN_NOT_OK(
-            Materialize(presence, data, [](bool v) { return Value::Bool(v); }, out));
-        break;
-      }
-      case DataType::kNull:
-        return Status::Corruption("column with null type in footer");
-    }
+    DTL_RETURN_NOT_OK(DecodeColumn(footer_.schema.field(col).type,
+                                   Slice(raw.data(), streams.presence_length),
+                                   Slice(raw.data() + streams.presence_length,
+                                         streams.data_length),
+                                   info.num_rows, &column->values));
     batch.columns.push_back(std::move(column));
   }
   return batch;

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/schema.h"
@@ -34,7 +35,8 @@ class OrcWriter {
                                                    const Schema& schema, uint64_t file_id,
                                                    WriterOptions options = WriterOptions());
 
-  /// Appends one row; must match the schema arity.
+  /// Appends one row; must match the schema arity, and each non-null cell
+  /// the kind of its column's type.
   Status Append(const Row& row);
 
   /// Appends a whole stripe verbatim from another file with the same schema:
@@ -54,13 +56,39 @@ class OrcWriter {
   OrcWriter(std::unique_ptr<fs::WritableFile> file, Schema schema, uint64_t file_id,
             WriterOptions options);
 
+  /// One column of the pending stripe, buffered by type: the vector that
+  /// matches the column's type holds its non-null values in row order, and
+  /// min/max are kept on those typed values as they arrive.
+  struct ColumnBuffer {
+    std::vector<uint8_t> present;  // one 0/1 byte per row
+    std::vector<int64_t> ints;     // int64 and date
+    std::vector<double> doubles;
+    std::vector<uint8_t> bools;
+    std::string chars;          // string values back to back
+    std::vector<size_t> ends;   // end offset of each string in `chars`
+    // Index of the minimum and maximum non-null value in the typed vector;
+    // ties keep the first one seen.
+    size_t min = 0;
+    size_t max = 0;
+
+    size_t non_null() const;
+    std::string_view string_at(size_t i) const {
+      const size_t begin = i == 0 ? 0 : ends[i - 1];
+      return std::string_view(chars.data() + begin, ends[i] - begin);
+    }
+    void Clear();
+  };
+
   Status FlushStripe();
+  Status EncodeColumn(size_t col, std::string* stripe_bytes, StreamInfo* streams,
+                      ColumnStats* stats);
 
   std::unique_ptr<fs::WritableFile> file_;
   Schema schema_;
   WriterOptions options_;
   FileFooter footer_;
-  std::vector<Row> pending_;  // row-major buffer for the current stripe
+  std::vector<ColumnBuffer> columns_;  // the current stripe, column-major
+  uint64_t pending_rows_ = 0;
   uint64_t rows_written_ = 0;
   uint64_t file_offset_ = 0;
   bool closed_ = false;

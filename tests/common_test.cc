@@ -103,6 +103,40 @@ TEST(CodingTest, LengthPrefixedRoundTrip) {
 TEST(CodingTest, Crc32KnownProperties) {
   EXPECT_EQ(Crc32("", 0), Crc32("", 0));
   EXPECT_NE(Crc32("abc", 3), Crc32("abd", 3));
+
+  // Standard CRC-32C check values (RFC 3720 appendix B.4 and "123456789").
+  std::string zeros(32, '\0');
+  std::string ones(32, '\xff');
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(Crc32("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(Crc32(ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(Crc32(ascending.data(), ascending.size()), 0x46DD794Eu);
+  EXPECT_EQ(Crc32(descending.data(), descending.size()), 0x113FDB5Cu);
+  EXPECT_EQ(Crc32Table("123456789", 9), 0xE3069283u);
+
+  // The hardware and table paths agree at every length and alignment that
+  // exercises their word loops and byte tails.
+  Random rng(32);
+  std::string buf(64 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint32_t table = Crc32Table(buf.data() + offset, len);
+      EXPECT_EQ(Crc32(buf.data() + offset, len), table) << offset << "+" << len;
+      if (Crc32HardwareAvailable()) {
+        EXPECT_EQ(Crc32Hardware(buf.data() + offset, len), table) << offset << "+" << len;
+      }
+    }
+  }
+  if (!Crc32HardwareAvailable()) {
+    GTEST_LOG_(INFO) << "no SSE4.2: hardware CRC path skipped";
+  }
 }
 
 TEST(BloomTest, NoFalseNegatives) {
