@@ -89,27 +89,17 @@ uint64_t DecodeBigEndian64(const char* p) {
 
 namespace {
 
-// Slice-by-8 tables for CRC-32C (reflected polynomial 0x82F63B78): row 0 is
-// the bytewise table, row k advances a byte k positions further.
-struct CrcTables {
-  std::array<std::array<uint32_t, 256>, 8> t{};
-  CrcTables() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int j = 0; j < 8; ++j) crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
-      t[0][i] = crc;
+// CRC-32C (Castagnoli), reflected polynomial 0x82F63B78.
+std::array<uint32_t, 256> MakeCrcTable() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int j = 0; j < 8; ++j) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
     }
-    for (uint32_t i = 0; i < 256; ++i) {
-      for (size_t k = 1; k < 8; ++k) {
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
-      }
-    }
+    table[i] = crc;
   }
-};
-
-const CrcTables& Tables() {
-  static const CrcTables kTables;
-  return kTables;
+  return table;
 }
 
 #if defined(__x86_64__)
@@ -130,15 +120,12 @@ __attribute__((target("sse4.2"))) uint32_t Crc32Sse42(const char* data, size_t n
 }  // namespace
 
 uint32_t Crc32Table(const char* data, size_t n) {
-  const auto& t = Tables().t;
+  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
   uint32_t crc = 0xFFFFFFFFu;
   const auto* p = reinterpret_cast<const unsigned char*>(data);
-  for (; n >= 8; n -= 8, p += 8) {
-    const uint32_t lo = crc ^ DecodeFixed32(reinterpret_cast<const char*>(p));
-    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
-          t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  for (size_t i = 0; i < n; ++i) {
+    crc = kTable[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
-  for (; n > 0; --n) crc = t[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -86,7 +86,7 @@ uint64_t DecodeBigEndian64(const char* p);
 // --- CRC-32C (Castagnoli) -----------------------------------------------------
 
 /// CRC-32C of n bytes. Uses the SSE4.2 crc32 instruction when the CPU has it
-/// (checked once at run time; no build flag), slice-by-8 tables otherwise.
+/// (checked once at run time; no build flag), a bytewise table otherwise.
 /// Both give the same value.
 uint32_t Crc32(const char* data, size_t n);
 inline uint32_t Crc32(const Slice& s) { return Crc32(s.data(), s.size()); }

@@ -93,15 +93,29 @@ std::string Value::ToString() const {
   return "?";
 }
 
+char* Value::EncodeInt64(int64_t v, char* dst) {
+  *dst++ = 1;  // tag: the variant index
+  return EncodeVarint64(dst, ZigZagEncode(v));
+}
+
+char* Value::EncodeStringHeader(size_t size, char* dst) {
+  *dst++ = 3;  // tag: the variant index
+  return EncodeVarint64(dst, size);
+}
+
 void Value::EncodeTo(std::string* dst) const {
-  dst->push_back(static_cast<char>(rep_.index()));
+  static_assert(std::is_same_v<std::variant_alternative_t<1, Rep>, int64_t> &&
+                std::is_same_v<std::variant_alternative_t<3, Rep>, std::string>);
+  char buf[kMaxEncodedHeaderBytes];
   switch (rep_.index()) {
     case 0:
+      dst->push_back(0);
       break;
     case 1:
-      PutVarint64(dst, ZigZagEncode(AsInt64()));
+      dst->append(buf, static_cast<size_t>(EncodeInt64(AsInt64(), buf) - buf));
       break;
     case 2: {
+      dst->push_back(2);
       uint64_t bits;
       double d = AsDouble();
       static_assert(sizeof(bits) == sizeof(d));
@@ -110,9 +124,11 @@ void Value::EncodeTo(std::string* dst) const {
       break;
     }
     case 3:
-      PutLengthPrefixed(dst, Slice(AsString()));
+      dst->append(buf, static_cast<size_t>(EncodeStringHeader(AsString().size(), buf) - buf));
+      dst->append(AsString());
       break;
     case 4:
+      dst->push_back(4);
       dst->push_back(AsBool() ? 1 : 0);
       break;
   }

@@ -73,6 +73,17 @@ class Value {
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice* input, Value* out);
 
+  /// Room for a tag byte and one varint: the whole EncodeTo form of an int64,
+  /// and the part of a string's that precedes its bytes.
+  static constexpr size_t kMaxEncodedHeaderBytes = 11;
+
+  /// EncodeTo's bytes for Int64(v), and for String(s) the tag and length that
+  /// precede s, written at dst; each returns the byte past what it wrote.
+  /// Callers keyed by encoded bytes (stripe bloom filters) hash typed values
+  /// through these without building a Value; EncodeTo writes through them.
+  static char* EncodeInt64(int64_t v, char* dst);
+  static char* EncodeStringHeader(size_t size, char* dst);
+
   /// Approximate in-memory size in bytes, for cost accounting.
   size_t ByteSize() const;
 

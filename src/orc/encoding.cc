@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <numeric>
+#include <unordered_map>
 
 #include "common/coding.h"
 
@@ -12,26 +12,6 @@ namespace dtl::orc {
 namespace {
 
 constexpr size_t kMaxGroup = 0x7FFFFFFF;  // control fits a varint32 comfortably
-
-/// Appends varints to a string through a stack buffer, so a stream of small
-/// values costs one append per few hundred bytes instead of one per value.
-class VarintSink {
- public:
-  explicit VarintSink(std::string* dst) : dst_(dst) {}
-  void Put(uint64_t v) {
-    if (pos_ > buf_ + sizeof(buf_) - kMaxVarint64Bytes) Flush();
-    pos_ = EncodeVarint64(pos_, v);
-  }
-  void Flush() {
-    dst_->append(buf_, static_cast<size_t>(pos_ - buf_));
-    pos_ = buf_;
-  }
-
- private:
-  std::string* dst_;
-  char buf_[512];
-  char* pos_ = buf_;
-};
 
 void EncodeStringDirect(std::span<const std::string_view> values, std::string* dst) {
   size_t bytes = 0;
@@ -42,48 +22,10 @@ void EncodeStringDirect(std::span<const std::string_view> values, std::string* d
   for (std::string_view v : values) PutLengthPrefixed(dst, Slice(v.data(), v.size()));
 }
 
-/// Assigns each value the id of its first occurrence, in first-seen order.
-/// Returns false as soon as more than `limit` distinct values are seen.
-bool AssignFirstSeenIds(std::span<const std::string_view> values, size_t limit,
-                        std::vector<std::string_view>* distinct,
-                        std::vector<uint32_t>* ids) {
-  // Open addressing at load <= 1/2; a slot holds id + 1 (0 = empty).
-  const size_t capacity = std::bit_ceil(2 * limit + 2);
-  const size_t mask = capacity - 1;
-  std::vector<uint32_t> slots(capacity, 0);
-  std::vector<size_t> hashes;
-  hashes.reserve(limit);
-  distinct->reserve(limit);
-  ids->resize(values.size());
-  const std::hash<std::string_view> hasher;
-  for (size_t i = 0; i < values.size(); ++i) {
-    const std::string_view v = values[i];
-    const size_t h = hasher(v);
-    for (size_t slot = h & mask;; slot = (slot + 1) & mask) {
-      const uint32_t entry = slots[slot];
-      if (entry == 0) {
-        if (distinct->size() == limit) return false;
-        const auto id = static_cast<uint32_t>(distinct->size());
-        slots[slot] = id + 1;
-        distinct->push_back(v);
-        hashes.push_back(h);
-        (*ids)[i] = id;
-        break;
-      }
-      if (hashes[entry - 1] == h && (*distinct)[entry - 1] == v) {
-        (*ids)[i] = entry - 1;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 void EncodeInt64Stream(std::span<const int64_t> values, std::string* dst) {
-  VarintSink out(dst);
-  out.Put(values.size());
+  PutVarint64(dst, values.size());
   size_t i = 0;
   const size_t n = values.size();
   while (i < n) {
@@ -91,8 +33,8 @@ void EncodeInt64Stream(std::span<const int64_t> values, std::string* dst) {
     size_t run = 1;
     while (i + run < n && values[i + run] == values[i] && run < kMaxGroup) ++run;
     if (run >= 3) {
-      out.Put((static_cast<uint64_t>(run) << 1) | 1);
-      out.Put(ZigZagEncode(values[i]));
+      PutVarint64(dst, (static_cast<uint64_t>(run) << 1) | 1);
+      PutVarint64(dst, ZigZagEncode(values[i]));
       i += run;
       continue;
     }
@@ -109,10 +51,9 @@ void EncodeInt64Stream(std::span<const int64_t> values, std::string* dst) {
       count = 1;
       i = start + 1;
     }
-    out.Put(static_cast<uint64_t>(count) << 1);
-    for (size_t j = start; j < start + count; ++j) out.Put(ZigZagEncode(values[j]));
+    PutVarint64(dst, static_cast<uint64_t>(count) << 1);
+    for (size_t j = start; j < start + count; ++j) PutVarint64(dst, ZigZagEncode(values[j]));
   }
-  out.Flush();
 }
 
 void EncodeDoubleStream(std::span<const double> values, std::string* dst) {
@@ -126,12 +67,28 @@ void EncodeDoubleStream(std::span<const double> values, std::string* dst) {
 }
 
 void EncodeStringStream(std::span<const std::string_view> values, std::string* dst) {
-  // Dictionary mode needs distinct <= n/2; count them until they pass it.
-  std::vector<std::string_view> distinct;
-  std::vector<uint32_t> ids;
-  if (values.empty() || !AssignFirstSeenIds(values, values.size() / 2, &distinct, &ids)) {
+  if (values.empty()) {
     EncodeStringDirect(values, dst);
     return;
+  }
+  // Dictionary mode needs distinct <= n/2; count them until they pass it,
+  // giving each value the id of its first occurrence.
+  const size_t limit = values.size() / 2;
+  std::unordered_map<std::string_view, uint32_t> first_seen;
+  first_seen.reserve(limit);
+  std::vector<std::string_view> distinct;
+  std::vector<uint32_t> ids(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const auto [it, inserted] =
+        first_seen.try_emplace(values[i], static_cast<uint32_t>(distinct.size()));
+    if (inserted) {
+      if (distinct.size() == limit) {
+        EncodeStringDirect(values, dst);
+        return;
+      }
+      distinct.push_back(values[i]);
+    }
+    ids[i] = it->second;
   }
   // Dictionary ids follow sorted key order (bytewise, unsigned).
   std::vector<uint32_t> order(distinct.size());

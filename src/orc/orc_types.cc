@@ -4,27 +4,17 @@
 
 namespace dtl::orc {
 
-namespace {
-// Value::EncodeTo tags of the kinds stripe filters are built over.
-constexpr char kInt64Tag = 1;
-constexpr char kStringTag = 3;
-}  // namespace
-
 BloomHash BloomKeyHashInt64(int64_t v) {
-  char buf[1 + kMaxVarint64Bytes];
-  buf[0] = kInt64Tag;
-  const char* end = EncodeVarint64(buf + 1, ZigZagEncode(v));
+  char buf[Value::kMaxEncodedHeaderBytes];
   BloomHash hash;
-  hash.Update(buf, static_cast<size_t>(end - buf));
+  hash.Update(buf, static_cast<size_t>(Value::EncodeInt64(v, buf) - buf));
   return hash;
 }
 
 BloomHash BloomKeyHashString(std::string_view s) {
-  char buf[1 + kMaxVarint64Bytes];
-  buf[0] = kStringTag;
-  const char* end = EncodeVarint64(buf + 1, s.size());
+  char buf[Value::kMaxEncodedHeaderBytes];
   BloomHash hash;
-  hash.Update(buf, static_cast<size_t>(end - buf));
+  hash.Update(buf, static_cast<size_t>(Value::EncodeStringHeader(s.size(), buf) - buf));
   hash.Update(s.data(), s.size());
   return hash;
 }

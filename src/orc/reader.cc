@@ -35,7 +35,7 @@ Result<std::unique_ptr<OrcReader>> OrcReader::Open(const fs::SimFileSystem* fs,
   const uint32_t footer_len = DecodeFixed32(tail.data() + 4);
   const uint32_t magic = DecodeFixed32(tail.data() + 8);
   if (magic != kOrcMagic) return Status::Corruption("bad ORC magic in " + path);
-  if (footer_len + 12 > size) return Status::Corruption("bad ORC footer length");
+  if (uint64_t{footer_len} + 12 > size) return Status::Corruption("bad ORC footer length");
 
   std::string footer_bytes;
   DTL_RETURN_NOT_OK(file->ReadAt(size - 12 - footer_len, footer_len, &footer_bytes));
@@ -56,6 +56,27 @@ Result<std::unique_ptr<OrcReader>> OrcReader::Open(const fs::SimFileSystem* fs,
   }
   if (expected_first != footer.num_rows) {
     return Status::Corruption("stripe row counts disagree with footer num_rows: " + path);
+  }
+  // Each stripe lies inside the bytes before the footer, and its streams add
+  // up to its length without wrapping, so every stream offset and length the
+  // stripe reads derive below stays inside the bytes they read.
+  const uint64_t body_size = size - 12 - footer_len;
+  for (const StripeInfo& s : footer.stripes) {
+    if (s.offset > body_size || s.length > body_size - s.offset) {
+      return Status::Corruption("stripe lies outside the file body: " + path);
+    }
+    uint64_t total = 0;
+    for (const StreamInfo& streams : s.streams) {
+      if (streams.presence_length > s.length - total ||
+          streams.data_length > s.length - total - streams.presence_length) {
+        return Status::Corruption("stripe stream lengths overflow the stripe in " + path);
+      }
+      total += streams.presence_length + streams.data_length;
+    }
+    if (total != s.length) {
+      return Status::Corruption("stripe stream lengths disagree with stripe length in " +
+                                path);
+    }
   }
   auto reader = std::unique_ptr<OrcReader>(new OrcReader(std::move(file), std::move(footer)));
   reader->path_ = path;
@@ -99,9 +120,7 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
     column->encoded_bytes = length;
     batch.encoded_bytes += length;
     DTL_RETURN_NOT_OK(file_->ReadAt(info.offset + col_offset[col], length, &raw));
-    if (raw.size() != length) {
-      return Status::Corruption("ORC stream runs past the end of " + path_);
-    }
+    if (raw.size() != length) return Status::Corruption("short ORC stream read in " + path_);
     if (Crc32(raw.data(), raw.size()) != streams.crc) {
       return Status::Corruption("ORC stream checksum mismatch in " + path_);
     }
@@ -123,24 +142,19 @@ Result<std::string> OrcReader::ReadRawStripe(size_t stripe_index) const {
   const size_t num_cols = footer_.schema.num_fields();
   std::string raw;
   DTL_RETURN_NOT_OK(file_->ReadAt(info.offset, info.length, &raw));
+  if (raw.size() != info.length) return Status::Corruption("short ORC stripe read in " + path_);
   // Verify every column stream before handing the bytes out: the raw-copy
   // path re-publishes them into a new file under the SAME footer CRCs, so a
-  // flipped bit here must surface now, not in some later scan.
+  // flipped bit here must surface now, not in some later scan. Open checked
+  // that the stream lengths add up to the stripe length.
   uint64_t col_offset = 0;
   for (size_t c = 0; c < num_cols; ++c) {
     const StreamInfo& streams = info.streams[c];
     const uint64_t len = streams.presence_length + streams.data_length;
-    if (col_offset + len > raw.size()) {
-      return Status::Corruption("stripe stream lengths overflow stripe in " + path_);
-    }
     if (Crc32(raw.data() + col_offset, len) != streams.crc) {
       return Status::Corruption("ORC stream checksum mismatch in " + path_);
     }
     col_offset += len;
-  }
-  if (col_offset != raw.size()) {
-    return Status::Corruption("stripe stream lengths disagree with stripe length in " +
-                              path_);
   }
   return raw;
 }

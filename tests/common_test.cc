@@ -121,7 +121,7 @@ TEST(CodingTest, Crc32KnownProperties) {
   EXPECT_EQ(Crc32Table("123456789", 9), 0xE3069283u);
 
   // The hardware and table paths agree at every length and alignment that
-  // exercises their word loops and byte tails.
+  // exercises the hardware path's word loop and byte tail.
   Random rng(32);
   std::string buf(64 + 8, '\0');
   for (char& c : buf) c = static_cast<char>(rng.Next());
@@ -247,6 +247,22 @@ TEST(ValueTest, EncodeDecodeAllKinds) {
     EXPECT_EQ(decoded.Compare(v), 0);
     EXPECT_EQ(decoded.is_null(), v.is_null());
     EXPECT_TRUE(in.empty());
+  }
+}
+
+TEST(ValueTest, EncodedHeadersMatchEncodeTo) {
+  // Bloom keys hash these pieces in place of EncodeTo's bytes.
+  char buf[Value::kMaxEncodedHeaderBytes];
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{63}, int64_t{-64}, int64_t{1} << 40,
+                    INT64_MIN, INT64_MAX}) {
+    std::string encoded;
+    Value::Int64(v).EncodeTo(&encoded);
+    EXPECT_EQ(std::string(buf, Value::EncodeInt64(v, buf)), encoded) << v;
+  }
+  for (const std::string& s : {std::string(), std::string("a\0b", 3), std::string(200, 'x')}) {
+    std::string encoded;
+    Value::String(s).EncodeTo(&encoded);
+    EXPECT_EQ(std::string(buf, Value::EncodeStringHeader(s.size(), buf)) + s, encoded);
   }
 }
 

@@ -7,6 +7,8 @@
 // check on the decode paths.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/coding.h"
 #include "common/random.h"
 #include "fs/filesystem.h"
@@ -427,6 +429,60 @@ TEST(OrcStreamMutationTest, CrcValidOversizedFooterCountsAreCorruption) {
     auto reader = orc::OrcReader::Open(&fs, "/footer.orc");
     EXPECT_TRUE(reader.status().IsCorruption()) << target << ": "
                                                 << reader.status().ToString();
+  }
+
+  // A footer whose stream lengths wrap past 2^64 still sums to the bytes a
+  // stripe read fetches, so those bytes pass their CRC; it must be refused
+  // at Open, before any stream is sliced by those lengths. So must a stripe
+  // that lies past the footer or whose streams do not fill it.
+  fs::SimFileSystem fs;
+  ASSERT_TRUE(fs.CreateDir("/orc").ok());
+  Schema schema({{"id", DataType::kInt64}, {"name", DataType::kString}});
+  auto writer = orc::OrcWriter::Create(&fs, kPath, schema, 1);
+  ASSERT_TRUE(writer.ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE((*writer)->Append({Value::Int64(i), Value::String("v")}).ok());
+  }
+  ASSERT_TRUE((*writer)->Close().ok());
+  auto reader = orc::OrcReader::Open(&fs, kPath);
+  ASSERT_TRUE(reader.ok());
+  const orc::FileFooter footer = (*reader)->footer();
+  auto body = (*reader)->ReadRawStripe(0);
+  ASSERT_TRUE(body.ok());
+  ASSERT_EQ(footer.stripes[0].offset, 0u);
+
+  const uint64_t kWrap = uint64_t{1} << 63;
+  const std::vector<std::function<void(orc::StripeInfo*)>> crafts = {
+      [](orc::StripeInfo* s) {  // presence 2^64-10, data +10: sum unchanged
+        orc::StreamInfo& st = s->streams[0];
+        st.data_length += st.presence_length + 10;
+        st.presence_length = ~uint64_t{0} - 9;
+      },
+      [kWrap](orc::StripeInfo* s) {  // column offsets wrap, total unchanged
+        s->streams[0].data_length += kWrap;
+        s->streams[1].presence_length += kWrap;
+      },
+      [](orc::StripeInfo* s) { s->offset = ~uint64_t{0} - 4; },
+      [](orc::StripeInfo* s) { s->length += 1; },
+  };
+  for (size_t i = 0; i < crafts.size(); ++i) {
+    orc::FileFooter crafted = footer;
+    crafts[i](&crafted.stripes[0]);
+    std::string bytes = *body;
+    std::string footer_bytes;
+    crafted.EncodeTo(&footer_bytes);
+    bytes += footer_bytes;
+    PutFixed32(&bytes, Crc32(footer_bytes.data(), footer_bytes.size()));
+    PutFixed32(&bytes, static_cast<uint32_t>(footer_bytes.size()));
+    PutFixed32(&bytes, orc::kOrcMagic);
+    const std::string path = "/orc/wrapped" + std::to_string(i) + ".orc";
+    auto out = fs.NewWritableFile(path);
+    ASSERT_TRUE(out.ok());
+    ASSERT_TRUE((*out)->Append(bytes).ok());
+    ASSERT_TRUE((*out)->Close().ok());
+    auto crafted_reader = orc::OrcReader::Open(&fs, path);
+    EXPECT_TRUE(crafted_reader.status().IsCorruption())
+        << i << ": " << crafted_reader.status().ToString();
   }
 }
 
