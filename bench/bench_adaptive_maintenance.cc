@@ -144,7 +144,6 @@ std::vector<RoundEntry> RunMode(const std::string& mode, int64_t rows_per_file,
   dtl::dual::DualTableOptions options = (*session)->options().dual_defaults;
   options.plan_mode = dtl::dual::DualTableOptions::PlanMode::kForceEdit;
   options.writer_options.stripe_rows = 512;
-  options.rewrite_file_rows = static_cast<uint64_t>(rows_per_file);
   options.compact_threshold = 1.0;  // keep the bytes fallback out of the way
   options.incremental_density_override = kDensityBar;
   options.adaptive_maintenance = mode == "adaptive";

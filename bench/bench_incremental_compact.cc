@@ -5,8 +5,8 @@
 //   * none:        deltas pile up in the attached table forever;
 //   * full:        threshold-triggered full COMPACT (the paper's off-line
 //                  rewrite) — read-after-update cost saw-tooths: it climbs
-//                  while debt accumulates, then resets when the whole table
-//                  is rewritten at once;
+//                  while debt accumulates, then resets when every file
+//                  holding a delta is folded at once;
 //   * incremental: per-stripe incremental COMPACT every round — only the
 //                  dense file folds (clean stripes are raw-copied), so the
 //                  read cost stays flat and the rewrite work per round is a
@@ -125,8 +125,6 @@ std::vector<RoundEntry> RunMaintenanceMode(const std::string& mode,
   dtl::dual::DualTableOptions options = (*session)->options().dual_defaults;
   options.plan_mode = dtl::dual::DualTableOptions::PlanMode::kForceEdit;
   options.writer_options.stripe_rows = 512;
-  // Full COMPACT keeps the 8-file layout so its rounds stay comparable.
-  options.rewrite_file_rows = static_cast<uint64_t>(rows_per_file);
   // Let debt build across a few rounds before the full rewrite triggers —
   // that accumulation/reset cycle IS the saw-tooth this bench plots.
   options.compact_threshold = 1.0;
@@ -158,9 +156,10 @@ std::vector<RoundEntry> RunMaintenanceMode(const std::string& mode,
     (*session)->MarkIo();
     if (mode == "full") {
       if (table->NeedsCompaction()) {
-        if (!table->Compact().ok()) Die("compact");
-        entry.rows_rewritten = total_rows;
-        entry.compacted = true;
+        auto stats = table->Compact();
+        if (!stats.ok()) Die("compact: " + stats.status().ToString());
+        entry.rows_rewritten = stats->rows_rewritten;
+        entry.compacted = stats->files_selected > 0;
       }
     } else if (mode == "incremental") {
       auto stats = table->CompactIncremental();

@@ -48,9 +48,8 @@ Enforced invariants (see DESIGN.md §7):
   9. cached-reads     In the same MVCC layers, stripes are read through the
                       shared StripeCache (OrcReader::ReadStripeShared, with
                       CacheFill::kNoAdmit where the output replaces the
-                      file): no uncached OrcReader::ReadStripe( call. Exempt:
-                      master_table.cc (the baselines' MasterScanIterator)
-                      and DualTable::IndexStagedFiles, which reads staged
+                      file): no uncached OrcReader::ReadStripe( call.
+                      Exempt: DualTable::IndexStagedFiles, which reads staged
                       files that belong to no generation.
 
 Usage:  scripts/lint.py [paths...]      (defaults to src/ tests/ bench/ examples/)
@@ -130,14 +129,13 @@ LATEST_SCANNER_RE = re.compile(r"\b(NewScanner|NewCellScanner|NewRowScanner)\s*\
 # generation (the generation-less overloads pin CurrentGeneration() per call,
 # which tears under a racing COMPACT).
 MASTER_SCAN_RE = re.compile(
-    r"\b(NewScanIterator|NewBatchScanIterator|PlanMorsels|"
+    r"\b(NewBatchScanIterator|PlanMorsels|"
     r"NewMorselBatchScanIterator)\s*\(")
 PINNED_ARG_RE = re.compile(r"gen|snapshot", re.I)
 
 # Rule 9: one cached read path. ReadStripeShared and ReadRawStripe do not
 # match (the name must be followed by the call parenthesis).
 UNCACHED_READ_RE = re.compile(r"\bReadStripe\s*\(")
-UNCACHED_READ_EXEMPT_FILES = {"src/dualtable/master_table.cc"}
 UNCACHED_READ_EXEMPT_FUNCTIONS = {"DualTable::IndexStagedFiles"}
 # A function definition starts at column 0: `Type Class::Name(`.
 FUNCTION_DEF_RE = re.compile(r"^[A-Za-z_].*?\b(\w+::\w+)\s*\(")
@@ -418,7 +416,7 @@ def check_file(path: Path, findings):
                                      "COMPACT cannot tear the scan"))
 
     # Rule 9: in the MVCC layers, stripes come through the shared cache.
-    if rp.startswith(SNAPSHOT_GUARDED_DIRS) and rp not in UNCACHED_READ_EXEMPT_FILES:
+    if rp.startswith(SNAPSHOT_GUARDED_DIRS):
         function = None
         for i, line in enumerate(lines, 1):
             m = FUNCTION_DEF_RE.match(line)

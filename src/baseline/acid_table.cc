@@ -16,8 +16,8 @@ constexpr int64_t kOpDelete = 1;
 /// Merge-on-read iterator: base scan + preloaded delta map overlay.
 class AcidRowIterator : public table::RowIterator {
  public:
-  AcidRowIterator(std::unique_ptr<dual::MasterScanIterator> base,
-                  AcidTable::DeltaMap deltas, table::ScanSpec spec)
+  AcidRowIterator(std::unique_ptr<table::RowIterator> base, AcidTable::DeltaMap deltas,
+                  table::ScanSpec spec)
       : base_(std::move(base)), deltas_(std::move(deltas)), spec_(std::move(spec)) {}
 
   bool Next() override {
@@ -44,7 +44,7 @@ class AcidRowIterator : public table::RowIterator {
   const Status& status() const override { return status_; }
 
  private:
-  std::unique_ptr<dual::MasterScanIterator> base_;
+  std::unique_ptr<table::RowIterator> base_;
   AcidTable::DeltaMap deltas_;
   table::ScanSpec spec_;
   Row row_;
@@ -111,23 +111,31 @@ Result<AcidTable::DeltaMap> AcidTable::LoadDeltas() const {
     DTL_ASSIGN_OR_RETURN(auto reader, orc::OrcReader::Open(fs_, path));
     // Full sequential read of the delta file — the cost Hive ACID pays that
     // DualTable's random-access attached table avoids.
-    orc::OrcRowIterator it(reader.get(), {});
-    while (it.Next()) {
-      const Row& raw = it.row();
-      if (raw.size() < 2 || raw[0].is_null() || raw[1].is_null()) {
-        return Status::Corruption("malformed delta row in " + path);
+    for (size_t s = 0; s < reader->num_stripes(); ++s) {
+      DTL_ASSIGN_OR_RETURN(orc::StripeBatch batch, reader->ReadStripe(s));
+      if (batch.columns.size() < 2) {
+        return Status::Corruption("malformed delta schema in " + path);
       }
-      DeltaEntry entry;
-      entry.txn = txn_index;
-      entry.deleted = raw[0].AsInt64() == kOpDelete;
-      const uint64_t record_id = static_cast<uint64_t>(raw[1].AsInt64());
-      if (!entry.deleted) entry.row.assign(raw.begin() + 2, raw.end());
-      auto existing = map.find(record_id);
-      if (existing == map.end() || existing->second.txn <= entry.txn) {
-        map[record_id] = std::move(entry);  // latest transaction wins
+      for (size_t i = 0; i < batch.num_rows; ++i) {
+        const Value& op = batch.at(0, i);
+        const Value& rid = batch.at(1, i);
+        if (op.is_null() || rid.is_null()) {
+          return Status::Corruption("malformed delta row in " + path);
+        }
+        DeltaEntry entry;
+        entry.txn = txn_index;
+        entry.deleted = op.AsInt64() == kOpDelete;
+        const uint64_t record_id = static_cast<uint64_t>(rid.AsInt64());
+        if (!entry.deleted) {
+          entry.row.reserve(batch.columns.size() - 2);
+          for (size_t c = 2; c < batch.columns.size(); ++c) entry.row.push_back(batch.at(c, i));
+        }
+        auto existing = map.find(record_id);
+        if (existing == map.end() || existing->second.txn <= entry.txn) {
+          map[record_id] = std::move(entry);  // latest transaction wins
+        }
       }
     }
-    DTL_RETURN_NOT_OK(it.status());
   }
   return map;
 }
@@ -141,10 +149,14 @@ Result<std::unique_ptr<table::RowIterator>> AcidTable::Scan(const table::ScanSpe
     base_spec.projection.clear();
     base_spec.bounds.clear();
   }
-  DTL_ASSIGN_OR_RETURN(auto base_it,
-                       base_->NewScanIterator(base_spec, /*apply_predicate=*/false));
+  // Nothing admits ACID's base columns to the stripe cache, so every scan
+  // decodes what it reads, as a merge-on-read over plain files does.
+  DTL_ASSIGN_OR_RETURN(auto base_it, base_->NewBatchScanIterator(
+                                         base_spec, /*apply_predicate=*/false,
+                                         table::kDefaultBatchRows, orc::CacheFill::kNoAdmit));
+  auto base_rows = std::make_unique<table::BatchToRowAdapter>(std::move(base_it), spec.meter);
   return std::unique_ptr<table::RowIterator>(
-      new AcidRowIterator(std::move(base_it), std::move(deltas), spec));
+      new AcidRowIterator(std::move(base_rows), std::move(deltas), spec));
 }
 
 Status AcidTable::InsertRows(const std::vector<Row>& rows) {
@@ -156,18 +168,11 @@ Status AcidTable::InsertRows(const std::vector<Row>& rows) {
 }
 
 Status AcidTable::OverwriteRows(const std::vector<Row>& rows) {
-  std::vector<dual::MasterFileInfo> new_files;
-  if (!rows.empty()) {
-    DTL_ASSIGN_OR_RETURN(auto writer, base_->NewFileWriter());
-    for (const Row& row : rows) DTL_RETURN_NOT_OK(writer->Append(row));
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files.push_back(std::move(info));
-  }
-  DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(new_files)));
-  std::vector<std::string> old = std::move(delta_files_);
-  delta_files_.clear();
-  for (const std::string& path : old) DTL_RETURN_NOT_OK(fs_->Delete(path));
-  return Status::OK();
+  dual::StagedFileWriter out(base_.get(), options_.rewrite_file_rows);
+  for (const Row& row : rows) DTL_RETURN_NOT_OK(out.Append(row));
+  DTL_ASSIGN_OR_RETURN(std::vector<dual::MasterFileInfo> files, out.Finish());
+  DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(files)));
+  return DropDeltaFiles();
 }
 
 Status AcidTable::WriteDeltaFile(uint64_t txn, const std::vector<Row>& delta_rows) {
@@ -267,26 +272,15 @@ Status AcidTable::MajorCompact() {
   if (delta_files_.empty()) return Status::OK();
   table::ScanSpec all;
   DTL_ASSIGN_OR_RETURN(auto it, Scan(all));
-
-  std::vector<dual::MasterFileInfo> new_files;
-  std::unique_ptr<dual::MasterFileWriter> writer;
-  while (it->Next()) {
-    if (writer == nullptr) {
-      DTL_ASSIGN_OR_RETURN(writer, base_->NewFileWriter());
-    }
-    DTL_RETURN_NOT_OK(writer->Append(it->row()));
-    if (writer->rows_written() >= options_.rewrite_file_rows) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-      writer.reset();
-    }
-  }
+  dual::StagedFileWriter out(base_.get(), options_.rewrite_file_rows);
+  while (it->Next()) DTL_RETURN_NOT_OK(out.Append(it->row()));
   DTL_RETURN_NOT_OK(it->status());
-  if (writer != nullptr) {
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files.push_back(std::move(info));
-  }
-  DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(new_files)));
+  DTL_ASSIGN_OR_RETURN(std::vector<dual::MasterFileInfo> files, out.Finish());
+  DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(files)));
+  return DropDeltaFiles();
+}
+
+Status AcidTable::DropDeltaFiles() {
   std::vector<std::string> old = std::move(delta_files_);
   delta_files_.clear();
   for (const std::string& path : old) DTL_RETURN_NOT_OK(fs_->Delete(path));

@@ -81,6 +81,9 @@ class AcidTable : public table::StorageTable {
   /// Appends delta rows as transaction `txn`.
   Status WriteDeltaFile(uint64_t txn, const std::vector<Row>& delta_rows);
 
+  /// Deletes every delta file once a new base generation has folded them.
+  Status DropDeltaFiles();
+
   fs::SimFileSystem* fs_;
   std::string name_;
   Schema schema_;

@@ -2,24 +2,6 @@
 
 namespace dtl::baseline {
 
-namespace {
-
-/// Adapts MasterScanIterator to the storage RowIterator interface.
-class MasterRowIterator : public table::RowIterator {
- public:
-  explicit MasterRowIterator(std::unique_ptr<dual::MasterScanIterator> it)
-      : it_(std::move(it)) {}
-  bool Next() override { return it_->Next(); }
-  const Row& row() const override { return it_->row(); }
-  uint64_t record_id() const override { return it_->record_id(); }
-  const Status& status() const override { return it_->status(); }
-
- private:
-  std::unique_ptr<dual::MasterScanIterator> it_;
-};
-
-}  // namespace
-
 Result<std::shared_ptr<HiveTable>> HiveTable::Open(fs::SimFileSystem* fs,
                                                    dual::MetadataTable* metadata,
                                                    const std::string& name, Schema schema,
@@ -57,59 +39,32 @@ Status HiveTable::InsertRows(const std::vector<Row>& rows) {
 }
 
 Status HiveTable::OverwriteRows(const std::vector<Row>& rows) {
-  std::vector<dual::MasterFileInfo> new_files;
-  if (!rows.empty()) {
-    std::unique_ptr<dual::MasterFileWriter> writer;
-    for (const Row& row : rows) {
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, storage_->NewFileWriter());
-      }
-      DTL_RETURN_NOT_OK(writer->Append(row));
-      if (writer->rows_written() >= options_.rewrite_file_rows) {
-        DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-        new_files.push_back(std::move(info));
-        writer.reset();
-      }
-    }
-    if (writer != nullptr) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-    }
-  }
-  return storage_->ReplaceAllFiles(std::move(new_files));
+  dual::StagedFileWriter out(storage_.get(), options_.rewrite_file_rows);
+  for (const Row& row : rows) DTL_RETURN_NOT_OK(out.Append(row));
+  DTL_ASSIGN_OR_RETURN(std::vector<dual::MasterFileInfo> files, out.Finish());
+  return storage_->ReplaceAllFiles(std::move(files));
 }
 
-Result<uint64_t> HiveTable::Rewrite(const std::function<bool(Row*)>& transform) {
+Status HiveTable::Rewrite(const std::function<bool(Row*)>& transform) {
   // INSERT OVERWRITE: read every record and every column, write everything
-  // back — cost proportional to total data, not modified data.
+  // back — cost proportional to total data, not modified data. The output
+  // replaces every file it reads, so the scan admits nothing to the cache.
   table::ScanSpec all;
-  DTL_ASSIGN_OR_RETURN(auto it, storage_->NewScanIterator(all, /*apply_predicate=*/false));
-
-  std::vector<dual::MasterFileInfo> new_files;
-  std::unique_ptr<dual::MasterFileWriter> writer;
-  uint64_t rows_out = 0;
+  DTL_ASSIGN_OR_RETURN(auto it, storage_->NewBatchScanIterator(
+                                    all, /*apply_predicate=*/false,
+                                    table::kDefaultBatchRows, orc::CacheFill::kNoAdmit));
+  dual::StagedFileWriter out(storage_.get(), options_.rewrite_file_rows);
+  table::RowBatch batch;
   Row row;
-  while (it->Next()) {
-    row = it->row();
-    if (!transform(&row)) continue;
-    if (writer == nullptr) {
-      DTL_ASSIGN_OR_RETURN(writer, storage_->NewFileWriter());
-    }
-    DTL_RETURN_NOT_OK(writer->Append(row));
-    ++rows_out;
-    if (writer->rows_written() >= options_.rewrite_file_rows) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-      writer.reset();
+  while (it->Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.MaterializeRow(i, &row);
+      if (transform(&row)) DTL_RETURN_NOT_OK(out.Append(row));
     }
   }
   DTL_RETURN_NOT_OK(it->status());
-  if (writer != nullptr) {
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files.push_back(std::move(info));
-  }
-  DTL_RETURN_NOT_OK(storage_->ReplaceAllFiles(std::move(new_files)));
-  return rows_out;
+  DTL_ASSIGN_OR_RETURN(std::vector<dual::MasterFileInfo> files, out.Finish());
+  return storage_->ReplaceAllFiles(std::move(files));
 }
 
 Result<table::DmlResult> HiveTable::Update(
@@ -124,8 +79,7 @@ Result<table::DmlResult> HiveTable::Update(
     }
     return true;
   };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, Rewrite(transform));
-  (void)rows;
+  DTL_RETURN_NOT_OK(Rewrite(transform));
   return result;
 }
 
@@ -140,8 +94,7 @@ Result<table::DmlResult> HiveTable::Delete(const table::ScanSpec& filter) {
     }
     return true;
   };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, Rewrite(transform));
-  (void)rows;
+  DTL_RETURN_NOT_OK(Rewrite(transform));
   return result;
 }
 

@@ -52,7 +52,9 @@ class HiveTable : public table::StorageTable {
   HiveTable(std::string name, Schema schema, HiveTableOptions options)
       : name_(std::move(name)), schema_(std::move(schema)), options_(std::move(options)) {}
 
-  Result<uint64_t> Rewrite(const std::function<bool(Row*)>& transform);
+  /// Streams every row through `transform` (false drops it) into a new
+  /// generation that replaces the whole table.
+  Status Rewrite(const std::function<bool(Row*)>& transform);
 
   std::string name_;
   Schema schema_;

@@ -28,7 +28,7 @@ uint64_t IncrementalCompactionPlan::total_delta_rows() const {
 
 std::string IncrementalCompactionPlan::ToString() const {
   std::ostringstream out;
-  out << "incremental compact plan: threshold=" << threshold << " files="
+  out << "compact plan: threshold=" << threshold << " files="
       << files.size() << " selected=" << selected_files() << " strays="
       << stray_record_ids.size();
   for (const FileCompactionPlan& f : files) {
@@ -45,12 +45,10 @@ std::string IncrementalCompactionPlan::ToString() const {
 }
 
 std::string IncrementalCompactStats::ToString() const {
-  std::ostringstream out;
-  out << "rewrote " << files_selected << "/" << files_total << " files ("
-      << stripes_rewritten << " stripes re-encoded, " << stripes_copied
-      << " copied, " << rows_rewritten << " rows, " << mods_folded
-      << " mods folded)";
-  return out.str();
+  return "rewrote " + std::to_string(files_selected) + "/" + std::to_string(files_total) +
+         " files (" + std::to_string(stripes_rewritten) + " stripes re-encoded, " +
+         std::to_string(stripes_copied) + " copied, " + std::to_string(rows_rewritten) +
+         " rows, " + std::to_string(mods_folded) + " mods folded)";
 }
 
 Result<std::shared_ptr<DualTable>> DualTable::Open(fs::SimFileSystem* fs,
@@ -186,35 +184,86 @@ void DualTable::PublishEditCommit() {
   if (index_ != nullptr) index_commit_ts_ = index_->LastTimestamp();
 }
 
-Status DualTable::PublishRewrite(std::vector<MasterFileInfo> new_files) {
+Status DualTable::PublishRewrite(std::vector<MasterFileInfo> files,
+                                 const std::vector<uint64_t>& strays, bool kept_deltas) {
   // Caller holds mu_ (writers are serialized).
-  std::unordered_set<uint64_t> dead_files;
+  std::unordered_set<uint64_t> surviving;
+  std::vector<MasterFileInfo> fresh;  // staged by this rewrite; no birth stamp yet
+  for (const MasterFileInfo& f : files) {
+    surviving.insert(f.file_id);
+    if (f.born_generation == 0) fresh.push_back(f);
+  }
+  std::vector<uint64_t> retired;  // ascending, like the generation's files
+  for (const MasterFileInfo& f : master_->files()) {
+    if (surviving.count(f.file_id) == 0) retired.push_back(f.file_id);
+  }
   if (index_ != nullptr) {
     // Index the staged files BEFORE the swap: once the new generation is
     // visible, a snapshot may need their entries, and the stale-tolerant
     // protocol only permits extra entries, never missing ones. A crash after
     // this stage leaves entries for orphan files — harmless, verified away.
-    DTL_RETURN_NOT_OK(IndexStagedFiles(new_files));
-    DTL_RETURN_NOT_OK(index_->Sync());
-    for (const MasterFileInfo& f : master_->files()) dead_files.insert(f.file_id);
+    Status st = IndexStagedFiles(fresh);
+    if (st.ok()) st = index_->Sync();
+    if (!st.ok()) {
+      std::vector<std::string> paths;
+      for (const MasterFileInfo& f : fresh) paths.push_back(f.path);
+      master_->DiscardStaged(paths);
+      return st;
+    }
   }
   {
-    // snapshot_mu_ nests inside mu_.
+    // snapshot_mu_ nests inside mu_: a concurrent AcquireSnapshot sees the
+    // old (generation, deltas) pair or the new one, never a torn mix.
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    DTL_RETURN_NOT_OK(master_->ReplaceAllFiles(std::move(new_files)));
-    // If Clear() fails after the generation swap the table is still correct:
-    // the new generation's files carry fresh file IDs, so leftover attached
-    // record IDs can never match a new-generation row.
-    DTL_RETURN_NOT_OK(attached_->Clear());
+    DTL_RETURN_NOT_OK(master_->ReplaceAllFiles(std::move(files)));
+    // The manifest rename above is the commit point. The reclamation only
+    // drops attached cells whose file IDs just died; a crash that loses it is
+    // harmless (UNION READ is master-driven, so cells with no master row
+    // never surface) and the next COMPACT collects them as strays.
+    DTL_RETURN_NOT_OK(ReclaimAttachedLocked(retired, strays, kept_deltas));
     if (index_ != nullptr) index_commit_ts_ = index_->LastTimestamp();
   }
   if (index_ != nullptr) {
-    // Post-commit cleanup: entries of the replaced files are unreachable
+    // Post-commit cleanup: entries of the retired files are unreachable
     // (their file IDs left the generation), fold them out and record the
     // committed state. A crash here only costs an Open-time rebuild.
-    DTL_RETURN_NOT_OK(index_->FoldDeadFiles(dead_files));
+    DTL_RETURN_NOT_OK(
+        index_->FoldDeadFiles(std::unordered_set<uint64_t>(retired.begin(), retired.end())));
     DTL_RETURN_NOT_OK(CommitIndexMeta());
   }
+  return Status::OK();
+}
+
+Status DualTable::ReclaimAttachedLocked(const std::vector<uint64_t>& retired_files,
+                                        const std::vector<uint64_t>& strays,
+                                        bool kept_deltas) {
+  // Caller holds mu_ and snapshot_mu_.
+  if (!kept_deltas) {
+    // No file of the generation holds a delta, so the store holds nothing a
+    // reader can see: drop it wholesale.
+    DTL_RETURN_NOT_OK(attached_->Clear());
+  } else {
+    // Collect first, tombstone second: a scan must not walk rows it is
+    // writing tombstones into.
+    std::vector<uint64_t> doomed = strays;
+    const kv::KvSnapshot live = attached_->store()->GetSnapshot();
+    for (uint64_t file_id : retired_files) {
+      auto mods = attached_->NewScannerAt(live, MakeRecordId(file_id, 0),
+                                          MakeRecordId(file_id + 1, 0));
+      while (mods->Next()) doomed.push_back(mods->modification().record_id);
+      DTL_RETURN_NOT_OK(mods->status());
+    }
+    for (uint64_t rid : doomed) {
+      DTL_RETURN_NOT_OK(attached_->store()->DeleteRow(RecordIdKey(rid)));
+    }
+    // Tombstones alone would grow the byte debt NeedsCompaction() watches;
+    // the KV merge drops them together with the cells they mask, leaving
+    // only the kept files' live deltas.
+    DTL_RETURN_NOT_OK(attached_->store()->Compact());
+  }
+  // Publish the reclamation to future snapshots. No in-flight EDIT can be
+  // straddling this (mu_ serializes writers), so the store clock is quiescent.
+  commit_ts_ = attached_->LastTimestamp();
   return Status::OK();
 }
 
@@ -389,26 +438,10 @@ Status DualTable::InsertRows(const std::vector<Row>& rows) {
 
 Status DualTable::OverwriteRows(const std::vector<Row>& rows) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  std::vector<MasterFileInfo> new_files;
-  if (!rows.empty()) {
-    std::unique_ptr<MasterFileWriter> writer;
-    for (const Row& row : rows) {
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-      }
-      DTL_RETURN_NOT_OK(writer->Append(row));
-      if (writer->rows_written() >= options_.rewrite_file_rows) {
-        DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-        new_files.push_back(std::move(info));
-        writer.reset();
-      }
-    }
-    if (writer != nullptr) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files.push_back(std::move(info));
-    }
-  }
-  return PublishRewrite(std::move(new_files));
+  StagedFileWriter out(master_.get(), options_.rewrite_file_rows);
+  for (const Row& row : rows) DTL_RETURN_NOT_OK(out.Append(row));
+  DTL_ASSIGN_OR_RETURN(std::vector<MasterFileInfo> files, out.Finish());
+  return PublishRewrite(std::move(files));
 }
 
 table::ScanSpec DualTable::DmlScanSpec(
@@ -531,7 +564,7 @@ Result<table::DmlResult> DualTable::RunDml(
                    static_cast<double>(result->rows_scanned)));
   }
   if (result.ok() && options_.auto_compact && NeedsCompaction()) {
-    DTL_RETURN_NOT_OK(Compact());
+    DTL_RETURN_NOT_OK(Compact().status());
   }
   return result;
 }
@@ -612,7 +645,7 @@ Result<table::DmlResult> DualTable::ExecuteEditUpdate(
   return result;
 }
 
-Result<uint64_t> DualTable::RewriteMaster(const RowTransform& transform) {
+Status DualTable::RewriteMaster(const RowTransform& transform) {
   // Stream the merged view into a staged new master generation. The rewrite
   // folds deltas up to its snapshot's commit timestamp; writers are
   // serialized under mu_, so nothing can commit past it before the publish.
@@ -622,37 +655,12 @@ Result<uint64_t> DualTable::RewriteMaster(const RowTransform& transform) {
   table::ScanSpec all;  // every column, no predicate
   DTL_ASSIGN_OR_RETURN(auto it,
                        NewUnionReadBatch(snapshot, all, orc::CacheFill::kNoAdmit));
-  std::vector<MasterFileInfo> new_files;
-  DTL_ASSIGN_OR_RETURN(uint64_t rows_out,
-                       WriteRewriteFiles(it.get(), transform, &new_files));
-  DTL_RETURN_NOT_OK(PublishRewrite(std::move(new_files)));
-  return rows_out;
-}
-
-Result<uint64_t> DualTable::WriteRewriteFiles(table::BatchIterator* union_read,
-                                              const RowTransform& transform,
-                                              std::vector<MasterFileInfo>* new_files) {
-  std::unique_ptr<MasterFileWriter> writer;
-  uint64_t rows_out = 0;
-  DTL_RETURN_NOT_OK(ForEachRow(union_read, [&](uint64_t rid, Row* row) -> Status {
-    if (!transform(rid, row)) return Status::OK();
-    if (writer == nullptr) {
-      DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-    }
-    DTL_RETURN_NOT_OK(writer->Append(*row));
-    ++rows_out;
-    if (writer->rows_written() >= options_.rewrite_file_rows) {
-      DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-      new_files->push_back(std::move(info));
-      writer.reset();
-    }
-    return Status::OK();
+  StagedFileWriter out(master_.get(), options_.rewrite_file_rows);
+  DTL_RETURN_NOT_OK(ForEachRow(it.get(), [&](uint64_t rid, Row* row) -> Status {
+    return transform(rid, row) ? out.Append(*row) : Status::OK();
   }));
-  if (writer != nullptr) {
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files->push_back(std::move(info));
-  }
-  return rows_out;
+  DTL_ASSIGN_OR_RETURN(std::vector<MasterFileInfo> files, out.Finish());
+  return PublishRewrite(std::move(files));
 }
 
 Result<table::DmlResult> DualTable::ExecuteOverwriteUpdate(
@@ -670,8 +678,7 @@ Result<table::DmlResult> DualTable::ExecuteOverwriteUpdate(
     }
     return true;
   };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMaster(transform));
-  (void)rows;
+  DTL_RETURN_NOT_OK(RewriteMaster(transform));
   return result;
 }
 
@@ -725,85 +732,24 @@ Result<table::DmlResult> DualTable::ExecuteOverwriteDelete(const table::ScanSpec
     }
     return true;
   };
-  DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMaster(transform));
-  (void)rows;
+  DTL_RETURN_NOT_OK(RewriteMaster(transform));
   return result;
 }
 
-Result<uint64_t> DualTable::RewriteMasterParallel() {
-  // One rewrite job per master file: file f's union-read view (attached scan
-  // bounded to f's record-ID range) streams into fresh files. Every job
-  // reads from ONE shared snapshot, and jobs only STAGE data — registration
-  // happens after the barrier, in one PublishRewrite call, so the manifest
-  // rename remains the single commit point and a crash anywhere before it
-  // keeps the old generation intact.
-  SnapshotPtr snapshot = AcquireSnapshot();
-  struct FileJob {
-    uint64_t file_id = 0;
-    std::vector<MasterFileInfo> new_files;
-    uint64_t rows_out = 0;
-  };
-  const std::vector<MasterFileInfo>& master_files = snapshot->generation->files();
-  std::vector<FileJob> jobs(master_files.size());
-  for (size_t i = 0; i < jobs.size(); ++i) jobs[i].file_id = master_files[i].file_id;
-
-  TaskGroup group(options_.pool);
-  for (FileJob& job : jobs) {
-    group.Spawn([this, &job, &snapshot]() -> Status {
-      ScanMorsel whole_file;
-      whole_file.file_id = job.file_id;
-      whole_file.stripe_end = SIZE_MAX;  // every stripe of the file
-      whole_file.first_record_id = MakeRecordId(job.file_id, 0);
-      whole_file.end_record_id = MakeRecordId(job.file_id + 1, 0);
-      table::ScanSpec all;  // every column, no predicate
-      DTL_ASSIGN_OR_RETURN(auto it,
-                           NewUnionReadBatchForMorselAt(snapshot, whole_file, all,
-                                                        /*meter=*/nullptr,
-                                                        orc::CacheFill::kNoAdmit));
-      auto keep_all = [](uint64_t, Row*) { return true; };
-      DTL_ASSIGN_OR_RETURN(job.rows_out,
-                           WriteRewriteFiles(it.get(), keep_all, &job.new_files));
-      return Status::OK();
-    });
-  }
-  Status st = group.Wait();
-  if (!st.ok()) {
-    // Staged files from jobs that finished are orphans (never committed to
-    // the manifest); delete them now rather than waiting for the next
-    // Open()'s garbage collection.
-    for (const FileJob& job : jobs) {
-      for (const MasterFileInfo& info : job.new_files) {
-        DTL_IGNORE_STATUS(fs_->Delete(info.path),
-                          "failed COMPACT cleanup; next Open() garbage-collects");
-      }
-    }
-    return st;
-  }
-
-  std::vector<MasterFileInfo> new_files;
-  uint64_t rows_out = 0;
-  for (FileJob& job : jobs) {
-    rows_out += job.rows_out;
-    for (MasterFileInfo& info : job.new_files) new_files.push_back(std::move(info));
-  }
-  DTL_RETURN_NOT_OK(PublishRewrite(std::move(new_files)));
-  return rows_out;
-}
-
-Status DualTable::Compact() {
+Result<IncrementalCompactStats> DualTable::Compact(obs::Tracer* tracer) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (attached_->Empty()) return Status::OK();
-  Stopwatch watch;
-  if (options_.pool != nullptr && master_->files().size() >= 2) {
-    DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMasterParallel());
-    (void)rows;
-  } else {
-    auto keep_all = [](uint64_t, Row*) { return true; };
-    DTL_ASSIGN_OR_RETURN(uint64_t rows, RewriteMaster(keep_all));
-    (void)rows;
+  if (attached_->Empty()) {
+    IncrementalCompactStats stats;
+    stats.files_total = master_->CurrentGeneration()->files().size();
+    return stats;
   }
+  Stopwatch watch;
+  // Density 0 selects every file holding a delta, so no kept file holds one
+  // and the publish empties the attached store.
+  DTL_ASSIGN_OR_RETURN(IncrementalCompactStats stats,
+                       Fold(/*threshold=*/0.0, options_.pool, tracer));
   if (compact_hist_ != nullptr) compact_hist_->ObserveSeconds(watch.ElapsedSeconds());
-  return Status::OK();
+  return stats;
 }
 
 double DualTable::IncrementalDensityThreshold() const {
@@ -819,13 +765,17 @@ double DualTable::IncrementalDensityThreshold() const {
 }
 
 Result<IncrementalCompactionPlan> DualTable::PreviewIncrementalCompaction() {
-  return PreviewIncrementalCompactionAt(AcquireSnapshot());
+  return PreviewCompactionAt(AcquireSnapshot(), IncrementalDensityThreshold());
 }
 
-Result<IncrementalCompactionPlan> DualTable::PreviewIncrementalCompactionAt(
-    const SnapshotPtr& snapshot) const {
+Result<IncrementalCompactionPlan> DualTable::PreviewFullCompaction() {
+  return PreviewCompactionAt(AcquireSnapshot(), /*threshold=*/0.0);
+}
+
+Result<IncrementalCompactionPlan> DualTable::PreviewCompactionAt(const SnapshotPtr& snapshot,
+                                                                 double threshold) const {
   IncrementalCompactionPlan plan;
-  plan.threshold = IncrementalDensityThreshold();
+  plan.threshold = threshold;
   const std::vector<MasterFileInfo>& gen_files = snapshot->generation->files();
   plan.files.reserve(gen_files.size());
   for (const MasterFileInfo& info : gen_files) {
@@ -881,124 +831,88 @@ Result<IncrementalCompactionPlan> DualTable::PreviewIncrementalCompactionAt(
   return plan;
 }
 
-Status DualTable::RewriteFileIncremental(const SnapshotPtr& snapshot,
-                                         const FileCompactionPlan& file,
-                                         std::vector<MasterFileInfo>* new_files,
-                                         std::vector<uint64_t>* folded,
-                                         IncrementalCompactStats* stats) {
+Status DualTable::FoldFile(const SnapshotPtr& snapshot, const FileCompactionPlan& file,
+                           StagedFileWriter* out) {
   DTL_ASSIGN_OR_RETURN(auto reader,
                        master_->OpenReader(snapshot->generation, file.file_id));
-  auto mods = attached_->NewScannerAt(snapshot->attached, MakeRecordId(file.file_id, 0),
-                                      MakeRecordId(file.file_id + 1, 0));
-  bool mod_valid = mods->Next();
-  // Lazy writer: a file whose every surviving row is deleted produces no
-  // replacement file at all.
-  std::unique_ptr<MasterFileWriter> writer;
-  for (size_t s = 0; s < reader->num_stripes(); ++s) {
-    const orc::StripeInfo& info = reader->stripe(s);
-    const bool dirty = s < file.stripes.size() && file.stripes[s].delta_rows > 0;
-    if (!dirty) {
+  auto dirty = [&file](size_t s) {
+    return s < file.stripes.size() && file.stripes[s].delta_rows > 0;
+  };
+  const table::ScanSpec all;  // every column, no predicate
+  for (size_t s = 0; s < reader->num_stripes();) {
+    if (!dirty(s)) {
       // Clean stripe: carry the encoded bytes (and their CRCs/stats) across
       // verbatim — no decode, no re-encode.
       DTL_ASSIGN_OR_RETURN(std::string raw, reader->ReadRawStripe(s));
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-      }
-      DTL_RETURN_NOT_OK(writer->AppendRawStripe(info, raw));
-      ++stats->stripes_copied;
+      DTL_RETURN_NOT_OK(out->AppendRawStripe(reader->stripe(s), raw));
+      ++s;
       continue;
     }
-    // Dirty stripe: decode, patch updates, mask deletes, re-encode. The
-    // replacement file supersedes this one, so the read admits nothing to
-    // the stripe cache.
-    DTL_ASSIGN_OR_RETURN(auto batch,
-                         reader->ReadStripeShared(s, {}, orc::CacheFill::kNoAdmit));
-    ++stats->stripes_rewritten;
-    stats->rows_rewritten += batch->num_rows;
-    for (size_t i = 0; i < batch->num_rows; ++i) {
-      const uint64_t rid = MakeRecordId(file.file_id, batch->first_row + i);
-      while (mod_valid && mods->modification().record_id < rid) {
-        // Mod for a row this walk already passed (cannot normally happen);
-        // its cells die with the file either way.
-        folded->push_back(mods->modification().record_id);
-        ++stats->mods_folded;
-        mod_valid = mods->Next();
-      }
-      bool deleted = false;
-      Row row;
-      if (mod_valid && mods->modification().record_id == rid) {
-        const RecordModification& mod = mods->modification();
-        folded->push_back(rid);
-        ++stats->mods_folded;
-        if (mod.deleted) {
-          deleted = true;
-        } else {
-          row = batch->GetRow(i);
-          for (size_t u = 0; u < mod.num_updates(); ++u) {
-            if (mod.column(u) >= row.size()) continue;
-            DTL_RETURN_NOT_OK(mod.DecodeValue(u, &row[mod.column(u)]));
-          }
-        }
-        mod_valid = mods->Next();
-      } else {
-        row = batch->GetRow(i);
-      }
-      if (deleted) continue;
-      if (writer == nullptr) {
-        DTL_ASSIGN_OR_RETURN(writer, master_->NewFileWriter());
-      }
-      DTL_RETURN_NOT_OK(writer->Append(row));
-    }
+    // A run of dirty stripes is one morsel of the batch UNION READ: updates
+    // patched, deletes masked, rows re-encoded. The replacement supersedes
+    // this file, so the read admits nothing to the stripe cache.
+    ScanMorsel run;
+    run.file_id = file.file_id;
+    run.stripe_begin = s;
+    while (s < reader->num_stripes() && dirty(s)) ++s;
+    run.stripe_end = s;
+    const orc::StripeInfo& last = reader->stripe(s - 1);
+    run.first_record_id =
+        MakeRecordId(file.file_id, reader->stripe(run.stripe_begin).first_row);
+    run.end_record_id = MakeRecordId(file.file_id, last.first_row + last.num_rows);
+    DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatchForMorselAt(snapshot, run, all,
+                                                               /*meter=*/nullptr,
+                                                               orc::CacheFill::kNoAdmit));
+    DTL_RETURN_NOT_OK(
+        ForEachRow(it.get(), [out](uint64_t, Row* row) { return out->Append(*row); }));
   }
-  // Mods past the last stripe are unreachable garbage; fold them too.
-  while (mod_valid) {
-    folded->push_back(mods->modification().record_id);
-    ++stats->mods_folded;
-    mod_valid = mods->Next();
-  }
-  DTL_RETURN_NOT_OK(mods->status());
-  if (writer != nullptr) {
-    DTL_ASSIGN_OR_RETURN(auto info, writer->Close());
-    new_files->push_back(std::move(info));
-  }
-  return Status::OK();
+  return out->CloseFile();
 }
 
-Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* tracer) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  Stopwatch watch;
+Result<IncrementalCompactStats> DualTable::Fold(double threshold, ThreadPool* pool,
+                                                obs::Tracer* tracer) {
+  // Caller holds mu_.
   SnapshotPtr snapshot = AcquireSnapshot();
   IncrementalCompactionPlan plan;
   {
     obs::Span span(tracer, obs::names::kSpanCompactPlan);
-    DTL_ASSIGN_OR_RETURN(plan, PreviewIncrementalCompactionAt(snapshot));
+    DTL_ASSIGN_OR_RETURN(plan, PreviewCompactionAt(snapshot, threshold));
     span.AddRows(plan.total_delta_rows());
     span.SetDetail(std::to_string(plan.selected_files()) + "/" +
                    std::to_string(plan.files.size()) + " files >= " +
                    std::to_string(plan.threshold));
   }
+  // The stats follow from the plan alone, so they never depend on how the
+  // jobs below interleave.
   IncrementalCompactStats stats;
   stats.files_total = plan.files.size();
   stats.files_selected = plan.selected_files();
-  if (stats.files_selected == 0) {
-    if (!plan.stray_record_ids.empty()) {
-      // Nothing to rewrite, but reclaimable garbage exists: drop it without
-      // touching the master generation.
-      std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-      if (plan.total_delta_rows() == 0) {
-        // No live deltas anywhere, so the store holds nothing a reader can
-        // see besides the strays; dropping it wholesale is exact.
-        DTL_RETURN_NOT_OK(attached_->Clear());
+  stats.mods_folded = plan.stray_record_ids.size();
+  bool kept_deltas = false;
+  for (const FileCompactionPlan& f : plan.files) {
+    if (!f.selected) {
+      kept_deltas |= f.delta_rows > 0;
+      continue;
+    }
+    stats.mods_folded += f.delta_rows;
+    for (const StripeDensity& st : f.stripes) {
+      if (st.delta_rows > 0) {
+        ++stats.stripes_rewritten;
+        stats.rows_rewritten += st.rows;
       } else {
-        for (uint64_t rid : plan.stray_record_ids) {
-          DTL_RETURN_NOT_OK(attached_->store()->DeleteRow(RecordIdKey(rid)));
-        }
-        // Tombstones alone would grow the byte debt they exist to reclaim;
-        // the KV merge drops them together with the cells they mask.
-        DTL_RETURN_NOT_OK(attached_->store()->Compact());
+        ++stats.stripes_copied;
       }
-      commit_ts_ = attached_->LastTimestamp();
-      stats.mods_folded += plan.stray_record_ids.size();
+    }
+  }
+  if (stats.files_selected == 0) {
+    // Nothing to rewrite. Garbage may still sit in the store — strays, or,
+    // when no file holds a delta, tombstones and the cells they mask — so
+    // drop it without touching the master generation.
+    if (!plan.stray_record_ids.empty() || (!kept_deltas && !attached_->Empty())) {
+      {
+        std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
+        DTL_RETURN_NOT_OK(ReclaimAttachedLocked({}, plan.stray_record_ids, kept_deltas));
+      }
       // Record the new attached clock so the next Open's freshness check
       // doesn't mistake this reclamation for a lost commit.
       DTL_RETURN_NOT_OK(CommitIndexMeta());
@@ -1006,42 +920,43 @@ Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* trace
     return stats;
   }
 
-  std::vector<MasterFileInfo> new_files;
-  std::vector<uint64_t> folded = plan.stray_record_ids;
-  stats.mods_folded += plan.stray_record_ids.size();
+  // One job per selected file, each staging exactly one replacement (none
+  // when every row is deleted). Replacement IDs are drawn in file order
+  // before any job starts, so the new layout never depends on thread timing.
+  // A failed job cancels the rest, and every StagedFileWriter discards what
+  // it staged when it goes out of scope unfinished.
+  std::vector<std::unique_ptr<StagedFileWriter>> outputs(plan.files.size());
+  for (size_t i = 0; i < plan.files.size(); ++i) {
+    if (!plan.files[i].selected) continue;
+    DTL_ASSIGN_OR_RETURN(uint64_t file_id, master_->ReserveFileId());
+    outputs[i] = std::make_unique<StagedFileWriter>(master_.get(), UINT64_MAX, file_id);
+  }
   {
     obs::Span span(tracer, obs::names::kSpanCompactRewrite);
-    Status st = Status::OK();
-    for (const FileCompactionPlan& f : plan.files) {
-      if (!f.selected) continue;
-      st = RewriteFileIncremental(snapshot, f, &new_files, &folded, &stats);
-      if (!st.ok()) break;
+    // A lone job runs inline: a worker thread gains it nothing.
+    TaskGroup group(stats.files_selected > 1 ? pool : nullptr);
+    for (size_t i = 0; i < plan.files.size(); ++i) {
+      if (outputs[i] == nullptr) continue;
+      group.Spawn([this, &snapshot, &file = plan.files[i], out = outputs[i].get()] {
+        return FoldFile(snapshot, file, out);
+      });
     }
-    if (!st.ok()) {
-      // Staged replacements never reached the manifest; delete them now
-      // rather than waiting for the next Open()'s garbage collection.
-      for (const MasterFileInfo& info : new_files) {
-        DTL_IGNORE_STATUS(fs_->Delete(info.path),
-                          "failed incremental COMPACT cleanup; next Open() collects");
-      }
-      return st;
-    }
+    DTL_RETURN_NOT_OK(group.Wait());
     span.AddRows(stats.rows_rewritten);
   }
   // Kept files carry over verbatim: same path, same file ID, so their record
   // IDs — and their still-attached deltas — stay valid across the swap.
   const std::vector<MasterFileInfo>& gen_files = snapshot->generation->files();
-  bool fold_complete = true;
+  std::vector<MasterFileInfo> files;
   for (size_t i = 0; i < gen_files.size(); ++i) {
-    if (plan.files[i].selected) continue;
-    new_files.push_back(gen_files[i]);
-    if (plan.files[i].delta_rows > 0) fold_complete = false;
+    if (outputs[i] == nullptr) {
+      files.push_back(gen_files[i]);
+      continue;
+    }
+    DTL_ASSIGN_OR_RETURN(std::vector<MasterFileInfo> replacement, outputs[i]->Finish());
+    for (MasterFileInfo& info : replacement) files.push_back(std::move(info));
   }
-  DTL_RETURN_NOT_OK(
-      PublishIncrementalRewrite(std::move(new_files), folded, fold_complete));
-  if (incremental_compact_hist_ != nullptr) {
-    incremental_compact_hist_->ObserveSeconds(watch.ElapsedSeconds());
-  }
+  DTL_RETURN_NOT_OK(PublishRewrite(std::move(files), plan.stray_record_ids, kept_deltas));
   if (stripes_rewritten_ctr_ != nullptr) {
     stripes_rewritten_ctr_->Inc(stats.stripes_rewritten);
     stripes_copied_ctr_->Inc(stats.stripes_copied);
@@ -1050,61 +965,17 @@ Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* trace
   return stats;
 }
 
-Status DualTable::PublishIncrementalRewrite(std::vector<MasterFileInfo> full_set,
-                                            const std::vector<uint64_t>& folded_record_ids,
-                                            bool fold_complete) {
-  // Caller holds mu_ (writers are serialized).
-  std::unordered_set<uint64_t> dead_files;
-  if (index_ != nullptr) {
-    // Replacement files are the ones not yet stamped with a birth
-    // generation; kept files carry their original stamp and their entries
-    // are already in the index. Same entries-before-visibility ordering as
-    // PublishRewrite.
-    std::vector<MasterFileInfo> fresh;
-    std::unordered_set<uint64_t> surviving;
-    for (const MasterFileInfo& f : full_set) {
-      if (f.born_generation == 0) fresh.push_back(f);
-      surviving.insert(f.file_id);
-    }
-    DTL_RETURN_NOT_OK(IndexStagedFiles(fresh));
-    DTL_RETURN_NOT_OK(index_->Sync());
-    for (const MasterFileInfo& f : master_->files()) {
-      if (surviving.count(f.file_id) == 0) dead_files.insert(f.file_id);
-    }
+Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* tracer) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  Stopwatch watch;
+  // Inline: this is the maintenance step DML-heavy sessions run between
+  // statements, and concurrent jobs would multiply its working set.
+  DTL_ASSIGN_OR_RETURN(IncrementalCompactStats stats,
+                       Fold(IncrementalDensityThreshold(), /*pool=*/nullptr, tracer));
+  if (incremental_compact_hist_ != nullptr) {
+    incremental_compact_hist_->ObserveSeconds(watch.ElapsedSeconds());
   }
-  // snapshot_mu_ nests inside mu_.
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  DTL_RETURN_NOT_OK(master_->ReplaceAllFiles(std::move(full_set)));
-  // The manifest rename above is the commit point. Everything below only
-  // reclaims attached cells whose file IDs just died; a crash that loses the
-  // reclamation is harmless (UNION READ is master-driven, so cells with no
-  // master row never surface) and the next incremental COMPACT re-collects
-  // them as strays.
-  if (fold_complete) {
-    // The fold covered every live modification: the kept files had no deltas
-    // and the rewritten files' deltas are now baked into the master. Drop the
-    // store wholesale, exactly as a full COMPACT would.
-    DTL_RETURN_NOT_OK(attached_->Clear());
-  } else {
-    for (uint64_t rid : folded_record_ids) {
-      DTL_RETURN_NOT_OK(attached_->store()->DeleteRow(RecordIdKey(rid)));
-    }
-    // Physically reclaim the folded cells: tombstones alone would grow the
-    // byte debt NeedsCompaction() watches; the KV merge drops them together
-    // with the cells they mask, leaving only the kept files' live deltas.
-    DTL_RETURN_NOT_OK(attached_->store()->Compact());
-  }
-  // Publish the reclamation to future snapshots. No in-flight EDIT can be
-  // straddling this (mu_ serializes writers), so the store clock is quiescent.
-  commit_ts_ = attached_->LastTimestamp();
-  if (index_ != nullptr) {
-    index_commit_ts_ = index_->LastTimestamp();
-    // Post-commit fold + meta, as in PublishRewrite. snapshot_mu_ is still
-    // held, which is fine: the fold touches only the index store.
-    DTL_RETURN_NOT_OK(index_->FoldDeadFiles(dead_files));
-    DTL_RETURN_NOT_OK(CommitIndexMeta());
-  }
-  return Status::OK();
+  return stats;
 }
 
 const char* DualTable::AdaptiveTriggerReason() {
@@ -1191,33 +1062,17 @@ void DualTable::BackgroundMaintenance() {
     // delta-rows guard keeps KV tombstone bloat alone from triggering a
     // pointless full rewrite.
     if (maint_full_ctr_ != nullptr) maint_full_ctr_->Inc();
-    DTL_IGNORE_STATUS(Compact(), "background compaction failure is retried next round");
+    DTL_IGNORE_STATUS(Compact().status(),
+                      "background compaction failure is retried next round");
     return;
   }
   // Bytes above the threshold but zero live modifications: pure tombstone
-  // bloat left behind by earlier partial folds. Reclaim it without touching
-  // the master generation.
+  // bloat left behind by earlier partial folds. The fold re-plans under mu_,
+  // finds nothing to rewrite and reclaims the store without touching the
+  // master generation.
   if (maint_reclaims_ctr_ != nullptr) maint_reclaims_ctr_->Inc();
-  ReclaimAttachedGarbage();
-}
-
-void DualTable::ReclaimAttachedGarbage() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // Re-plan under the writer lock: a DML statement may have landed between
-  // the caller's lock-free preview and here.
-  SnapshotPtr snapshot = AcquireSnapshot();
-  Result<IncrementalCompactionPlan> plan = PreviewIncrementalCompactionAt(snapshot);
-  if (!plan.ok()) return;
-  if (plan->total_delta_rows() > 0 || !plan->stray_record_ids.empty()) return;
-  // The scanner surfaced nothing, so every cell in the store is a tombstone
-  // or masked by one; dropping the store wholesale is invisible to readers.
-  {
-    std::lock_guard<std::mutex> snap_lock(snapshot_mu_);
-    DTL_IGNORE_STATUS(attached_->Clear(),
-                      "attached garbage reclamation is retried next round");
-  }
-  DTL_IGNORE_STATUS(CommitIndexMeta(),
-                    "stale index meta only costs an Open-time rebuild");
+  DTL_IGNORE_STATUS(CompactIncremental().status(),
+                    "attached garbage reclamation is retried next round");
 }
 
 void DualTable::RecordDmlObservation(const char* statement, const DmlPlanChoice& choice,

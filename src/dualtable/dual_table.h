@@ -68,9 +68,10 @@ struct FileCompactionPlan {
   }
 };
 
-/// Read-only incremental-COMPACT plan: what CompactIncremental WOULD rewrite.
-/// EXPLAIN COMPACT INCREMENTAL renders it; the background maintenance job
-/// uses it to pick work; CompactIncremental executes it.
+/// Read-only COMPACT plan: what the fold WOULD rewrite. At the cost-model
+/// threshold it is COMPACT INCREMENTAL's plan, at threshold 0 full COMPACT's
+/// (every file holding a delta). EXPLAIN COMPACT renders it; the background
+/// maintenance job uses it to pick work; the fold executes it.
 struct IncrementalCompactionPlan {
   double threshold = 0.0;  // density at/above which a file is rewritten
   std::vector<FileCompactionPlan> files;  // ascending file_id
@@ -83,7 +84,7 @@ struct IncrementalCompactionPlan {
   std::string ToString() const;  // EXPLAIN rendering, one line per file
 };
 
-/// What one CompactIncremental call actually did.
+/// What one COMPACT (full or incremental) actually did.
 struct IncrementalCompactStats {
   size_t files_total = 0;
   size_t files_selected = 0;
@@ -131,8 +132,9 @@ struct DualTableOptions {
   enum class PlanMode { kCostModel, kForceEdit, kForceOverwrite };
   PlanMode plan_mode = PlanMode::kCostModel;
 
-  /// Rows per master file written by OVERWRITE/COMPACT (keeps per-file
-  /// parallelism comparable to the pre-rewrite layout).
+  /// Rows per master file written by OVERWRITE and INSERT OVERWRITE (keeps
+  /// per-file parallelism comparable to the pre-rewrite layout). COMPACT
+  /// never rolls: each rewritten file gets one replacement.
   uint64_t rewrite_file_rows = 1ull << 20;
 
   /// Fallback modification ratio when a statement carries no hint and the
@@ -165,9 +167,9 @@ struct DualTableOptions {
   /// batch/stripe boundary handling in tests.
   size_t scan_batch_rows = table::kDefaultBatchRows;
 
-  /// Worker pool for parallel COMPACT (one rewrite job per master file, one
-  /// manifest commit at the end). nullptr or <2 master files = serial
-  /// rewrite. Not owned; must outlive the table.
+  /// Worker pool for full COMPACT: one job per rewritten file, one manifest
+  /// commit at the end. nullptr runs the jobs inline. Not owned; must
+  /// outlive the table.
   ThreadPool* pool = nullptr;
 
   /// Background maintenance scheduler. When set together with
@@ -311,24 +313,30 @@ class DualTable : public table::StorageTable {
   DmlPlanChoice PlanUpdate(std::optional<double> ratio_hint) const;
   DmlPlanChoice PlanDelete(std::optional<double> ratio_hint) const;
 
-  /// COMPACT (paper §III-C): UNION READ into a new master generation, then
-  /// clear the attached table. Blocks every other writer on this table.
-  Status Compact();
+  /// COMPACT (paper §III-C): folds the attached table into the master and
+  /// empties it. It is the incremental fold at density 0: every file holding
+  /// a delta gets one replacement (clean stripes raw-copied, dirty ones
+  /// re-encoded, no roll), and delta-free files are kept. The replacements
+  /// are written as jobs on options_.pool. Blocks every other writer on this
+  /// table. `tracer` as in CompactIncremental.
+  Result<IncrementalCompactStats> Compact(obs::Tracer* tracer = nullptr);
 
   /// Incremental COMPACT: rewrites only the master files whose attached
-  /// delta density crosses the cost-model threshold (clean stripes inside a
-  /// rewritten file are raw-copied without decoding), publishes the swapped
-  /// file set through the same manifest commit as full COMPACT, then
-  /// tombstones exactly the folded records' attached cells. Kept files and
-  /// their attached deltas are untouched, so read-after-update latency stays
-  /// flat instead of saw-toothing on full rewrites. `tracer` (optional)
-  /// receives compact-plan / compact-rewrite spans for EXPLAIN ANALYZE.
+  /// delta density crosses the cost-model threshold, file by file on the
+  /// calling thread (clean stripes inside a rewritten file are raw-copied
+  /// without decoding), publishes the swapped file set through the one
+  /// manifest commit, then reclaims the retired files' attached cells. Kept
+  /// files and their attached deltas are untouched, so read-after-update
+  /// latency stays flat instead of saw-toothing on full rewrites. `tracer`
+  /// (optional) receives compact-plan / compact-rewrite spans for EXPLAIN
+  /// ANALYZE.
   Result<IncrementalCompactStats> CompactIncremental(obs::Tracer* tracer = nullptr);
 
-  /// Plan-only view of what CompactIncremental would do right now: per-file
-  /// and per-stripe delta densities plus the selection threshold. Makes no
-  /// writes; safe from any thread.
+  /// Plan-only views of what CompactIncremental / Compact would do right
+  /// now: per-file and per-stripe delta densities plus the selection
+  /// threshold. Make no writes; safe from any thread.
   Result<IncrementalCompactionPlan> PreviewIncrementalCompaction();
+  Result<IncrementalCompactionPlan> PreviewFullCompaction();
 
   /// The density at/above which a file is rewritten: the explicit override
   /// when set, else the calibrated cost model's update crossover ratio for
@@ -338,7 +346,8 @@ class DualTable : public table::StorageTable {
   /// One background-scheduler round of maintenance: observes stripe
   /// densities into the metrics histogram, runs incremental COMPACT when the
   /// plan selects files, and falls back to full COMPACT when attached bytes
-  /// exceed the threshold without any single file being dense enough. With
+  /// exceed the threshold without any single file being dense enough (or to
+  /// the fold's reclamation when the bytes hold no live delta). With
   /// options_.adaptive_maintenance the round starts with a telemetry check
   /// (AdaptiveTriggerReason) and skips all of the above — preview scan
   /// included — until a trigger fires.
@@ -425,30 +434,25 @@ class DualTable : public table::StorageTable {
   table::ScanSpec MasterSpecFor(const table::ScanSpec& spec,
                                 const SnapshotPtr& snapshot) const;
 
-  /// COMPACT/OVERWRITE commit: swaps in the new master file set and clears
-  /// the attached store as one atomic visibility event — a concurrent
+  /// The one commit of every master rewrite (OVERWRITE, INSERT OVERWRITE,
+  /// full and incremental COMPACT): swaps in `files` (kept files plus staged
+  /// replacements) and reclaims the attached cells of every file that left
+  /// the generation, as one atomic visibility event — a concurrent
   /// AcquireSnapshot sees either the old (generation, deltas) pair or the
-  /// new (generation, empty) pair, never a torn mix.
-  Status PublishRewrite(std::vector<MasterFileInfo> new_files);
+  /// new one, never a torn mix. `strays` and `kept_deltas` as in
+  /// ReclaimAttachedLocked. The manifest rename inside ReplaceAllFiles is the
+  /// commit point; a failure before it discards the staged files.
+  Status PublishRewrite(std::vector<MasterFileInfo> files,
+                        const std::vector<uint64_t>& strays = {},
+                        bool kept_deltas = false);
 
-  /// Incremental-COMPACT commit: swaps in `full_set` (kept files + rewritten
-  /// replacements), then reclaims the folded attached cells — deltas of kept
-  /// files survive. With `fold_complete` (no kept file held deltas) the store
-  /// is cleared wholesale like a full COMPACT; otherwise `folded_record_ids`
-  /// are tombstoned and the KV store merged to physically drop them. The
-  /// manifest rename inside ReplaceAllFiles is the commit point; the
-  /// reclamation is post-commit cleanup of cells whose file IDs just died
-  /// (invisible to UNION READ either way).
-  Status PublishIncrementalRewrite(std::vector<MasterFileInfo> full_set,
-                                   const std::vector<uint64_t>& folded_record_ids,
-                                   bool fold_complete);
-
-  /// Drops the attached store when it holds only dead weight (tombstones and
-  /// the cells they mask): re-plans under mu_ and clears the store iff the
-  /// scan surfaces zero modifications. Called by BackgroundMaintenance when
-  /// the byte debt crosses the compact threshold with no live deltas behind
-  /// it.
-  void ReclaimAttachedGarbage();
+  /// Drops attached cells no reader can see: Clear() when no file of the
+  /// generation holds a delta (`kept_deltas` false); otherwise tombstones
+  /// every record in the retired files' record-ID ranges plus `strays`
+  /// (records of files that had already left), then merges the KV store to
+  /// drop them physically. Caller holds mu_ and snapshot_mu_.
+  Status ReclaimAttachedLocked(const std::vector<uint64_t>& retired_files,
+                               const std::vector<uint64_t>& strays, bool kept_deltas);
 
   /// Adaptive-maintenance decision (DESIGN.md §14): rotates the union-read
   /// latency window to "now", updates the decision gauges, and returns the
@@ -458,18 +462,23 @@ class DualTable : public table::StorageTable {
   const char* AdaptiveTriggerReason();
 
   /// Plan computation against a pinned snapshot (one attached scan, binned
-  /// into stripe row windows two-pointer style).
-  Result<IncrementalCompactionPlan> PreviewIncrementalCompactionAt(
-      const SnapshotPtr& snapshot) const;
+  /// into stripe row windows two-pointer style); files at or above
+  /// `threshold` density are selected.
+  Result<IncrementalCompactionPlan> PreviewCompactionAt(const SnapshotPtr& snapshot,
+                                                        double threshold) const;
 
-  /// Rewrites one selected file into (at most) one replacement: dirty
-  /// stripes are decoded/patched/masked, clean stripes raw-copied. Appends
-  /// the replacement's info to `new_files` (nothing when every row was
-  /// deleted) and the folded record IDs to `folded`.
-  Status RewriteFileIncremental(const SnapshotPtr& snapshot, const FileCompactionPlan& file,
-                                std::vector<MasterFileInfo>* new_files,
-                                std::vector<uint64_t>* folded,
-                                IncrementalCompactStats* stats);
+  /// The fold behind both COMPACTs: plans at `threshold`, rewrites the
+  /// selected files as jobs on `pool` (inline when null or for a lone job),
+  /// and publishes. With nothing selected it only reclaims attached garbage.
+  /// Caller holds mu_.
+  Result<IncrementalCompactStats> Fold(double threshold, ThreadPool* pool,
+                                       obs::Tracer* tracer);
+
+  /// Folds one selected file into `out` (at most one replacement): clean
+  /// stripes are raw-copied, and each run of dirty stripes is read through
+  /// the batch UNION READ as one morsel and re-encoded. Closes the file.
+  Status FoldFile(const SnapshotPtr& snapshot, const FileCompactionPlan& file,
+                  StagedFileWriter* out);
 
   /// Open-time index recovery: compares the index meta row against the
   /// table's (master generation, attached clock, column set) and rebuilds
@@ -512,23 +521,11 @@ class DualTable : public table::StorageTable {
 
   using RowTransform = std::function<bool(uint64_t record_id, Row* row)>;
 
-  /// Streams the union-read view through `transform` into a fresh master
-  /// generation; used by OVERWRITE plans and COMPACT. `transform` returns
-  /// false to drop the row and may mutate it in place.
-  Result<uint64_t> RewriteMaster(const RowTransform& transform);
-
-  /// COMPACT's parallel rewrite: one job per master file on options_.pool,
-  /// each streaming its file's union-read view (one whole-file morsel) into
-  /// fresh files; all new files land in ONE ReplaceAllFiles call, so the
-  /// manifest rename stays the single commit point.
-  Result<uint64_t> RewriteMasterParallel();
-
-  /// Writes every row `union_read` emits that `transform` keeps into fresh
-  /// staged master files of at most options_.rewrite_file_rows rows,
-  /// appending their infos to `new_files`. Returns the rows written.
-  Result<uint64_t> WriteRewriteFiles(table::BatchIterator* union_read,
-                                     const RowTransform& transform,
-                                     std::vector<MasterFileInfo>* new_files);
+  /// OVERWRITE: streams the whole table's union-read view through
+  /// `transform` into staged files rolling at options_.rewrite_file_rows,
+  /// then publishes them as the new generation. `transform` returns false to
+  /// drop the row and may mutate it in place.
+  Status RewriteMaster(const RowTransform& transform);
 
   DmlPlanChoice PlanDml(bool update, std::optional<double> ratio_hint) const;
   double AvgRowBytes() const;

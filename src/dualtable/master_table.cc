@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 
+#include "common/check.h"
 #include "common/coding.h"
 #include "dualtable/record_id.h"
 #include "orc/stripe_cache.h"
@@ -127,71 +128,58 @@ Result<MasterFileInfo> MasterFileWriter::Close() {
   return info_;
 }
 
-// --- MasterScanIterator -----------------------------------------------------------
+// --- StagedFileWriter -------------------------------------------------------------
 
-MasterScanIterator::MasterScanIterator(std::vector<std::shared_ptr<orc::OrcReader>> readers,
-                                       std::vector<uint64_t> file_ids,
-                                       table::ScanSpec spec, size_t num_fields,
-                                       bool apply_predicate)
-    : readers_(std::move(readers)),
-      file_ids_(std::move(file_ids)),
-      spec_(std::move(spec)),
-      num_fields_(num_fields),
-      apply_predicate_(apply_predicate) {
-  required_ = spec_.RequiredColumns(num_fields_);
+StagedFileWriter::StagedFileWriter(MasterTable* master, uint64_t roll_rows,
+                                   uint64_t first_file_id)
+    : master_(master), roll_rows_(std::max<uint64_t>(1, roll_rows)),
+      next_file_id_(first_file_id) {}
+
+StagedFileWriter::~StagedFileWriter() {
+  if (finished_) return;
+  std::vector<std::string> paths;
+  for (const MasterFileInfo& f : staged_) paths.push_back(f.path);
+  if (open_ != nullptr) {
+    // Its buffered bytes die with it; only a Close that got as far as the
+    // sync left a `.tmp` (or, past the rename, the file) to delete.
+    paths.push_back(open_->path());
+    open_.reset();
+  }
+  master_->DiscardStaged(paths);
 }
 
-bool MasterScanIterator::LoadNextBatch() {
-  while (file_index_ < readers_.size()) {
-    const orc::OrcReader* reader = readers_[file_index_].get();
-    if (stripe_index_ >= reader->num_stripes()) {
-      if (reader->num_stripes() > 0 && survivors_in_file_ == 0) {
-        (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter()).AddSkippedFile();
-      }
-      ++file_index_;
-      stripe_index_ = 0;
-      survivors_in_file_ = 0;
-      continue;
-    }
-    const orc::StripeInfo& info = reader->stripe(stripe_index_);
-    bool bloom_pruned = false;
-    if (!StripeMayMatch(info, spec_.bounds, &bloom_pruned)) {
-      (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter())
-          .AddSkippedStripe(bloom_pruned);
-      ++stripe_index_;
-      continue;
-    }
-    ++survivors_in_file_;
-    auto batch = reader->ReadStripe(stripe_index_, required_);
-    if (!batch.ok()) {
-      status_ = batch.status();
-      return false;
-    }
-    batch_ = std::move(batch).value();
-    batch_loaded_ = true;
-    index_in_batch_ = 0;
-    ++stripe_index_;
-    return true;
-  }
-  return false;
+Status StagedFileWriter::OpenFile() {
+  DTL_ASSIGN_OR_RETURN(open_, master_->NewFileWriter(next_file_id_));
+  next_file_id_ = 0;  // a reserved ID names the first file only
+  return Status::OK();
 }
 
-bool MasterScanIterator::Next() {
-  if (!status_.ok()) return false;
-  while (true) {
-    if (!batch_loaded_ || index_in_batch_ >= batch_.num_rows) {
-      batch_loaded_ = false;
-      if (!LoadNextBatch()) return false;
-    }
-    const size_t i = index_in_batch_++;
-    row_.assign(num_fields_, Value::Null());
-    for (size_t p = 0; p < batch_.projection.size(); ++p) {
-      row_[batch_.projection[p]] = batch_.at(p, i);
-    }
-    if (apply_predicate_ && spec_.predicate && !spec_.predicate(row_)) continue;
-    record_id_ = MakeRecordId(file_ids_[file_index_], batch_.first_row + i);
-    return true;
-  }
+Status StagedFileWriter::CloseFile() {
+  if (open_ == nullptr) return Status::OK();
+  DTL_ASSIGN_OR_RETURN(MasterFileInfo info, open_->Close());
+  staged_.push_back(std::move(info));
+  open_.reset();
+  return Status::OK();
+}
+
+Status StagedFileWriter::Append(const Row& row) {
+  if (open_ == nullptr) DTL_RETURN_NOT_OK(OpenFile());
+  DTL_RETURN_NOT_OK(open_->Append(row));
+  return open_->rows_written() >= roll_rows_ ? CloseFile() : Status::OK();
+}
+
+Status StagedFileWriter::AppendRawStripe(const orc::StripeInfo& info,
+                                         const std::string& stripe_bytes) {
+  if (open_ == nullptr) DTL_RETURN_NOT_OK(OpenFile());
+  DTL_RETURN_NOT_OK(open_->AppendRawStripe(info, stripe_bytes));
+  return open_->rows_written() >= roll_rows_ ? CloseFile() : Status::OK();
+}
+
+Result<std::vector<MasterFileInfo>> StagedFileWriter::Finish() {
+  DTL_CHECK(!finished_);
+  DTL_RETURN_NOT_OK(CloseFile());
+  finished_ = true;
+  return std::move(staged_);
 }
 
 // --- MasterScanBatchIterator -------------------------------------------------------
@@ -400,12 +388,17 @@ Status MasterTable::WriteManifest(const MasterGeneration& gen) {
   std::string bytes = payload;
   PutFixed32(&bytes, Crc32(payload.data(), payload.size()));
   // tmp + rename: the manifest swap is atomic, so a reader never sees a
-  // half-written file set.
+  // half-written file set. A failed swap leaves the old manifest in place
+  // and drops the tmp.
   const std::string tmp = manifest_path + ".tmp";
   DTL_ASSIGN_OR_RETURN(auto file, fs_->NewWritableFile(tmp));
-  DTL_RETURN_NOT_OK(file->Append(bytes));
-  DTL_RETURN_NOT_OK(file->Close());
-  return fs_->Rename(tmp, manifest_path);
+  Status st = file->Append(bytes);
+  if (st.ok()) st = file->Close();
+  if (st.ok()) st = fs_->Rename(tmp, manifest_path);
+  if (!st.ok() && fs_->Exists(tmp)) {
+    DTL_IGNORE_STATUS(fs_->Delete(tmp), "next Open() garbage-collects .tmp files");
+  }
+  return st;
 }
 
 MasterGenerationPtr MasterTable::CurrentGeneration() const {
@@ -424,9 +417,25 @@ std::shared_ptr<MasterGeneration> MasterTable::NewGenerationLocked() const {
   return next;
 }
 
-Result<std::unique_ptr<MasterFileWriter>> MasterTable::NewFileWriter() {
+Result<uint64_t> MasterTable::ReserveFileId() {
   DTL_ASSIGN_OR_RETURN(uint64_t file_id, metadata_->NextFileId(table_name_));
   if (file_id > kMaxFileId) return Status::OutOfRange("master file ID space exhausted");
+  return file_id;
+}
+
+void MasterTable::DiscardStaged(const std::vector<std::string>& paths) {
+  for (const std::string& path : paths) {
+    for (const std::string& p : {path, path + ".tmp"}) {
+      if (!fs_->Exists(p)) continue;
+      DTL_IGNORE_STATUS(fs_->Delete(p), "next Open() garbage-collects unlisted files");
+    }
+  }
+}
+
+Result<std::unique_ptr<MasterFileWriter>> MasterTable::NewFileWriter(uint64_t file_id) {
+  if (file_id == 0) {
+    DTL_ASSIGN_OR_RETURN(file_id, ReserveFileId());
+  }
   MasterFileInfo info;
   info.file_id = file_id;
   info.path = MasterFilePath(dir_, file_id);
@@ -489,7 +498,14 @@ Status MasterTable::ReplaceAllFiles(std::vector<MasterFileInfo> new_files) {
   // Commit the new generation before dooming the old one: after a crash,
   // Open() serves whichever generation the manifest names and
   // garbage-collects the other.
-  DTL_RETURN_NOT_OK(WriteManifest(*next));
+  if (Status st = WriteManifest(*next); !st.ok()) {
+    std::vector<std::string> staged;
+    for (const auto& f : next->files_) {
+      if (f.born_generation == next->number_) staged.push_back(f.path);
+    }
+    DiscardStaged(staged);
+    return st;
+  }
   // Replaced files stay on disk until the outgoing generation's last
   // snapshot pin drops (its destructor deletes them). Scans pinned to it
   // keep reading byte-identical data; nothing tears. Files carried into the
@@ -515,22 +531,6 @@ Result<std::shared_ptr<orc::OrcReader>> MasterTable::OpenReader(
   return Status::NotFound("no master file with ID " + std::to_string(file_id));
 }
 
-Result<std::unique_ptr<MasterScanIterator>> MasterTable::NewScanIterator(
-    const table::ScanSpec& spec, bool apply_predicate) const {
-  const MasterGenerationPtr gen = CurrentGeneration();
-  std::vector<std::shared_ptr<orc::OrcReader>> readers;
-  std::vector<uint64_t> file_ids;
-  readers.reserve(gen->files().size());
-  for (const MasterFileInfo& info : gen->files()) {
-    DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
-    readers.push_back(std::move(reader));
-    file_ids.push_back(info.file_id);
-  }
-  return std::unique_ptr<MasterScanIterator>(
-      new MasterScanIterator(std::move(readers), std::move(file_ids), spec,
-                             schema_.num_fields(), apply_predicate));
-}
-
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterator(
     const MasterGenerationPtr& gen, const table::ScanSpec& spec, bool apply_predicate,
     size_t batch_rows, orc::CacheFill fill) const {
@@ -549,8 +549,9 @@ Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterat
 }
 
 Result<std::unique_ptr<MasterScanBatchIterator>> MasterTable::NewBatchScanIterator(
-    const table::ScanSpec& spec, bool apply_predicate, size_t batch_rows) const {
-  return NewBatchScanIterator(CurrentGeneration(), spec, apply_predicate, batch_rows);
+    const table::ScanSpec& spec, bool apply_predicate, size_t batch_rows,
+    orc::CacheFill fill) const {
+  return NewBatchScanIterator(CurrentGeneration(), spec, apply_predicate, batch_rows, fill);
 }
 
 Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(

@@ -116,6 +116,7 @@ class MasterFileWriter {
   Result<MasterFileInfo> Close();
 
   uint64_t file_id() const { return info_.file_id; }
+  const std::string& path() const { return info_.path; }
   uint64_t rows_written() const { return writer_->rows_written(); }
 
  private:
@@ -129,44 +130,43 @@ class MasterFileWriter {
   fs::SimFileSystem* fs_;
 };
 
-/// Streams (record_id, row) pairs from the master files in record-ID order,
-/// honoring projection, stripe pruning, and (optionally deferred) predicate
-/// evaluation. Rows are full schema width with non-required columns NULL.
-/// Decodes every stripe uncached; only the Hive and ACID baselines use it.
-class MasterScanIterator {
+/// Stages the files of one master rewrite: OVERWRITE, COMPACT's per-file
+/// fold, and the baselines' rewrites. Files open lazily, so a rewrite that
+/// keeps no row stages nothing, and a file rolls to the next once it holds
+/// `roll_rows` rows. Nothing is registered: Finish() closes the open file
+/// and returns every staged file's info for the caller to publish. Dropped
+/// unfinished (any failure before Finish returns), the writer deletes what
+/// it staged — the closed files and the open file's `.tmp` — so a failed
+/// rewrite leaves the directory listing only the committed files.
+class StagedFileWriter {
  public:
-  /// Advances to the next surviving row; false at end or error.
-  bool Next();
-  uint64_t record_id() const { return record_id_; }
-  const Row& row() const { return row_; }
-  const Status& status() const { return status_; }
+  /// `first_file_id` (from MasterTable::ReserveFileId) names the first file;
+  /// 0 draws every file's ID from the metadata table as the file opens.
+  StagedFileWriter(MasterTable* master, uint64_t roll_rows, uint64_t first_file_id = 0);
+  ~StagedFileWriter();
+
+  StagedFileWriter(const StagedFileWriter&) = delete;
+  StagedFileWriter& operator=(const StagedFileWriter&) = delete;
+
+  Status Append(const Row& row);
+  /// See MasterFileWriter::AppendRawStripe; counts toward the roll limit.
+  Status AppendRawStripe(const orc::StripeInfo& info, const std::string& stripe_bytes);
+  /// Closes the open file, if any; the next row starts a new one. The file
+  /// stays staged, and is discarded if the writer is dropped unfinished.
+  Status CloseFile();
+  /// Closes the open file and returns the staged files in write order. Call
+  /// at most once; the caller owns the files from here on.
+  Result<std::vector<MasterFileInfo>> Finish();
 
  private:
-  friend class MasterTable;
-  MasterScanIterator(std::vector<std::shared_ptr<orc::OrcReader>> readers,
-                     std::vector<uint64_t> file_ids, table::ScanSpec spec,
-                     size_t num_fields, bool apply_predicate);
+  Status OpenFile();
 
-  bool LoadNextBatch();
-
-  std::vector<std::shared_ptr<orc::OrcReader>> readers_;
-  std::vector<uint64_t> file_ids_;
-  table::ScanSpec spec_;
-  std::vector<size_t> required_;
-  size_t num_fields_;
-  bool apply_predicate_;
-
-  size_t file_index_ = 0;
-  size_t stripe_index_ = 0;
-  /// Stripes of the current file that passed StripeMayMatch; a file that
-  /// ends with zero survivors is charged to the meter as a skipped file.
-  size_t survivors_in_file_ = 0;
-  orc::StripeBatch batch_;
-  bool batch_loaded_ = false;
-  size_t index_in_batch_ = 0;
-  uint64_t record_id_ = 0;
-  Row row_;
-  Status status_;
+  MasterTable* master_;
+  uint64_t roll_rows_;
+  uint64_t next_file_id_;
+  std::unique_ptr<MasterFileWriter> open_;  // kept after a failed Close
+  std::vector<MasterFileInfo> staged_;
+  bool finished_ = false;
 };
 
 /// Vectorized master scan: streams RowBatches sliced zero-copy out of
@@ -210,7 +210,8 @@ class MasterScanBatchIterator : public table::BatchIterator {
 
   size_t file_index_ = 0;
   size_t stripe_index_ = 0;
-  /// See MasterScanIterator::survivors_in_file_.
+  /// Stripes of the current file that passed StripeMayMatch; a file that
+  /// ends with zero survivors is charged to the meter as a skipped file.
   size_t survivors_in_file_ = 0;
   std::shared_ptr<const orc::StripeBatch> stripe_;
   size_t offset_in_stripe_ = 0;
@@ -258,8 +259,16 @@ class MasterTable {
     return live_generations_->load(std::memory_order_relaxed);
   }
 
-  /// Starts a new master file with a fresh metadata-assigned file ID.
-  Result<std::unique_ptr<MasterFileWriter>> NewFileWriter();
+  /// Starts a new master file named `file_id` (from ReserveFileId), or with
+  /// a fresh metadata-assigned file ID when `file_id` is 0.
+  Result<std::unique_ptr<MasterFileWriter>> NewFileWriter(uint64_t file_id = 0);
+
+  /// Draws a fresh file ID from the metadata table without opening a file.
+  Result<uint64_t> ReserveFileId();
+
+  /// Deletes staged files (and their `.tmp`) that no generation lists.
+  /// Best effort: whatever survives is garbage-collected by the next Open().
+  void DiscardStaged(const std::vector<std::string>& paths);
 
   /// Registers a closed file produced by NewFileWriter and commits the new
   /// file set to the manifest. The file only becomes part of the table once
@@ -269,7 +278,9 @@ class MasterTable {
 
   /// Swaps the live file set: registers `new_files`, commits the manifest,
   /// then deletes current ones. The manifest rename is the commit point — a
-  /// crash before it keeps the old generation, after it the new one.
+  /// crash before it keeps the old generation, after it the new one. A
+  /// commit that fails discards the staged files it was handed (those no
+  /// generation lists yet), so a failed rewrite leaves nothing staged.
   Status ReplaceAllFiles(std::vector<MasterFileInfo> new_files);
 
   /// Opens (via the generation's cache) the ORC reader for one pinned file.
@@ -313,16 +324,12 @@ class MasterTable {
       size_t batch_rows = table::kDefaultBatchRows,
       orc::CacheFill fill = orc::CacheFill::kAdmit) const;
 
-  // --- latest-visible conveniences (baselines and tests; see lint rule 8) ---
+  // --- latest-visible convenience (baselines and tests; see lint rule 8) ---
 
-  /// Row-at-a-time sequential scan in record-ID order, decoding uncached
-  /// (the Hive and ACID baselines). `apply_predicate` false defers the
-  /// residual filter to the caller.
-  Result<std::unique_ptr<MasterScanIterator>> NewScanIterator(const table::ScanSpec& spec,
-                                                              bool apply_predicate) const;
   Result<std::unique_ptr<MasterScanBatchIterator>> NewBatchScanIterator(
       const table::ScanSpec& spec, bool apply_predicate,
-      size_t batch_rows = table::kDefaultBatchRows) const;
+      size_t batch_rows = table::kDefaultBatchRows,
+      orc::CacheFill fill = orc::CacheFill::kAdmit) const;
 
   /// Removes every master file and the directory.
   Status Drop();

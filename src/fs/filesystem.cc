@@ -52,6 +52,11 @@ bool SimFileSystem::HasCrashed() const {
   return crashed_;
 }
 
+uint64_t SimFileSystem::FaultMatchingOpCount() const {
+  std::lock_guard<std::mutex> lock(fault_mu_);
+  return fault_matching_ops_;
+}
+
 uint64_t SimFileSystem::MutatingOpCount() const {
   std::lock_guard<std::mutex> lock(fault_mu_);
   return mutating_ops_;

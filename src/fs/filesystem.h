@@ -175,6 +175,10 @@ class SimFileSystem {
   void ClearFaultPolicy();
   /// True once a kCrash policy has fired (until ClearFaultPolicy).
   bool HasCrashed() const;
+  /// Operations the installed policy has matched so far, the firing one
+  /// included. With a trigger past the workload it counts them all without
+  /// firing, which is how an error sweep sizes its range.
+  uint64_t FaultMatchingOpCount() const;
   /// Total mutating operations observed since construction, counted whether
   /// or not a policy is installed. Sweeps size their crash-point range by
   /// running the workload once fault-free and reading this.

@@ -202,33 +202,4 @@ Result<std::shared_ptr<const StripeBatch>> OrcReader::ReadStripeShared(
   return std::shared_ptr<const StripeBatch>(std::move(batch));
 }
 
-OrcRowIterator::OrcRowIterator(const OrcReader* reader, std::vector<size_t> projection)
-    : reader_(reader), projection_(std::move(projection)) {}
-
-bool OrcRowIterator::Next() {
-  if (!status_.ok()) return false;
-  while (true) {
-    if (!batch_loaded_) {
-      if (stripe_index_ >= reader_->num_stripes()) return false;
-      auto batch = reader_->ReadStripe(stripe_index_, projection_);
-      if (!batch.ok()) {
-        status_ = batch.status();
-        return false;
-      }
-      batch_ = std::move(batch).value();
-      batch_loaded_ = true;
-      index_in_stripe_ = 0;
-    }
-    if (index_in_stripe_ >= batch_.num_rows) {
-      batch_loaded_ = false;
-      ++stripe_index_;
-      continue;
-    }
-    row_number_ = batch_.first_row + index_in_stripe_;
-    row_ = batch_.GetRow(index_in_stripe_);
-    ++index_in_stripe_;
-    return true;
-  }
-}
-
 }  // namespace dtl::orc

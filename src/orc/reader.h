@@ -1,8 +1,8 @@
-// Reader for the ORC-like columnar file: footer access, stripe-at-a-time
-// column-projected reads, and a row iterator that recovers file-level row
-// numbers (the low bits of DualTable record IDs) at read time, exactly as the
-// paper exploits ("row numbers are computed during reading operations and
-// have no storage cost").
+// Reader for the ORC-like columnar file: footer access and stripe-at-a-time
+// column-projected reads. Each stripe knows its first file-level row, so row
+// numbers (the low bits of DualTable record IDs) are recovered at read time,
+// exactly as the paper exploits ("row numbers are computed during reading
+// operations and have no storage cost").
 #pragma once
 
 #include <memory>
@@ -123,35 +123,6 @@ class OrcReader {
   StripeCache* shared_cache_ = nullptr;
   uint64_t cache_owner_ = 0;
   uint64_t cache_generation_ = 0;
-};
-
-/// Streams (row_number, row) pairs across all stripes of one file with a
-/// column projection.
-class OrcRowIterator {
- public:
-  OrcRowIterator(const OrcReader* reader, std::vector<size_t> projection);
-
-  /// Advances to the next row. Returns false at end of file; check status()
-  /// afterwards to distinguish EOF from error.
-  bool Next();
-
-  /// File-level row number of the current row.
-  uint64_t row_number() const { return row_number_; }
-  /// Projected values of the current row.
-  const Row& row() const { return row_; }
-
-  const Status& status() const { return status_; }
-
- private:
-  const OrcReader* reader_;
-  std::vector<size_t> projection_;
-  size_t stripe_index_ = 0;
-  size_t index_in_stripe_ = 0;
-  StripeBatch batch_;
-  bool batch_loaded_ = false;
-  uint64_t row_number_ = 0;
-  Row row_;
-  Status status_;
 };
 
 }  // namespace dtl::orc

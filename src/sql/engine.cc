@@ -1131,24 +1131,24 @@ Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
 Result<QueryResult> Engine::ExecuteCompact(const CompactStmt& stmt) {
   DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
   QueryResult result;
-  if (stmt.incremental) {
-    if (entry.kind != table::TableKind::kDual) {
-      return Status::NotSupported("COMPACT INCREMENTAL supports dualtable tables only");
-    }
+  if (entry.kind == table::TableKind::kDual) {
+    // Both forms run the one fold; full COMPACT plans it at density 0.
     auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    DTL_ASSIGN_OR_RETURN(auto stats, dual->CompactIncremental(exec_.tracer));
-    result.message = "incremental compact of " + stmt.table + ": " + stats.ToString();
+    DTL_ASSIGN_OR_RETURN(auto stats, stmt.incremental ? dual->CompactIncremental(exec_.tracer)
+                                                      : dual->Compact(exec_.tracer));
+    result.message = std::string(stmt.incremental ? "incremental compact of "
+                                                  : "compact of ") +
+                     stmt.table + ": " + stats.ToString();
     return result;
   }
-  if (entry.kind == table::TableKind::kDual) {
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    DTL_RETURN_NOT_OK(dual->Compact());
-  } else if (entry.kind == table::TableKind::kAcid) {
-    auto* acid = dynamic_cast<baseline::AcidTable*>(entry.table.get());
-    DTL_RETURN_NOT_OK(acid->MajorCompact());
-  } else {
+  if (stmt.incremental) {
+    return Status::NotSupported("COMPACT INCREMENTAL supports dualtable tables only");
+  }
+  if (entry.kind != table::TableKind::kAcid) {
     return Status::NotSupported("COMPACT supports dualtable and acid tables only");
   }
+  auto* acid = dynamic_cast<baseline::AcidTable*>(entry.table.get());
+  DTL_RETURN_NOT_OK(acid->MajorCompact());
   result.message = "compacted table " + stmt.table;
   return result;
 }
@@ -1354,10 +1354,14 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
   }
   if (const auto* compact = std::get_if<CompactStmt>(stmt.inner.get())) {
     DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(compact->table));
-    if (compact->incremental && entry.kind == table::TableKind::kDual) {
+    if (entry.kind == table::TableKind::kDual) {
+      // The plan the fold will run: the cost-model threshold for
+      // INCREMENTAL, density 0 (every file holding a delta) for full COMPACT.
       auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      emit("COMPACT INCREMENTAL " + compact->table);
-      DTL_ASSIGN_OR_RETURN(auto plan, dual->PreviewIncrementalCompaction());
+      emit((compact->incremental ? "COMPACT INCREMENTAL " : "COMPACT ") + compact->table);
+      DTL_ASSIGN_OR_RETURN(auto plan, compact->incremental
+                                          ? dual->PreviewIncrementalCompaction()
+                                          : dual->PreviewFullCompaction());
       std::istringstream lines(plan.ToString());
       for (std::string line; std::getline(lines, line);) emit("  " + line);
       return result;

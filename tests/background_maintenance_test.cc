@@ -182,13 +182,19 @@ TEST_F(BackgroundMaintenanceTest, ByteDebtFallbackRunsFullCompact) {
   ASSERT_TRUE(Bump(table->get(), 200, 220).ok());
   ASSERT_TRUE((*table)->NeedsCompaction());
 
+  const std::vector<MasterFileInfo> before = (*table)->master()->files();
+  ASSERT_EQ(before.size(), 2u);
   scheduler_->Quiesce();
   EXPECT_FALSE((*table)->NeedsCompaction());
   auto plan = (*table)->PreviewIncrementalCompaction();
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->total_delta_rows(), 0u);
-  // Full COMPACT coalesces everything into one clean file.
-  EXPECT_EQ(plan->files.size(), 1u);
+  // Full COMPACT gives each file holding a delta one clean replacement.
+  ASSERT_EQ(plan->files.size(), 2u);
+  for (const FileCompactionPlan& f : plan->files) {
+    EXPECT_NE(f.file_id, before[0].file_id);
+    EXPECT_NE(f.file_id, before[1].file_id);
+  }
 
   auto it = (*table)->Scan(table::ScanSpec{});
   ASSERT_TRUE(it.ok());

@@ -12,7 +12,9 @@
 //   * recovery itself succeeds and reads never crash or return garbage.
 // By default ~25 evenly spaced crash points per configuration keep the suite
 // fast; DTL_FAULT_SWEEP_FULL=1 sweeps every single operation (the CI
-// fault-matrix job does). The bite test at the bottom disables the master
+// fault-matrix job does). The error sweeps inject one IO error without a
+// crash instead: the KV store must keep serving, and a failed master rewrite
+// must leave nothing staged. The bite test at the bottom disables the master
 // manifest commit and demonstrates the sweep catching the regression.
 #include <gtest/gtest.h>
 
@@ -23,11 +25,13 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "baseline/acid_table.h"
 #include "baseline/hive_table.h"
+#include "common/thread_pool.h"
 #include "dualtable/dual_table.h"
 #include "dualtable/metadata.h"
 #include "fs/filesystem.h"
@@ -423,7 +427,7 @@ std::vector<Statement<DualEnv>> DualStatements() {
   statements.push_back(update(2, [](int64_t id) { return id < 40; }));
   // COMPACT folds the attached modifications into a new master generation;
   // it must be a logical no-op at every crash point.
-  statements.push_back({[](DualEnv* env) { return env->table->Compact(); },
+  statements.push_back({[](DualEnv* env) { return env->table->Compact().status(); },
                         [](State*) {}});
   statements.push_back(update(3, [](int64_t id) { return id % 5 == 0; }));
   statements.push_back(remove([](int64_t id) { return id < 10; }));
@@ -711,7 +715,7 @@ TEST(CrashSweepTest, CompactGenerationSwapWithPinnedSnapshot) {
     policy.mode = FaultMode::kCrash;
     policy.trigger_after_ops = k;
     fs.SetFaultPolicy(policy);
-    const Status compact_status = env->table->Compact();
+    const Status compact_status = env->table->Compact().status();
 
     // Live-process contract: whether the publish committed or died halfway,
     // every file the snapshot pins is still readable and the snapshot's view
@@ -1147,6 +1151,209 @@ TEST(ErrorSweepTest, KvStoreSurvivesInjectedErrorAtEveryOperation) {
     auto reopened = kv::KvStore::Open(&fs, KvSweepOptions());
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     check(reopened->get(), "reopened");
+  }
+}
+
+// --- Failed-rewrite sweep -------------------------------------------------------
+
+/// A table in a known state plus one statement that rewrites its master
+/// files: an OVERWRITE, a COMPACT, or a baseline rewrite.
+struct RewriteEnv {
+  std::unique_ptr<dual::MetadataTable> metadata;
+  fs::ClusterModel cluster;
+  std::unique_ptr<ThreadPool> pool;  // outlives the table
+  std::shared_ptr<table::StorageTable> table;
+  std::string master_dir;
+  std::function<Status()> rewrite;
+};
+
+constexpr int64_t kRewriteRows = 150;
+constexpr uint64_t kRewriteRollRows = 40;  // rewrites stage several files
+
+/// Loads kRewriteRows rows as three master files of 50.
+Status InsertThreeFiles(table::StorageTable* table) {
+  const std::vector<Row> rows = InitialRows(kRewriteRows);
+  for (int64_t begin = 0; begin < kRewriteRows; begin += 50) {
+    DTL_RETURN_NOT_OK(
+        table->InsertRows(std::vector<Row>(rows.begin() + begin, rows.begin() + begin + 50)));
+  }
+  return Status::OK();
+}
+
+/// Deltas dense in the first and last file, sparse in the middle one.
+Status AddDeltas(table::StorageTable* table) {
+  DTL_RETURN_NOT_OK(RunUpdate(table, 5, [](int64_t id) {
+    return id < 50 ? id % 2 == 0 : (id >= 100 ? id % 3 == 0 : id == 75);
+  }));
+  return RunDelete(table, [](int64_t id) { return id % 10 == 3; });
+}
+
+enum class DualRewrite {
+  kOverwriteUpdate,
+  kOverwriteDelete,
+  kInsertOverwrite,
+  kCompact,
+  kPooledCompact,
+  kCompactIncremental,
+};
+
+std::unique_ptr<RewriteEnv> DualRewriteSetup(fs::SimFileSystem* fs, DualRewrite kind) {
+  auto env = std::make_unique<RewriteEnv>();
+  auto metadata = dual::MetadataTable::Open(fs);
+  if (!metadata.ok()) return nullptr;
+  env->metadata = std::move(metadata.value());
+  if (kind == DualRewrite::kPooledCompact) env->pool = std::make_unique<ThreadPool>(2);
+  const bool overwrite = kind == DualRewrite::kOverwriteUpdate ||
+                         kind == DualRewrite::kOverwriteDelete ||
+                         kind == DualRewrite::kInsertOverwrite;
+  dual::DualTableOptions options;
+  options.plan_mode = overwrite ? dual::DualTableOptions::PlanMode::kForceOverwrite
+                                : dual::DualTableOptions::PlanMode::kForceEdit;
+  options.writer_options.stripe_rows = 16;
+  options.rewrite_file_rows = kRewriteRollRows;
+  options.incremental_density_override = 0.2;  // selects the two dense files
+  options.pool = env->pool.get();
+  auto table = dual::DualTable::Open(fs, env->metadata.get(), &env->cluster, "dual",
+                                     TableSchema(), options);
+  if (!table.ok()) return nullptr;
+  dual::DualTable* dual = table->get();
+  env->table = std::move(table.value());
+  env->master_dir = "/warehouse/dual";
+  if (!InsertThreeFiles(dual).ok()) return nullptr;
+  if (!overwrite && !AddDeltas(dual).ok()) return nullptr;
+  switch (kind) {
+    case DualRewrite::kOverwriteUpdate:
+      env->rewrite = [dual] { return RunUpdate(dual, 7, [](int64_t id) { return id % 3 == 0; }); };
+      break;
+    case DualRewrite::kOverwriteDelete:
+      env->rewrite = [dual] { return RunDelete(dual, [](int64_t id) { return id % 4 == 0; }); };
+      break;
+    case DualRewrite::kInsertOverwrite:
+      env->rewrite = [dual] { return dual->OverwriteRows(InitialRows(kRewriteRows)); };
+      break;
+    case DualRewrite::kCompact:
+    case DualRewrite::kPooledCompact:
+      env->rewrite = [dual] { return dual->Compact().status(); };
+      break;
+    case DualRewrite::kCompactIncremental:
+      env->rewrite = [dual] { return dual->CompactIncremental().status(); };
+      break;
+  }
+  return env;
+}
+
+std::unique_ptr<RewriteEnv> HiveRewriteSetup(fs::SimFileSystem* fs) {
+  auto env = std::make_unique<RewriteEnv>();
+  auto metadata = dual::MetadataTable::Open(fs);
+  if (!metadata.ok()) return nullptr;
+  env->metadata = std::move(metadata.value());
+  baseline::HiveTableOptions options;
+  options.writer_options.stripe_rows = 16;
+  options.rewrite_file_rows = kRewriteRollRows;
+  auto table =
+      baseline::HiveTable::Open(fs, env->metadata.get(), "hive", TableSchema(), options);
+  if (!table.ok()) return nullptr;
+  baseline::HiveTable* hive = table->get();
+  env->table = std::move(table.value());
+  env->master_dir = "/warehouse/hive";
+  if (!InsertThreeFiles(hive).ok()) return nullptr;
+  env->rewrite = [hive] { return RunUpdate(hive, 9, [](int64_t id) { return id % 4 == 0; }); };
+  return env;
+}
+
+std::unique_ptr<RewriteEnv> AcidRewriteSetup(fs::SimFileSystem* fs) {
+  auto env = std::make_unique<RewriteEnv>();
+  auto metadata = dual::MetadataTable::Open(fs);
+  if (!metadata.ok()) return nullptr;
+  env->metadata = std::move(metadata.value());
+  baseline::AcidTableOptions options;
+  options.writer_options.stripe_rows = 16;
+  options.rewrite_file_rows = kRewriteRollRows;
+  auto table =
+      baseline::AcidTable::Open(fs, env->metadata.get(), "acid", TableSchema(), options);
+  if (!table.ok()) return nullptr;
+  baseline::AcidTable* acid = table->get();
+  env->table = std::move(table.value());
+  env->master_dir = "/warehouse/acid";
+  if (!InsertThreeFiles(acid).ok() || !AddDeltas(acid).ok()) return nullptr;
+  env->rewrite = [acid] { return acid->MajorCompact(); };
+  return env;
+}
+
+/// Injects one IO error at every create, append, sync and rename of the
+/// paths containing `path_substring` — the rewrite's staged master files, or
+/// its manifest commit — in turn. At each point the statement must return
+/// the error and, without a reopen, leave the master directory as it was
+/// (the manifest and the committed files, no `.tmp` and no unlisted
+/// `f_*.orc`), and the table must read as before.
+void RunFailedRewriteSweep(const std::string& label, const std::string& path_substring,
+                           const std::function<std::unique_ptr<RewriteEnv>(fs::SimFileSystem*)>& setup) {
+  FaultPolicy policy;
+  policy.mode = FaultMode::kErrorOnce;
+  policy.path_substring = path_substring;
+  policy.ops = {FaultOp::kCreate, FaultOp::kAppend, FaultOp::kSync, FaultOp::kRename};
+  uint64_t total = 0;
+  {
+    fs::SimFileSystem fs;
+    auto env = setup(&fs);
+    ASSERT_NE(env, nullptr) << label << ": setup failed";
+    FaultPolicy counting = policy;
+    counting.trigger_after_ops = UINT64_MAX;  // never fires; counts every match
+    fs.SetFaultPolicy(counting);
+    const Status st = env->rewrite();
+    ASSERT_TRUE(st.ok()) << label << " dry run: " << st.ToString();
+    total = fs.FaultMatchingOpCount();
+  }
+  ASSERT_GT(total, 0u) << label;
+
+  for (uint64_t k = 1; k <= total; ++k) {
+    SCOPED_TRACE(label + ": error at " + path_substring + " op " + std::to_string(k) + "/" +
+                 std::to_string(total));
+    fs::SimFileSystem fs;
+    auto env = setup(&fs);
+    ASSERT_NE(env, nullptr);
+    State before;
+    std::string why;
+    ASSERT_TRUE(TryReadState(env->table.get(), &before, &why)) << why;
+    auto listing = [&fs, &env] {
+      auto names = fs.ListDir(env->master_dir);
+      EXPECT_TRUE(names.ok()) << names.status().ToString();
+      return names.ok() ? std::set<std::string>(names->begin(), names->end())
+                        : std::set<std::string>();
+    };
+    const std::set<std::string> committed = listing();
+    ASSERT_EQ(committed.count("manifest"), 1u);
+
+    policy.trigger_after_ops = k;
+    fs.SetFaultPolicy(policy);
+    EXPECT_FALSE(env->rewrite().ok()) << "the injected error was swallowed";
+    fs.ClearFaultPolicy();
+
+    EXPECT_EQ(listing(), committed);
+    State after;
+    ASSERT_TRUE(TryReadState(env->table.get(), &after, &why)) << why;
+    EXPECT_EQ(after, before) << "\n  after=" << FormatState(after)
+                             << "\n  before=" << FormatState(before);
+  }
+}
+
+TEST(ErrorSweepTest, FailedRewriteLeavesNothingStaged) {
+  const std::pair<const char*, DualRewrite> dual_cases[] = {
+      {"dual OVERWRITE UPDATE", DualRewrite::kOverwriteUpdate},
+      {"dual OVERWRITE DELETE", DualRewrite::kOverwriteDelete},
+      {"dual INSERT OVERWRITE", DualRewrite::kInsertOverwrite},
+      {"dual COMPACT", DualRewrite::kCompact},
+      {"dual COMPACT on a pool", DualRewrite::kPooledCompact},
+      {"dual COMPACT INCREMENTAL", DualRewrite::kCompactIncremental},
+  };
+  for (const char* path : {"/f_", "/manifest"}) {
+    for (const auto& [label, kind] : dual_cases) {
+      RunFailedRewriteSweep(label, path, [kind = kind](fs::SimFileSystem* fs) {
+        return DualRewriteSetup(fs, kind);
+      });
+    }
+    RunFailedRewriteSweep("hive OVERWRITE", path, HiveRewriteSetup);
+    RunFailedRewriteSweep("acid major compaction", path, AcidRewriteSetup);
   }
 }
 

@@ -54,15 +54,17 @@ class OrcCorruptionTest : public ::testing::Test {
 
   void Corrupt(uint64_t offset) { ASSERT_TRUE(fs_.CorruptFile(kPath, offset, 0x40).ok()); }
 
-  /// Full read of every row through the row iterator; returns the terminal
-  /// status. Must never crash regardless of what was corrupted.
-  Status ScanAll() {
+  /// Reads every stripe over `projection` (empty = every column); returns
+  /// the first error. Must never crash regardless of what was corrupted.
+  Status ScanAll(const std::vector<size_t>& projection = {}) {
     auto reader = orc::OrcReader::Open(&fs_, kPath);
     if (!reader.ok()) return reader.status();
-    orc::OrcRowIterator it(reader.value().get(), {});
     uint64_t rows = 0;
-    while (it.Next()) ++rows;
-    if (!it.status().ok()) return it.status();
+    for (size_t s = 0; s < reader.value()->num_stripes(); ++s) {
+      auto stripe = reader.value()->ReadStripe(s, projection);
+      if (!stripe.ok()) return stripe.status();
+      rows += stripe->num_rows;
+    }
     EXPECT_EQ(rows, static_cast<uint64_t>(kRows));
     return Status::OK();
   }
@@ -127,13 +129,8 @@ TEST_F(OrcCorruptionTest, ProjectedScanSkipsCorruptUnprojectedColumn) {
   // so the scan succeeds — corruption detection is per-stream by design.
   Corrupt(stripe.offset + stripe.streams[0].presence_length +
           stripe.streams[0].data_length + stripe.streams[1].presence_length + 1);
-  auto reader = orc::OrcReader::Open(&fs_, kPath);
-  ASSERT_TRUE(reader.ok());
-  orc::OrcRowIterator only_ids(reader.value().get(), {0});
-  uint64_t rows = 0;
-  while (only_ids.Next()) ++rows;
-  EXPECT_TRUE(only_ids.status().ok()) << only_ids.status().ToString();
-  EXPECT_EQ(rows, static_cast<uint64_t>(kRows));
+  const Status only_ids = ScanAll({0});
+  EXPECT_TRUE(only_ids.ok()) << only_ids.ToString();
   // The full-width scan does read it and must fail.
   EXPECT_TRUE(ScanAll().IsCorruption());
 }

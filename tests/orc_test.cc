@@ -159,15 +159,17 @@ TEST(OrcFileTest, WriteReadRoundTrip) {
   EXPECT_EQ((*reader)->num_stripes(), 10u);
   EXPECT_EQ((*reader)->schema(), TestSchema());
 
-  OrcRowIterator it(reader->get(), {});
   int count = 0;
-  while (it.Next()) {
-    EXPECT_EQ(it.row_number(), static_cast<uint64_t>(count));
-    EXPECT_EQ(it.row()[0].AsInt64(), count);
-    EXPECT_EQ(it.row()[2].AsString(), "name" + std::to_string(count % 100));
-    ++count;
+  for (size_t s = 0; s < (*reader)->num_stripes(); ++s) {
+    auto stripe = (*reader)->ReadStripe(s);
+    ASSERT_TRUE(stripe.ok()) << stripe.status().ToString();
+    for (size_t i = 0; i < stripe->num_rows; ++i) {
+      EXPECT_EQ(stripe->first_row + i, static_cast<uint64_t>(count));
+      EXPECT_EQ(stripe->at(0, i).AsInt64(), count);
+      EXPECT_EQ(stripe->at(2, i).AsString(), "name" + std::to_string(count % 100));
+      ++count;
+    }
   }
-  ASSERT_TRUE(it.status().ok());
   EXPECT_EQ(count, kRows);
 }
 
@@ -360,9 +362,11 @@ TEST(OrcFileTest, EmptyFileHasZeroRows) {
   auto reader = OrcReader::Open(&fs, "/t/empty.orc");
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ((*reader)->num_rows(), 0u);
-  OrcRowIterator it(reader->get(), {});
-  EXPECT_FALSE(it.Next());
-  EXPECT_TRUE(it.status().ok());
+  for (size_t s = 0; s < (*reader)->num_stripes(); ++s) {
+    auto stripe = (*reader)->ReadStripe(s);
+    ASSERT_TRUE(stripe.ok()) << stripe.status().ToString();
+    EXPECT_EQ(stripe->num_rows, 0u);
+  }
 }
 
 // --- byte-identity oracle ------------------------------------------------------
@@ -657,27 +661,28 @@ void ExpectRowsRoundTrip(const fs::SimFileSystem* fs, const std::string& path,
                          const std::vector<Row>& expected) {
   auto reader = OrcReader::Open(fs, path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  OrcRowIterator it(reader->get(), {});
   size_t r = 0;
-  while (it.Next()) {
-    ASSERT_LT(r, expected.size()) << path;
-    ASSERT_EQ(it.row().size(), expected[r].size());
-    for (size_t c = 0; c < expected[r].size(); ++c) {
-      const Value& got = it.row()[c];
-      const Value& want = expected[r][c];
-      ASSERT_EQ(got.is_null(), want.is_null()) << path << " row " << r << " col " << c;
-      if (want.is_double()) {
-        ASSERT_TRUE(got.is_double());
-        EXPECT_EQ(std::bit_cast<uint64_t>(got.AsDouble()),
-                  std::bit_cast<uint64_t>(want.AsDouble()))
-            << path << " row " << r;
-      } else if (!want.is_null()) {
-        EXPECT_TRUE(got == want) << path << " row " << r << " col " << c;
+  for (size_t s = 0; s < (*reader)->num_stripes(); ++s) {
+    auto stripe = (*reader)->ReadStripe(s);
+    ASSERT_TRUE(stripe.ok()) << stripe.status().ToString();
+    for (size_t i = 0; i < stripe->num_rows; ++i, ++r) {
+      ASSERT_LT(r, expected.size()) << path;
+      ASSERT_EQ(stripe->columns.size(), expected[r].size());
+      for (size_t c = 0; c < expected[r].size(); ++c) {
+        const Value& got = stripe->at(c, i);
+        const Value& want = expected[r][c];
+        ASSERT_EQ(got.is_null(), want.is_null()) << path << " row " << r << " col " << c;
+        if (want.is_double()) {
+          ASSERT_TRUE(got.is_double());
+          EXPECT_EQ(std::bit_cast<uint64_t>(got.AsDouble()),
+                    std::bit_cast<uint64_t>(want.AsDouble()))
+              << path << " row " << r;
+        } else if (!want.is_null()) {
+          EXPECT_TRUE(got == want) << path << " row " << r << " col " << c;
+        }
       }
     }
-    ++r;
   }
-  ASSERT_TRUE(it.status().ok()) << it.status().ToString();
   EXPECT_EQ(r, expected.size()) << path;
 }
 

@@ -333,31 +333,79 @@ TEST_F(ParallelScanTest, ParallelCompactMatchesSerialCompact) {
   auto par = OpenTable("cpar", parallel_options);
   ASSERT_TRUE(par.ok());
   dual::DualTableOptions serial_options = BaseOptions();
-  serial_options.pool = nullptr;  // forces the serial RewriteMaster path
+  serial_options.pool = nullptr;  // the fold's per-file jobs run inline
   auto ser = OpenTable("cser", serial_options);
   ASSERT_TRUE(ser.ok());
 
   BuildGridTable(par->get());
   BuildGridTable(ser->get());
 
-  ASSERT_TRUE(par->get()->Compact().ok());
-  ASSERT_TRUE(ser->get()->Compact().ok());
+  auto par_stats = par->get()->Compact();
+  auto ser_stats = ser->get()->Compact();
+  ASSERT_TRUE(par_stats.ok()) << par_stats.status().ToString();
+  ASSERT_TRUE(ser_stats.ok()) << ser_stats.status().ToString();
+  EXPECT_EQ(par_stats->ToString(), ser_stats->ToString());
 
+  // The same layout: replacement IDs are drawn in file order before the
+  // jobs start, so neither the files nor their bytes depend on thread timing.
+  const std::vector<dual::MasterFileInfo> par_files = par->get()->master()->files();
+  const std::vector<dual::MasterFileInfo> ser_files = ser->get()->master()->files();
+  ASSERT_EQ(par_files.size(), ser_files.size());
+  for (size_t i = 0; i < par_files.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "file " << i);
+    EXPECT_EQ(par_files[i].file_id, ser_files[i].file_id);
+    EXPECT_EQ(par_files[i].num_rows, ser_files[i].num_rows);
+    EXPECT_EQ(par_files[i].bytes, ser_files[i].bytes);
+  }
+  // The same rows in the same UNION READ order.
   auto par_rows = SerialRows(par->get(), table::ScanSpec{}, nullptr);
   auto ser_rows = SerialRows(ser->get(), table::ScanSpec{}, nullptr);
   ASSERT_TRUE(par_rows.ok());
   ASSERT_TRUE(ser_rows.ok());
-  // Record IDs differ across generations; compare logical content by id.
-  auto by_id = [](const Row& a, const Row& b) { return a[0].AsInt64() < b[0].AsInt64(); };
-  std::sort(par_rows->begin(), par_rows->end(), by_id);
-  std::sort(ser_rows->begin(), ser_rows->end(), by_id);
   ExpectRowsEqual(*ser_rows, *par_rows);
 
   // COMPACT folded the attached table into the new generation.
   EXPECT_EQ(par->get()->attached()->store()->ApproximateCellCount(), 0u);
   EXPECT_FALSE(par->get()->NeedsCompaction());
-  // The parallel rewrite keeps per-file parallelism: one output per input.
-  EXPECT_EQ(par->get()->master()->files().size(), 3u);
+  // Every file held a delta, so each got exactly one replacement.
+  EXPECT_EQ(par_files.size(), 3u);
+}
+
+TEST_F(ParallelScanTest, CompactKeepsDeltaFreeFilesAndCopiesCleanStripes) {
+  auto t = OpenTable("ckeep", BaseOptions());
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE(InsertRange(t->get(), 0, 2000).ok());
+  ASSERT_TRUE(InsertRange(t->get(), 2000, 3500).ok());
+  ASSERT_TRUE(InsertRange(t->get(), 3500, 4200).ok());
+  // Deltas in the first file's first stripe only.
+  ASSERT_TRUE(UpdateWhere(t->get(), [](int64_t id) { return id < 100; }, 1.0).ok());
+  ASSERT_TRUE(DeleteWhere(t->get(), [](int64_t id) { return id == 7; }).ok());
+  const std::vector<dual::MasterFileInfo> before = t->get()->master()->files();
+  ASSERT_EQ(before.size(), 3u);
+
+  auto stats = t->get()->Compact();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->files_selected, 1u);
+  EXPECT_EQ(stats->stripes_rewritten, 1u);
+  EXPECT_GT(stats->stripes_copied, 0u);
+
+  // The delta-free files keep their IDs; the dirty one has one replacement.
+  const std::vector<dual::MasterFileInfo> after = t->get()->master()->files();
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0].file_id, before[1].file_id);
+  EXPECT_EQ(after[1].file_id, before[2].file_id);
+  EXPECT_GT(after[2].file_id, before[2].file_id);
+  EXPECT_EQ(after[2].num_rows, 1999u);
+  EXPECT_TRUE(t->get()->attached()->Empty());
+
+  auto rows = SerialRows(t->get(), table::ScanSpec{}, nullptr);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 4199u);
+  for (const Row& row : *rows) {
+    const int64_t id = row[0].AsInt64();
+    EXPECT_NE(id, 7);
+    EXPECT_EQ(row[2].AsDouble(), id * 0.5 + (id < 100 ? 1.0 : 0.0)) << "id " << id;
+  }
 }
 
 // --- parallel COMPACT crash sweep -------------------------------------------------
@@ -457,7 +505,7 @@ TEST(ParallelCompactCrashSweepTest, ManifestRenameIsTheSingleCommitPoint) {
       policy.mode = fs::FaultMode::kCrash;
       policy.trigger_after_ops = k;
       fs.SetFaultPolicy(policy);
-      DTL_IGNORE_STATUS(env->table->Compact(),
+      DTL_IGNORE_STATUS(env->table->Compact().status(),
                         "the sweep checks recovered state, not this status");
       // Process death: destructors run while the fs is still down.
     }

@@ -252,21 +252,22 @@ TEST_P(OrcRoundTripTest, RandomDataSurvivesRoundTrip) {
 
   auto reader = orc::OrcReader::Open(&fs, "/t/f.orc");
   ASSERT_TRUE(reader.ok());
-  orc::OrcRowIterator it(reader->get(), {});
   size_t n = 0;
-  while (it.Next()) {
-    ASSERT_LT(n, expected.size());
-    const Row& want = expected[n];
-    const Row& got = it.row();
-    for (size_t c = 0; c < want.size(); ++c) {
-      EXPECT_EQ(got[c].is_null(), want[c].is_null()) << "row " << n << " col " << c;
-      if (!want[c].is_null()) {
-        EXPECT_EQ(got[c].Compare(want[c]), 0);
+  for (size_t s = 0; s < (*reader)->num_stripes(); ++s) {
+    auto stripe = (*reader)->ReadStripe(s);
+    ASSERT_TRUE(stripe.ok()) << stripe.status().ToString();
+    for (size_t i = 0; i < stripe->num_rows; ++i, ++n) {
+      ASSERT_LT(n, expected.size());
+      const Row& want = expected[n];
+      const Row got = stripe->GetRow(i);
+      for (size_t c = 0; c < want.size(); ++c) {
+        EXPECT_EQ(got[c].is_null(), want[c].is_null()) << "row " << n << " col " << c;
+        if (!want[c].is_null()) {
+          EXPECT_EQ(got[c].Compare(want[c]), 0);
+        }
       }
     }
-    ++n;
   }
-  ASSERT_TRUE(it.status().ok());
   EXPECT_EQ(n, expected.size());
 }
 

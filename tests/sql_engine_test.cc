@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "dualtable/dual_table.h"
 #include "sql/session.h"
 
@@ -184,6 +188,48 @@ TEST_F(EngineTest, CompactIncrementalStatement) {
   auto check = Run("SELECT SUM(v), COUNT(*) FROM t");
   EXPECT_EQ(check.rows[0][0].AsInt64(), 90 * 7);
   EXPECT_EQ(check.rows[0][1].AsInt64(), 100);
+}
+
+TEST_F(EngineTest, ExplainCompactShowsTheFoldItRuns) {
+  Run("CREATE TABLE t (id BIGINT, v BIGINT) STORED AS dualtable");
+  Run("INSERT INTO t VALUES (1, 0), (2, 0)");
+  Run("INSERT INTO t VALUES (3, 0), (4, 0)");
+  Run("INSERT INTO t VALUES (5, 0), (6, 0)");
+  Run("UPDATE t SET v = 9 WHERE id = 3 WITH RATIO 0.001");  // deltas in one file
+  auto* table = dynamic_cast<dual::DualTable*>(session_->catalog()->Lookup("t")->table.get());
+  ASSERT_NE(table, nullptr);
+  const std::vector<dual::MasterFileInfo> before = table->master()->files();
+  ASSERT_EQ(before.size(), 3u);
+
+  auto plan = Run("EXPLAIN COMPACT TABLE t");
+  std::string rendered;
+  for (const auto& row : plan.rows) rendered += row[0].AsString() + "\n";
+  EXPECT_NE(rendered.find("COMPACT t"), std::string::npos) << rendered;
+  EXPECT_NE(rendered.find("threshold=0 "), std::string::npos) << rendered;
+  for (const dual::MasterFileInfo& f : before) {
+    const std::string line = "f_" + std::to_string(f.file_id) + ":";
+    const size_t at = rendered.find(line);
+    ASSERT_NE(at, std::string::npos) << rendered;
+    const std::string verdict = f.file_id == before[1].file_id ? " REWRITE" : " keep";
+    EXPECT_NE(rendered.find(verdict, at), std::string::npos) << line << "\n" << rendered;
+    EXPECT_LT(rendered.find(verdict, at), rendered.find('\n', at)) << rendered;
+  }
+
+  auto result = Run("COMPACT TABLE t");
+  EXPECT_NE(result.message.find("rewrote 1/3 files"), std::string::npos) << result.message;
+  const std::vector<dual::MasterFileInfo> after = table->master()->files();
+  ASSERT_EQ(after.size(), 3u);
+  std::vector<uint64_t> before_ids, kept;
+  for (const dual::MasterFileInfo& f : before) before_ids.push_back(f.file_id);
+  for (const dual::MasterFileInfo& f : after) {
+    if (std::find(before_ids.begin(), before_ids.end(), f.file_id) != before_ids.end()) {
+      kept.push_back(f.file_id);
+    }
+  }
+  EXPECT_EQ(kept, (std::vector<uint64_t>{before[0].file_id, before[2].file_id}));
+  auto check = Run("SELECT SUM(v), COUNT(*) FROM t");
+  EXPECT_EQ(check.rows[0][0].AsInt64(), 9);
+  EXPECT_EQ(check.rows[0][1].AsInt64(), 6);
 }
 
 TEST_F(EngineTest, CompactIncrementalRejectsNonDualTables) {
