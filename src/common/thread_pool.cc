@@ -62,7 +62,8 @@ void TaskGroup::Spawn(std::function<Status()> task) {
     std::lock_guard<std::mutex> lock(state_->mu);
     ++state_->pending;
   }
-  auto run = [state = state_, task = std::move(task)] {
+  auto state = state_;
+  pool_->Submit([state, task = std::move(task)] {
     Status st;  // skipped-by-cancellation counts as OK
     if (!state->cancelled.load(std::memory_order_acquire)) st = task();
     std::lock_guard<std::mutex> lock(state->mu);
@@ -71,12 +72,7 @@ void TaskGroup::Spawn(std::function<Status()> task) {
       state->cancelled.store(true, std::memory_order_release);
     }
     if (--state->pending == 0) state->cv.notify_all();
-  };
-  if (pool_ == nullptr) {
-    run();
-  } else {
-    pool_->Submit(std::move(run));
-  }
+  });
 }
 
 Status TaskGroup::Wait() {

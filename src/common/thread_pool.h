@@ -1,5 +1,5 @@
-// Fixed-size worker pool that runs scan morsels and per-file COMPACT
-// rewrites in parallel, standing in for a cluster's task slots.
+// Fixed-size worker pool that runs scan morsels in parallel, standing in
+// for a cluster's task slots.
 #pragma once
 
 #include <atomic>
@@ -50,12 +50,9 @@ class ThreadPool {
 /// long-running tasks may poll cancelled() to bail early. Wait() is the
 /// single barrier — it blocks until every spawned task has finished (or been
 /// skipped) and returns the first error, so callers get all-or-nothing
-/// semantics without juggling futures. With no pool, Spawn runs each task
-/// inline on the caller's thread under the same rules, so a pooled and a
-/// serial run share one code path.
+/// semantics without juggling futures.
 class TaskGroup {
  public:
-  /// `pool` may be null: tasks then run inline in Spawn.
   explicit TaskGroup(ThreadPool* pool);
   /// All spawned tasks must have been waited on before destruction.
   ~TaskGroup();
@@ -63,8 +60,7 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Enqueues one task (runs it inline without a pool). Must not be called
-  /// after Wait().
+  /// Enqueues one task. Must not be called after Wait().
   void Spawn(std::function<Status()> task);
 
   /// Blocks until all spawned tasks are done; returns the first error (tasks

@@ -45,10 +45,12 @@ std::string IncrementalCompactionPlan::ToString() const {
 }
 
 std::string IncrementalCompactStats::ToString() const {
-  return "rewrote " + std::to_string(files_selected) + "/" + std::to_string(files_total) +
-         " files (" + std::to_string(stripes_rewritten) + " stripes re-encoded, " +
-         std::to_string(stripes_copied) + " copied, " + std::to_string(rows_rewritten) +
-         " rows, " + std::to_string(mods_folded) + " mods folded)";
+  std::ostringstream out;
+  out << "rewrote " << files_selected << "/" << files_total << " files ("
+      << stripes_rewritten << " stripes re-encoded, " << stripes_copied
+      << " copied, " << rows_rewritten << " rows, " << mods_folded
+      << " mods folded)";
+  return out.str();
 }
 
 Result<std::shared_ptr<DualTable>> DualTable::Open(fs::SimFileSystem* fs,
@@ -747,7 +749,7 @@ Result<IncrementalCompactStats> DualTable::Compact(obs::Tracer* tracer) {
   // Density 0 selects every file holding a delta, so no kept file holds one
   // and the publish empties the attached store.
   DTL_ASSIGN_OR_RETURN(IncrementalCompactStats stats,
-                       Fold(/*threshold=*/0.0, options_.pool, tracer));
+                       Fold(/*threshold=*/0.0, tracer));
   if (compact_hist_ != nullptr) compact_hist_->ObserveSeconds(watch.ElapsedSeconds());
   return stats;
 }
@@ -869,8 +871,7 @@ Status DualTable::FoldFile(const SnapshotPtr& snapshot, const FileCompactionPlan
   return out->CloseFile();
 }
 
-Result<IncrementalCompactStats> DualTable::Fold(double threshold, ThreadPool* pool,
-                                                obs::Tracer* tracer) {
+Result<IncrementalCompactStats> DualTable::Fold(double threshold, obs::Tracer* tracer) {
   // Caller holds mu_.
   SnapshotPtr snapshot = AcquireSnapshot();
   IncrementalCompactionPlan plan;
@@ -882,8 +883,7 @@ Result<IncrementalCompactStats> DualTable::Fold(double threshold, ThreadPool* po
                    std::to_string(plan.files.size()) + " files >= " +
                    std::to_string(plan.threshold));
   }
-  // The stats follow from the plan alone, so they never depend on how the
-  // jobs below interleave.
+  // The stats follow from the plan alone.
   IncrementalCompactStats stats;
   stats.files_total = plan.files.size();
   stats.files_selected = plan.selected_files();
@@ -920,42 +920,27 @@ Result<IncrementalCompactStats> DualTable::Fold(double threshold, ThreadPool* po
     return stats;
   }
 
-  // One job per selected file, each staging exactly one replacement (none
-  // when every row is deleted). Replacement IDs are drawn in file order
-  // before any job starts, so the new layout never depends on thread timing.
-  // A failed job cancels the rest, and every StagedFileWriter discards what
-  // it staged when it goes out of scope unfinished.
-  std::vector<std::unique_ptr<StagedFileWriter>> outputs(plan.files.size());
-  for (size_t i = 0; i < plan.files.size(); ++i) {
-    if (!plan.files[i].selected) continue;
-    DTL_ASSIGN_OR_RETURN(uint64_t file_id, master_->ReserveFileId());
-    outputs[i] = std::make_unique<StagedFileWriter>(master_.get(), UINT64_MAX, file_id);
-  }
+  // Each selected file gets one replacement (none when every row is
+  // deleted), written in file order through one writer that never rolls.
+  // Kept files carry over verbatim: same path, same file ID, so their record
+  // IDs — and their still-attached deltas — stay valid across the swap. A
+  // failure drops the writer unfinished, which discards what it staged.
+  StagedFileWriter out(master_.get(), /*roll_rows=*/UINT64_MAX);
+  std::vector<MasterFileInfo> files;
   {
     obs::Span span(tracer, obs::names::kSpanCompactRewrite);
-    // A lone job runs inline: a worker thread gains it nothing.
-    TaskGroup group(stats.files_selected > 1 ? pool : nullptr);
-    for (size_t i = 0; i < plan.files.size(); ++i) {
-      if (outputs[i] == nullptr) continue;
-      group.Spawn([this, &snapshot, &file = plan.files[i], out = outputs[i].get()] {
-        return FoldFile(snapshot, file, out);
-      });
+    const std::vector<MasterFileInfo>& gen_files = snapshot->generation->files();
+    for (size_t i = 0; i < gen_files.size(); ++i) {
+      if (plan.files[i].selected) {
+        DTL_RETURN_NOT_OK(FoldFile(snapshot, plan.files[i], &out));
+      } else {
+        files.push_back(gen_files[i]);
+      }
     }
-    DTL_RETURN_NOT_OK(group.Wait());
     span.AddRows(stats.rows_rewritten);
   }
-  // Kept files carry over verbatim: same path, same file ID, so their record
-  // IDs — and their still-attached deltas — stay valid across the swap.
-  const std::vector<MasterFileInfo>& gen_files = snapshot->generation->files();
-  std::vector<MasterFileInfo> files;
-  for (size_t i = 0; i < gen_files.size(); ++i) {
-    if (outputs[i] == nullptr) {
-      files.push_back(gen_files[i]);
-      continue;
-    }
-    DTL_ASSIGN_OR_RETURN(std::vector<MasterFileInfo> replacement, outputs[i]->Finish());
-    for (MasterFileInfo& info : replacement) files.push_back(std::move(info));
-  }
+  DTL_ASSIGN_OR_RETURN(std::vector<MasterFileInfo> replacements, out.Finish());
+  for (MasterFileInfo& info : replacements) files.push_back(std::move(info));
   DTL_RETURN_NOT_OK(PublishRewrite(std::move(files), plan.stray_record_ids, kept_deltas));
   if (stripes_rewritten_ctr_ != nullptr) {
     stripes_rewritten_ctr_->Inc(stats.stripes_rewritten);
@@ -968,11 +953,11 @@ Result<IncrementalCompactStats> DualTable::Fold(double threshold, ThreadPool* po
 Result<IncrementalCompactStats> DualTable::CompactIncremental(obs::Tracer* tracer) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   Stopwatch watch;
-  // Inline: this is the maintenance step DML-heavy sessions run between
-  // statements, and concurrent jobs would multiply its working set.
   DTL_ASSIGN_OR_RETURN(IncrementalCompactStats stats,
-                       Fold(IncrementalDensityThreshold(), /*pool=*/nullptr, tracer));
-  if (incremental_compact_hist_ != nullptr) {
+                       Fold(IncrementalDensityThreshold(), tracer));
+  // Only folds that rewrote something are timed: a round that selects
+  // nothing, or only reclaims garbage, would skew the histogram toward zero.
+  if (incremental_compact_hist_ != nullptr && stats.files_selected > 0) {
     incremental_compact_hist_->ObserveSeconds(watch.ElapsedSeconds());
   }
   return stats;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/background_scheduler.h"
-#include "common/thread_pool.h"
 #include "dualtable/attached_table.h"
 #include "dualtable/cost_model.h"
 #include "dualtable/master_table.h"
@@ -167,11 +166,6 @@ struct DualTableOptions {
   /// batch/stripe boundary handling in tests.
   size_t scan_batch_rows = table::kDefaultBatchRows;
 
-  /// Worker pool for full COMPACT: one job per rewritten file, one manifest
-  /// commit at the end. nullptr runs the jobs inline. Not owned; must
-  /// outlive the table.
-  ThreadPool* pool = nullptr;
-
   /// Background maintenance scheduler. When set together with
   /// `background_compaction`, the table registers a poll job that runs
   /// BackgroundMaintenance() every round: incremental COMPACT of the densest
@@ -316,9 +310,8 @@ class DualTable : public table::StorageTable {
   /// COMPACT (paper §III-C): folds the attached table into the master and
   /// empties it. It is the incremental fold at density 0: every file holding
   /// a delta gets one replacement (clean stripes raw-copied, dirty ones
-  /// re-encoded, no roll), and delta-free files are kept. The replacements
-  /// are written as jobs on options_.pool. Blocks every other writer on this
-  /// table. `tracer` as in CompactIncremental.
+  /// re-encoded, no roll), and delta-free files are kept. Blocks every other
+  /// writer on this table. `tracer` as in CompactIncremental.
   Result<IncrementalCompactStats> Compact(obs::Tracer* tracer = nullptr);
 
   /// Incremental COMPACT: rewrites only the master files whose attached
@@ -468,15 +461,14 @@ class DualTable : public table::StorageTable {
                                                         double threshold) const;
 
   /// The fold behind both COMPACTs: plans at `threshold`, rewrites the
-  /// selected files as jobs on `pool` (inline when null or for a lone job),
-  /// and publishes. With nothing selected it only reclaims attached garbage.
-  /// Caller holds mu_.
-  Result<IncrementalCompactStats> Fold(double threshold, ThreadPool* pool,
-                                       obs::Tracer* tracer);
+  /// selected files in file order, and publishes. With nothing selected it
+  /// only reclaims attached garbage. Caller holds mu_.
+  Result<IncrementalCompactStats> Fold(double threshold, obs::Tracer* tracer);
 
   /// Folds one selected file into `out` (at most one replacement): clean
   /// stripes are raw-copied, and each run of dirty stripes is read through
-  /// the batch UNION READ as one morsel and re-encoded. Closes the file.
+  /// the batch UNION READ as one morsel and re-encoded. Closes the file, so
+  /// the next selected file starts its own replacement.
   Status FoldFile(const SnapshotPtr& snapshot, const FileCompactionPlan& file,
                   StagedFileWriter* out);
 

@@ -130,10 +130,8 @@ Result<MasterFileInfo> MasterFileWriter::Close() {
 
 // --- StagedFileWriter -------------------------------------------------------------
 
-StagedFileWriter::StagedFileWriter(MasterTable* master, uint64_t roll_rows,
-                                   uint64_t first_file_id)
-    : master_(master), roll_rows_(std::max<uint64_t>(1, roll_rows)),
-      next_file_id_(first_file_id) {}
+StagedFileWriter::StagedFileWriter(MasterTable* master, uint64_t roll_rows)
+    : master_(master), roll_rows_(std::max<uint64_t>(1, roll_rows)) {}
 
 StagedFileWriter::~StagedFileWriter() {
   if (finished_) return;
@@ -149,8 +147,7 @@ StagedFileWriter::~StagedFileWriter() {
 }
 
 Status StagedFileWriter::OpenFile() {
-  DTL_ASSIGN_OR_RETURN(open_, master_->NewFileWriter(next_file_id_));
-  next_file_id_ = 0;  // a reserved ID names the first file only
+  DTL_ASSIGN_OR_RETURN(open_, master_->NewFileWriter());
   return Status::OK();
 }
 
@@ -417,12 +414,6 @@ std::shared_ptr<MasterGeneration> MasterTable::NewGenerationLocked() const {
   return next;
 }
 
-Result<uint64_t> MasterTable::ReserveFileId() {
-  DTL_ASSIGN_OR_RETURN(uint64_t file_id, metadata_->NextFileId(table_name_));
-  if (file_id > kMaxFileId) return Status::OutOfRange("master file ID space exhausted");
-  return file_id;
-}
-
 void MasterTable::DiscardStaged(const std::vector<std::string>& paths) {
   for (const std::string& path : paths) {
     for (const std::string& p : {path, path + ".tmp"}) {
@@ -432,10 +423,9 @@ void MasterTable::DiscardStaged(const std::vector<std::string>& paths) {
   }
 }
 
-Result<std::unique_ptr<MasterFileWriter>> MasterTable::NewFileWriter(uint64_t file_id) {
-  if (file_id == 0) {
-    DTL_ASSIGN_OR_RETURN(file_id, ReserveFileId());
-  }
+Result<std::unique_ptr<MasterFileWriter>> MasterTable::NewFileWriter() {
+  DTL_ASSIGN_OR_RETURN(uint64_t file_id, metadata_->NextFileId(table_name_));
+  if (file_id > kMaxFileId) return Status::OutOfRange("master file ID space exhausted");
   MasterFileInfo info;
   info.file_id = file_id;
   info.path = MasterFilePath(dir_, file_id);

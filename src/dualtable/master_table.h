@@ -140,9 +140,7 @@ class MasterFileWriter {
 /// rewrite leaves the directory listing only the committed files.
 class StagedFileWriter {
  public:
-  /// `first_file_id` (from MasterTable::ReserveFileId) names the first file;
-  /// 0 draws every file's ID from the metadata table as the file opens.
-  StagedFileWriter(MasterTable* master, uint64_t roll_rows, uint64_t first_file_id = 0);
+  StagedFileWriter(MasterTable* master, uint64_t roll_rows);
   ~StagedFileWriter();
 
   StagedFileWriter(const StagedFileWriter&) = delete;
@@ -151,7 +149,8 @@ class StagedFileWriter {
   Status Append(const Row& row);
   /// See MasterFileWriter::AppendRawStripe; counts toward the roll limit.
   Status AppendRawStripe(const orc::StripeInfo& info, const std::string& stripe_bytes);
-  /// Closes the open file, if any; the next row starts a new one. The file
+  /// Closes the open file, if any, before the roll limit; the next row
+  /// starts a new one. COMPACT ends each replacement this way. The file
   /// stays staged, and is discarded if the writer is dropped unfinished.
   Status CloseFile();
   /// Closes the open file and returns the staged files in write order. Call
@@ -163,7 +162,6 @@ class StagedFileWriter {
 
   MasterTable* master_;
   uint64_t roll_rows_;
-  uint64_t next_file_id_;
   std::unique_ptr<MasterFileWriter> open_;  // kept after a failed Close
   std::vector<MasterFileInfo> staged_;
   bool finished_ = false;
@@ -259,12 +257,8 @@ class MasterTable {
     return live_generations_->load(std::memory_order_relaxed);
   }
 
-  /// Starts a new master file named `file_id` (from ReserveFileId), or with
-  /// a fresh metadata-assigned file ID when `file_id` is 0.
-  Result<std::unique_ptr<MasterFileWriter>> NewFileWriter(uint64_t file_id = 0);
-
-  /// Draws a fresh file ID from the metadata table without opening a file.
-  Result<uint64_t> ReserveFileId();
+  /// Starts a new master file with a fresh metadata-assigned file ID.
+  Result<std::unique_ptr<MasterFileWriter>> NewFileWriter();
 
   /// Deletes staged files (and their `.tmp`) that no generation lists.
   /// Best effort: whatever survives is garbage-collected by the next Open().

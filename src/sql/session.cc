@@ -17,8 +17,6 @@ Result<std::unique_ptr<Session>> Session::Create(SessionOptions options) {
     threads = std::max<size_t>(2, std::thread::hardware_concurrency());
   }
   session->pool_ = std::make_unique<ThreadPool>(threads);
-  // Parallel COMPACT rides the session pool for every DualTable made here.
-  session->options_.dual_defaults.pool = session->pool_.get();
   if (session->options_.background_compaction) {
     session->scheduler_ = std::make_shared<BackgroundScheduler>();
     session->options_.dual_defaults.scheduler = session->scheduler_;

@@ -380,7 +380,6 @@ TEST(ParallelScanStressTest, MorselScansRaceEditStatements) {
   options.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
   options.writer_options.stripe_rows = 64;
   options.scan_batch_rows = 48;
-  options.pool = &pool;
   auto table = dual::DualTable::Open(&fs, metadata->get(), &cluster, "race",
                                      DualStressSchema(), options);
   ASSERT_TRUE(table.ok());
@@ -452,7 +451,6 @@ TEST(ParallelScanStressTest, MorselScansRaceBackgroundCompaction) {
   options.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
   options.writer_options.stripe_rows = 64;
   options.scan_batch_rows = 48;
-  options.pool = &pool;
   options.compact_threshold = 0.01;  // nearly every update round leaves debt
   options.scheduler = scheduler;
   options.background_compaction = true;
@@ -705,7 +703,6 @@ TEST(SnapshotStabilityStressTest, SnapshotIsByteStableAcrossEditsAndCompact) {
   options.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
   options.writer_options.stripe_rows = 64;
   options.scan_batch_rows = 48;
-  options.pool = &pool;
   auto table = dual::DualTable::Open(&fs, metadata->get(), &cluster, "mvcc",
                                      DualStressSchema(), options);
   ASSERT_TRUE(table.ok());

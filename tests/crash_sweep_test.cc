@@ -31,7 +31,6 @@
 
 #include "baseline/acid_table.h"
 #include "baseline/hive_table.h"
-#include "common/thread_pool.h"
 #include "dualtable/dual_table.h"
 #include "dualtable/metadata.h"
 #include "fs/filesystem.h"
@@ -1161,7 +1160,6 @@ TEST(ErrorSweepTest, KvStoreSurvivesInjectedErrorAtEveryOperation) {
 struct RewriteEnv {
   std::unique_ptr<dual::MetadataTable> metadata;
   fs::ClusterModel cluster;
-  std::unique_ptr<ThreadPool> pool;  // outlives the table
   std::shared_ptr<table::StorageTable> table;
   std::string master_dir;
   std::function<Status()> rewrite;
@@ -1193,7 +1191,6 @@ enum class DualRewrite {
   kOverwriteDelete,
   kInsertOverwrite,
   kCompact,
-  kPooledCompact,
   kCompactIncremental,
 };
 
@@ -1202,7 +1199,6 @@ std::unique_ptr<RewriteEnv> DualRewriteSetup(fs::SimFileSystem* fs, DualRewrite 
   auto metadata = dual::MetadataTable::Open(fs);
   if (!metadata.ok()) return nullptr;
   env->metadata = std::move(metadata.value());
-  if (kind == DualRewrite::kPooledCompact) env->pool = std::make_unique<ThreadPool>(2);
   const bool overwrite = kind == DualRewrite::kOverwriteUpdate ||
                          kind == DualRewrite::kOverwriteDelete ||
                          kind == DualRewrite::kInsertOverwrite;
@@ -1212,7 +1208,6 @@ std::unique_ptr<RewriteEnv> DualRewriteSetup(fs::SimFileSystem* fs, DualRewrite 
   options.writer_options.stripe_rows = 16;
   options.rewrite_file_rows = kRewriteRollRows;
   options.incremental_density_override = 0.2;  // selects the two dense files
-  options.pool = env->pool.get();
   auto table = dual::DualTable::Open(fs, env->metadata.get(), &env->cluster, "dual",
                                      TableSchema(), options);
   if (!table.ok()) return nullptr;
@@ -1232,7 +1227,6 @@ std::unique_ptr<RewriteEnv> DualRewriteSetup(fs::SimFileSystem* fs, DualRewrite 
       env->rewrite = [dual] { return dual->OverwriteRows(InitialRows(kRewriteRows)); };
       break;
     case DualRewrite::kCompact:
-    case DualRewrite::kPooledCompact:
       env->rewrite = [dual] { return dual->Compact().status(); };
       break;
     case DualRewrite::kCompactIncremental:
@@ -1343,7 +1337,6 @@ TEST(ErrorSweepTest, FailedRewriteLeavesNothingStaged) {
       {"dual OVERWRITE DELETE", DualRewrite::kOverwriteDelete},
       {"dual INSERT OVERWRITE", DualRewrite::kInsertOverwrite},
       {"dual COMPACT", DualRewrite::kCompact},
-      {"dual COMPACT on a pool", DualRewrite::kPooledCompact},
       {"dual COMPACT INCREMENTAL", DualRewrite::kCompactIncremental},
   };
   for (const char* path : {"/f_", "/manifest"}) {

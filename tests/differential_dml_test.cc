@@ -78,7 +78,6 @@ class DifferentialHarness {
     // boundaries, where the folding and raw-copy paths actually branch.
     options.writer_options.stripe_rows = 16 + rng_() % 48;
     options.scan_batch_rows = 8 + rng_() % 56;
-    options.pool = &pool;
     // Rotate the selection policy: cost-model-derived threshold, rewrite
     // everything with any delta, and a mid density that leaves files behind.
     const double overrides[] = {-1.0, 0.0, 0.35};

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dualtable/dual_table.h"
 #include "dualtable/record_id.h"
 #include "fs/filesystem.h"
@@ -77,7 +76,6 @@ class IndexDifferentialHarness {
     auto metadata = MetadataTable::Open(&fs);
     ASSERT_TRUE(metadata.ok());
     fs::ClusterModel cluster;
-    ThreadPool pool(4);
 
     // A deliberately tiny private cache: eviction churns constantly, and a
     // COMPACT mid-run swaps generations under it, so every lookup doubles as
@@ -87,7 +85,6 @@ class IndexDifferentialHarness {
     DualTableOptions options;
     options.writer_options.stripe_rows = 16 + rng_() % 48;
     options.scan_batch_rows = 8 + rng_() % 56;
-    options.pool = &pool;
     options.indexed_columns = {0, 3};  // id (int64) and tag (string)
     options.stripe_cache = &cache;
     const double overrides[] = {-1.0, 0.0, 0.35};

@@ -5,10 +5,10 @@
 // inputs are multiples of 0.5, so double sums are exact and therefore
 // order-independent — "identical" means EXPECT_EQ, not EXPECT_NEAR.
 //
-// Also covered here: the parallel-COMPACT equivalence + crash sweep (the
-// manifest rename must stay the single commit point when the rewrite fans
-// out over the pool), and the background-compaction scheduler regression
-// (write-only workloads must not accumulate compaction debt).
+// Also covered here: the COMPACT layout + crash sweep (the manifest rename
+// must stay the single commit point of the per-file fold), and the
+// background-compaction scheduler regression (write-only workloads must not
+// accumulate compaction debt).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -131,7 +131,6 @@ class ParallelScanTest : public ::testing::Test {
     options.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
     options.writer_options.stripe_rows = 256;
     options.scan_batch_rows = 100;  // misaligned with stripe_rows on purpose
-    options.pool = pool_.get();
     return options;
   }
 
@@ -328,47 +327,32 @@ TEST_F(ParallelScanTest, SingleStripeAndAllDeletedEdgeCases) {
   EXPECT_EQ(*n, 0u);
 }
 
-TEST_F(ParallelScanTest, ParallelCompactMatchesSerialCompact) {
-  dual::DualTableOptions parallel_options = BaseOptions();
-  auto par = OpenTable("cpar", parallel_options);
-  ASSERT_TRUE(par.ok());
-  dual::DualTableOptions serial_options = BaseOptions();
-  serial_options.pool = nullptr;  // the fold's per-file jobs run inline
-  auto ser = OpenTable("cser", serial_options);
-  ASSERT_TRUE(ser.ok());
+TEST_F(ParallelScanTest, CompactReplacesEachDeltaHoldingFileOnce) {
+  auto t = OpenTable("cfold", BaseOptions());
+  ASSERT_TRUE(t.ok());
+  BuildGridTable(t->get());
+  const std::vector<dual::MasterFileInfo> before = t->get()->master()->files();
+  auto expected = SerialRows(t->get(), table::ScanSpec{}, nullptr);
+  ASSERT_TRUE(expected.ok());
 
-  BuildGridTable(par->get());
-  BuildGridTable(ser->get());
+  auto stats = t->get()->Compact();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->files_selected, 3u);
 
-  auto par_stats = par->get()->Compact();
-  auto ser_stats = ser->get()->Compact();
-  ASSERT_TRUE(par_stats.ok()) << par_stats.status().ToString();
-  ASSERT_TRUE(ser_stats.ok()) << ser_stats.status().ToString();
-  EXPECT_EQ(par_stats->ToString(), ser_stats->ToString());
-
-  // The same layout: replacement IDs are drawn in file order before the
-  // jobs start, so neither the files nor their bytes depend on thread timing.
-  const std::vector<dual::MasterFileInfo> par_files = par->get()->master()->files();
-  const std::vector<dual::MasterFileInfo> ser_files = ser->get()->master()->files();
-  ASSERT_EQ(par_files.size(), ser_files.size());
-  for (size_t i = 0; i < par_files.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "file " << i);
-    EXPECT_EQ(par_files[i].file_id, ser_files[i].file_id);
-    EXPECT_EQ(par_files[i].num_rows, ser_files[i].num_rows);
-    EXPECT_EQ(par_files[i].bytes, ser_files[i].bytes);
-  }
-  // The same rows in the same UNION READ order.
-  auto par_rows = SerialRows(par->get(), table::ScanSpec{}, nullptr);
-  auto ser_rows = SerialRows(ser->get(), table::ScanSpec{}, nullptr);
-  ASSERT_TRUE(par_rows.ok());
-  ASSERT_TRUE(ser_rows.ok());
-  ExpectRowsEqual(*ser_rows, *par_rows);
+  // Every file held a delta, so each got exactly one replacement, drawn in
+  // file order: the rows come back in the same UNION READ order.
+  const std::vector<dual::MasterFileInfo> after = t->get()->master()->files();
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_GT(after[0].file_id, before[2].file_id);
+  EXPECT_LT(after[0].file_id, after[1].file_id);
+  EXPECT_LT(after[1].file_id, after[2].file_id);
+  auto rows = SerialRows(t->get(), table::ScanSpec{}, nullptr);
+  ASSERT_TRUE(rows.ok());
+  ExpectRowsEqual(*expected, *rows);
 
   // COMPACT folded the attached table into the new generation.
-  EXPECT_EQ(par->get()->attached()->store()->ApproximateCellCount(), 0u);
-  EXPECT_FALSE(par->get()->NeedsCompaction());
-  // Every file held a delta, so each got exactly one replacement.
-  EXPECT_EQ(par_files.size(), 3u);
+  EXPECT_EQ(t->get()->attached()->store()->ApproximateCellCount(), 0u);
+  EXPECT_FALSE(t->get()->NeedsCompaction());
 }
 
 TEST_F(ParallelScanTest, CompactKeepsDeltaFreeFilesAndCopiesCleanStripes) {
@@ -408,7 +392,7 @@ TEST_F(ParallelScanTest, CompactKeepsDeltaFreeFilesAndCopiesCleanStripes) {
   }
 }
 
-// --- parallel COMPACT crash sweep -------------------------------------------------
+// --- COMPACT crash sweep ----------------------------------------------------------
 
 std::vector<uint64_t> SweepPoints(uint64_t total) {
   constexpr uint64_t kDefaultPoints = 25;
@@ -433,8 +417,7 @@ struct CompactSweepEnv {
   std::shared_ptr<dual::DualTable> table;
 };
 
-std::unique_ptr<CompactSweepEnv> CompactSweepSetup(fs::SimFileSystem* fs,
-                                                   ThreadPool* pool, bool populate) {
+std::unique_ptr<CompactSweepEnv> CompactSweepSetup(fs::SimFileSystem* fs, bool populate) {
   auto env = std::make_unique<CompactSweepEnv>();
   auto metadata = dual::MetadataTable::Open(fs);
   if (!metadata.ok()) return nullptr;
@@ -443,7 +426,6 @@ std::unique_ptr<CompactSweepEnv> CompactSweepSetup(fs::SimFileSystem* fs,
   dual::DualTableOptions options;
   options.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
   options.writer_options.stripe_rows = 32;
-  options.pool = pool;  // nullptr on reopen-for-verify
   auto table = dual::DualTable::Open(fs, env->metadata.get(), env->cluster.get(),
                                      "sweep", TestSchema(), options);
   if (!table.ok()) return nullptr;
@@ -471,19 +453,18 @@ std::vector<std::string> LogicalRowStrings(dual::DualTable* table) {
   return out;
 }
 
-// COMPACT is logically a no-op: at EVERY crash point inside the parallel
-// rewrite, the reopened table must show exactly the pre-compact rows. The
-// per-file jobs only stage files; the manifest rename is the one operation
-// that changes what a reader sees.
-TEST(ParallelCompactCrashSweepTest, ManifestRenameIsTheSingleCommitPoint) {
+// COMPACT is logically a no-op: at EVERY crash point inside the per-file
+// fold, the reopened table must show exactly the pre-compact rows. The fold
+// only stages files; the manifest rename is the one operation that changes
+// what a reader sees.
+TEST(CompactCrashSweepTest, ManifestRenameIsTheSingleCommitPoint) {
   uint64_t total_ops = 0;
   std::vector<std::string> expected;
   {
     fs::SimFileSystem fs;
-    ThreadPool pool(3);
-    auto env = CompactSweepSetup(&fs, &pool, /*populate=*/true);
+    auto env = CompactSweepSetup(&fs, /*populate=*/true);
     ASSERT_NE(env, nullptr);
-    ASSERT_GE(env->table->master()->files().size(), 2u);  // parallel path engages
+    ASSERT_GE(env->table->master()->files().size(), 2u);  // several replacements
     expected = LogicalRowStrings(env->table.get());
     ASSERT_FALSE(expected.empty());
     const uint64_t before = fs.MutatingOpCount();
@@ -498,8 +479,7 @@ TEST(ParallelCompactCrashSweepTest, ManifestRenameIsTheSingleCommitPoint) {
                  std::to_string(total_ops));
     fs::SimFileSystem fs;
     {
-      ThreadPool pool(3);
-      auto env = CompactSweepSetup(&fs, &pool, /*populate=*/true);
+      auto env = CompactSweepSetup(&fs, /*populate=*/true);
       ASSERT_NE(env, nullptr);
       fs::FaultPolicy policy;
       policy.mode = fs::FaultMode::kCrash;
@@ -510,7 +490,7 @@ TEST(ParallelCompactCrashSweepTest, ManifestRenameIsTheSingleCommitPoint) {
       // Process death: destructors run while the fs is still down.
     }
     fs.ClearFaultPolicy();
-    auto reopened = CompactSweepSetup(&fs, nullptr, /*populate=*/false);
+    auto reopened = CompactSweepSetup(&fs, /*populate=*/false);
     ASSERT_NE(reopened, nullptr);
     EXPECT_EQ(LogicalRowStrings(reopened->table.get()), expected);
   }

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dualtable/dual_table.h"
 #include "dualtable/record_id.h"
 #include "fs/filesystem.h"
@@ -414,12 +413,10 @@ TEST(StripeCacheStressTest, CachedReadsMatchUncachedUnderConcurrentDmlAndCompact
   auto metadata = dual::MetadataTable::Open(&fs);
   ASSERT_TRUE(metadata.ok());
   fs::ClusterModel cluster;
-  ThreadPool pool(4);
   StripeCache cache(/*capacity_bytes=*/1 << 14, /*shards=*/2);
 
   dual::DualTableOptions options;
   options.writer_options.stripe_rows = 16;
-  options.pool = &pool;
   options.indexed_columns = {0};
   options.stripe_cache = &cache;
   auto table = dual::DualTable::Open(&fs, metadata->get(), &cluster, "cache_stress",
