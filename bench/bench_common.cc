@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "dualtable/dual_table.h"
+#include "exec/parallel_scan.h"
+#include "orc/stripe_cache.h"
 
 namespace dtl::bench {
 
@@ -305,6 +308,37 @@ std::string FormatParallelScanEntry(const ParallelScanBenchEntry& e) {
 }
 
 }  // namespace
+
+double ColdParallelSum(Env* env, const std::string& table, size_t column,
+                       ParallelScanBenchEntry* entry) {
+  auto found = env->session->catalog()->Lookup(table);
+  if (!found.ok()) Die("lookup " + table, found.status());
+  auto* dual = dynamic_cast<dual::DualTable*>(found->table.get());
+  if (dual == nullptr) Die(table, Status::InvalidArgument("not a DualTable"));
+  // Cold: every stripe the aggregate reads is fetched and decoded again.
+  dual->master()->stripe_cache()->EraseOwner(dual->master()->cache_owner());
+  table::ScanMeter meter;
+  table::ScanSpec spec;
+  spec.projection = {column};
+  spec.meter = &meter;
+  exec::ParallelScanOptions popts;
+  popts.pool = env->session->pool();
+  popts.parallelism = static_cast<size_t>(entry->workers);
+  popts.morsel_stripes = 2;
+  exec::ParallelScanner scanner(dual, spec, popts);
+  exec::AggSpec sum;
+  sum.kind = exec::AggKind::kSum;
+  sum.input = [column](const Row& row) { return row[column]; };
+  Stopwatch watch;
+  auto result = scanner.Aggregate({sum});
+  const double seconds = watch.ElapsedSeconds();
+  if (!result.ok()) Die("parallel aggregate of " + table, result.status());
+  if ((*result)[0].is_null()) Die(table, Status::Internal("empty aggregate"));
+  const table::ScanSnapshot scanned = meter.Snapshot();
+  entry->rows = scanned.rows;
+  entry->scan_bytes = scanned.bytes;
+  return seconds;
+}
 
 void RecordParallelScanBench(ParallelScanBenchEntry entry) {
   for (auto& e : ParallelScanBenchEntries()) {

@@ -95,13 +95,20 @@ void FlushScanBench(const std::string& path = "BENCH_scan.json");
 struct ParallelScanBenchEntry {
   std::string workload;  // "grid" | "tpch"
   int workers = 0;       // ParallelScanner parallelism degree
-  uint64_t rows = 0;     // rows counted per iteration
+  uint64_t rows = 0;     // rows aggregated per iteration
   double seconds = 0;    // wall seconds per iteration (single-core container!)
   uint64_t scan_bytes = 0;       // encoded bytes metered for one scan
   double modeled_seconds = 0;    // ClusterModel::ScanSeconds(bytes, workers)
   double wall_speedup = 1.0;     // serial wall / this wall (filled at flush)
   double modeled_speedup = 1.0;  // serial modeled / this modeled (at flush)
 };
+
+/// One cold parallel aggregate: drops `table`'s decoded columns from the
+/// stripe cache (its readers stay open), then sums the numeric `column`
+/// through ParallelScanner::Aggregate at `entry->workers` workers. Returns
+/// the aggregate's wall seconds and sets `entry`'s rows and scan bytes.
+double ColdParallelSum(Env* env, const std::string& table, size_t column,
+                       ParallelScanBenchEntry* entry);
 
 /// Queues an entry for FlushParallelScanBench (dedups by workload+workers).
 void RecordParallelScanBench(ParallelScanBenchEntry entry);

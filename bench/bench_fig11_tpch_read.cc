@@ -112,47 +112,26 @@ void BM_RawScan(benchmark::State& state, const std::string& path) {
   dtl::bench::RecordScanBench(std::move(record));
 }
 
-// Morsel-driven parallel scan of lineitem, swept over the worker count for
-// BENCH_parallel_scan.json (see bench_fig04_grid_read.cc for the wall-vs-
-// modeled speedup caveat on a single-core container).
+// Morsel-driven parallel aggregate of lineitem from a cold cache, swept over
+// the worker count for BENCH_parallel_scan.json (see bench_fig04_grid_read.cc
+// for the wall-vs-modeled speedup caveat).
 void BM_ParallelScan(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
   Env env = MakeTpch("dualtable", PlanMode::kCostModel, /*with_orders=*/false);
-  auto entry = env.session->catalog()->Lookup("lineitem");
-  if (!entry.ok()) { state.SkipWithError("lookup failed"); return; }
-  auto dual = std::dynamic_pointer_cast<dtl::dual::DualTable>(entry->table);
-  if (dual == nullptr) { state.SkipWithError("not a DualTable"); return; }
-
-  double total_s = 0;
-  uint64_t rows_per_iter = 0;
-  uint64_t bytes_per_iter = 0;
-  for (auto _ : state) {
-    dtl::table::ScanMeter meter;
-    dtl::table::ScanSpec spec;
-    spec.meter = &meter;
-    dtl::exec::ParallelScanOptions popts;
-    popts.pool = env.session->pool();
-    popts.parallelism = static_cast<size_t>(workers);
-    popts.morsel_stripes = 2;
-    dtl::exec::ParallelScanner scanner(dual.get(), spec, popts);
-    dtl::Stopwatch watch;
-    auto count = scanner.Count();
-    const double s = watch.ElapsedSeconds();
-    if (!count.ok()) { state.SkipWithError("parallel scan failed"); return; }
-    state.SetIterationTime(s);
-    total_s += s;
-    rows_per_iter = *count;
-    bytes_per_iter = meter.Snapshot().bytes;
-  }
-
   dtl::bench::ParallelScanBenchEntry record;
   record.workload = "tpch";
-  record.workers = workers;
-  record.rows = rows_per_iter;
+  record.workers = static_cast<int>(state.range(0));
+  double total_s = 0;
+  for (auto _ : state) {
+    // SUM(l_extendedprice (a double)) from a cold cache: every iteration decodes the
+    // column's stripes and aggregates every value.
+    const double s = dtl::bench::ColdParallelSum(
+        &env, "lineitem", dtl::workload::lineitem::kExtendedPrice, &record);
+    state.SetIterationTime(s);
+    total_s += s;
+  }
   record.seconds = total_s / static_cast<double>(state.iterations());
-  record.scan_bytes = bytes_per_iter;
   record.modeled_seconds =
-      env.session->cluster()->ScanSeconds(bytes_per_iter, workers);
+      env.session->cluster()->ScanSeconds(record.scan_bytes, record.workers);
   state.counters["model_s"] = record.modeled_seconds;
   dtl::bench::RecordParallelScanBench(std::move(record));
 }

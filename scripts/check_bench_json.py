@@ -31,8 +31,8 @@ ARRAY_SCHEMAS = {
         "index_lookups", "index_stale_dropped",
     },
     "BENCH_parallel_scan.json": {
-        "workload", "workers", "rows", "seconds",
-        "wall_speedup", "modeled_speedup",
+        "workload", "workers", "rows", "seconds", "scan_bytes",
+        "modeled_seconds", "wall_speedup", "modeled_speedup",
     },
     "BENCH_attached_scan.json": {
         "layout", "level", "cells", "records", "sstables", "seconds", "ns_per_cell",
@@ -85,6 +85,28 @@ OBJECT_SCHEMAS = {
 }
 
 
+def check_parallel_scan(data, name, errors):
+    """BM_ParallelScan aggregates from a cold cache: every sweep point reads
+    rows and encoded bytes, and each workload has its one-worker baseline."""
+    baselines = set()
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            continue
+        if entry.get("rows", 0) <= 0:
+            errors.append(f"{name}[{i}]: rows must be positive (nothing aggregated)")
+        if entry.get("scan_bytes", 0) <= 0:
+            errors.append(f"{name}[{i}]: scan_bytes must be positive (a cold scan "
+                          "reads its stripes)")
+        if entry.get("workers") == 1:
+            baselines.add(entry.get("workload"))
+    for workload in {e.get("workload") for e in data if isinstance(e, dict)} - baselines:
+        errors.append(f"{name}: workload {workload!r} has no workers=1 baseline")
+
+
+# Value checks beyond the schema, per file.
+VALUE_CHECKS = {"BENCH_parallel_scan.json": check_parallel_scan}
+
+
 def walk_numbers(node, path, errors):
     if isinstance(node, float) and not math.isfinite(node):
         errors.append(f"{path}: non-finite number {node!r}")
@@ -125,6 +147,8 @@ def check_file(path):
             errors.append(f"{name}: expected a top-level array")
         else:
             check_elements(data, ARRAY_SCHEMAS[name], name, errors)
+            if name in VALUE_CHECKS:
+                VALUE_CHECKS[name](data, name, errors)
     elif name in OBJECT_SCHEMAS:
         if not isinstance(data, dict):
             errors.append(f"{name}: expected a top-level object")

@@ -51,6 +51,10 @@ Enforced invariants (see DESIGN.md §7):
                       file): no uncached OrcReader::ReadStripe( call.
                       Exempt: DualTable::IndexStagedFiles, which reads staged
                       files that belong to no generation.
+ 10. typed-columns    Decoded cells live in typed columns (table/column_data.h):
+                      no `std::vector<Value>` in src/orc/ or in
+                      src/table/row_batch.{h,cc}. A Value is built only where a
+                      row consumer asks for one (ColumnVector::at).
 
 Usage:  scripts/lint.py [paths...]      (defaults to src/ tests/ bench/ examples/)
 Exit status: 0 clean, 1 findings (one line each: path:line: [rule] message).
@@ -137,6 +141,11 @@ PINNED_ARG_RE = re.compile(r"gen|snapshot", re.I)
 # match (the name must be followed by the call parenthesis).
 UNCACHED_READ_RE = re.compile(r"\bReadStripe\s*\(")
 UNCACHED_READ_EXEMPT_FUNCTIONS = {"DualTable::IndexStagedFiles"}
+# Rule 10: typed cells on the decode path; a Row (a vector of Values) is still
+# what row consumers receive.
+TYPED_COLUMN_FILES = ("src/orc/", "src/table/row_batch.h", "src/table/row_batch.cc")
+VALUE_VECTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<\s*(?:dtl\s*::\s*)?Value\s*>")
+
 # A function definition starts at column 0: `Type Class::Name(`.
 FUNCTION_DEF_RE = re.compile(r"^[A-Za-z_].*?\b(\w+::\w+)\s*\(")
 
@@ -427,6 +436,15 @@ def check_file(path: Path, findings):
                                  "uncached OrcReader::ReadStripe in an MVCC layer; "
                                  "read through ReadStripeShared (CacheFill::kNoAdmit "
                                  "when the output replaces the file)"))
+
+    # Rule 10: the decode path stores typed cells, never vectors of Values.
+    if rp.startswith(TYPED_COLUMN_FILES):
+        for i, line in enumerate(lines, 1):
+            if VALUE_VECTOR_RE.search(line):
+                findings.append((rp, i, "typed-columns",
+                                 "std::vector<Value> on the decode path; store cells "
+                                 "in a table::ColumnData (typed arrays, validity "
+                                 "bitmap, string arena)"))
 
     # Rule 5: no (void)-discarded calls; DTL_IGNORE_STATUS is the audit trail.
     if rp != "src/common/status.h":  # the macro's own definition

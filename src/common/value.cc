@@ -134,44 +134,74 @@ void Value::EncodeTo(std::string* dst) const {
   }
 }
 
-Status Value::DecodeFrom(Slice* input, Value* out) {
+void Value::AssignString(std::string_view s) {
+  if (auto* str = std::get_if<3>(&rep_)) {
+    str->assign(s);
+  } else {
+    rep_.emplace<3>(s);
+  }
+}
+
+Status Value::DecodeEncoded(Slice* input, Encoded* out) {
   if (input->empty()) return Status::Corruption("truncated value: missing tag");
   auto tag = static_cast<unsigned char>((*input)[0]);
   input->RemovePrefix(1);
   switch (tag) {
     case 0:
-      *out = Value::Null();
+      out->kind = DataType::kNull;
       return Status::OK();
     case 1: {
       uint64_t zz;
       DTL_RETURN_NOT_OK(GetVarint64(input, &zz));
-      *out = Value::Int64(ZigZagDecode(zz));
+      out->kind = DataType::kInt64;
+      out->int64 = ZigZagDecode(zz);
       return Status::OK();
     }
     case 2: {
       if (input->size() < 8) return Status::Corruption("truncated double value");
       uint64_t bits = DecodeFixed64(input->data());
       input->RemovePrefix(8);
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
-      *out = Value::Double(d);
+      out->kind = DataType::kDouble;
+      std::memcpy(&out->dbl, &bits, sizeof(bits));
       return Status::OK();
     }
-    case 3: {
-      Slice s;
-      DTL_RETURN_NOT_OK(GetLengthPrefixed(input, &s));
-      *out = Value::String(s.ToString());
+    case 3:
+      DTL_RETURN_NOT_OK(GetLengthPrefixed(input, &out->bytes));
+      out->kind = DataType::kString;
       return Status::OK();
-    }
-    case 4: {
+    case 4:
       if (input->empty()) return Status::Corruption("truncated bool value");
-      *out = Value::Bool((*input)[0] != 0);
+      out->kind = DataType::kBool;
+      out->boolean = (*input)[0] != 0;
       input->RemovePrefix(1);
       return Status::OK();
-    }
     default:
       return Status::Corruption("bad value tag " + std::to_string(tag));
   }
+}
+
+Status Value::DecodeFrom(Slice* input, Value* out) {
+  Encoded e;
+  DTL_RETURN_NOT_OK(DecodeEncoded(input, &e));
+  switch (e.kind) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      *out = Value::Int64(e.int64);
+      break;
+    case DataType::kDouble:
+      *out = Value::Double(e.dbl);
+      break;
+    case DataType::kString:
+      *out = Value::String(e.bytes.ToString());
+      break;
+    case DataType::kBool:
+      *out = Value::Bool(e.boolean);
+      break;
+    case DataType::kNull:
+      *out = Value::Null();
+      break;
+  }
+  return Status::OK();
 }
 
 size_t Value::ByteSize() const {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/slice.h"
@@ -55,6 +56,10 @@ class Value {
   const std::string& AsString() const { return std::get<3>(rep_); }
   bool AsBool() const { return std::get<4>(rep_); }
 
+  /// Sets this value to String(s), reusing the buffer of the string it holds,
+  /// if any: a row consumer refills one reused Row per cell.
+  void AssignString(std::string_view s);
+
   /// Numeric view: int64 and double coerce; everything else is an error.
   Result<double> ToNumeric() const;
 
@@ -72,6 +77,19 @@ class Value {
   /// length-prefixed. Used by the attached table and the shuffle layer.
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice* input, Value* out);
+
+  /// One EncodeTo form read in place: its kind (kNull, kInt64, kDouble,
+  /// kString or kBool) and payload, with a string's bytes pointing into the
+  /// input. Typed column storage takes a cell through this without building
+  /// a Value; DecodeFrom reads through it.
+  struct Encoded {
+    DataType kind = DataType::kNull;
+    int64_t int64 = 0;
+    double dbl = 0;
+    bool boolean = false;
+    Slice bytes;
+  };
+  static Status DecodeEncoded(Slice* input, Encoded* out);
 
   /// Room for a tag byte and one varint: the whole EncodeTo form of an int64,
   /// and the part of a string's that precedes its bytes.

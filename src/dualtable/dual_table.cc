@@ -286,8 +286,8 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatch(
                                                      /*apply_predicate=*/false,
                                                      options_.scan_batch_rows, fill));
   auto it = std::make_unique<UnionReadBatchIterator>(
-      std::move(master_it), attached_->NewScannerAt(snapshot->attached), spec,
-      schema_.num_fields(), spec.meter);
+      std::move(master_it), attached_->NewScannerAt(snapshot->attached), spec, schema_,
+      spec.meter);
   it->AnchorSnapshot(snapshot);
   return it;
 }
@@ -324,7 +324,7 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForM
                                              morsel.end_record_id);
   auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
                                                      std::move(attached_it), spec,
-                                                     schema_.num_fields(), meter);
+                                                     schema_, meter);
   it->AnchorSnapshot(snapshot);
   return it;
 }
@@ -1254,7 +1254,7 @@ Result<std::vector<std::pair<uint64_t, Row>>> DualTable::IndexLookupAt(
     const size_t local = static_cast<size_t>(row_no - stripe->first_row);
     Row row(num_fields, Value::Null());
     for (size_t c = 0; c < stripe->projection.size(); ++c) {
-      row[stripe->projection[c]] = stripe->at(c, local);
+      stripe->columns[c]->cells.AssignTo(local, &row[stripe->projection[c]]);
     }
     if (mod.has_value()) {
       // Patch the required columns only, as UNION READ does; the rest stay

@@ -8,14 +8,15 @@ namespace dtl::dual {
 UnionReadBatchIterator::UnionReadBatchIterator(
     std::unique_ptr<MasterScanBatchIterator> master,
     std::unique_ptr<ModificationScanner> attached, const table::ScanSpec& spec,
-    size_t num_fields, table::ScanMeter* meter)
+    const Schema& schema, table::ScanMeter* meter)
     : master_(std::move(master)),
       attached_(std::move(attached)),
+      schema_(schema),
       predicate_(spec.predicate),
       predicate_columns_(spec.predicate_columns),
-      patched_(num_fields, false),
+      patched_(schema.num_fields(), false),
       meter_(meter) {
-  for (size_t c : spec.RequiredColumns(num_fields)) patched_[c] = true;
+  for (size_t c : spec.RequiredColumns(schema.num_fields())) patched_[c] = true;
 }
 
 table::ScanMeter& UnionReadBatchIterator::meter() {
@@ -71,8 +72,17 @@ bool UnionReadBatchIterator::ApplyModifications(table::RowBatch* batch) {
       for (size_t u = 0; u < mod.num_updates(); ++u) {
         const uint32_t column = mod.column(u);
         if (column >= patched_.size() || !patched_[column]) continue;
-        status_ = mod.DecodeValue(u, batch->column(column).MakeMutable(n) + idx);
+        Slice bytes = mod.value_bytes(u);
+        status_ = Value::DecodeEncoded(&bytes, &patch_);
         if (!status_.ok()) return false;
+        const Field& field = schema_.field(column);
+        if (!batch->column(column).MakeMutable(field.type, n)->Set(idx, patch_)) {
+          status_ = Status::InvalidArgument(
+              "attached patch of column " + field.name + " of type " +
+              DataTypeName(field.type) + " holds a " + DataTypeName(patch_.kind) +
+              " value");
+          return false;
+        }
         touched = true;
       }
       if (touched) ++num_patched;

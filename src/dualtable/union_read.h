@@ -18,10 +18,12 @@ namespace dtl::dual {
 /// zero-copy stripe views, no per-row work — which is the common case the
 /// paper's §V-B "cheap merge" argument rests on. Deleted records are masked
 /// via the selection vector; updates are decoded straight into copy-on-write
-/// batch columns, and only into the columns the scan materializes (an absent
-/// column reads NULL to every consumer, patched or not). The residual
-/// predicate runs AFTER the merge, over its own columns, so it sees current
-/// values.
+/// typed batch columns — a string patch appends to the owned copy's arena and
+/// repoints one cell — and only into the columns the scan materializes (an
+/// absent column reads NULL to every consumer, patched or not). A patch whose
+/// kind does not match its column fails the scan with InvalidArgument, as the
+/// ORC writer refuses such a cell. The predicate runs AFTER the merge, over
+/// its own columns, so it sees current values.
 class UnionReadBatchIterator : public table::BatchIterator {
  public:
   /// `master` must emit contiguous-record-ID batches (MasterScanBatchIterator
@@ -32,7 +34,7 @@ class UnionReadBatchIterator : public table::BatchIterator {
   /// worker-local one).
   UnionReadBatchIterator(std::unique_ptr<MasterScanBatchIterator> master,
                          std::unique_ptr<ModificationScanner> attached,
-                         const table::ScanSpec& spec, size_t num_fields,
+                         const table::ScanSpec& spec, const Schema& schema,
                          table::ScanMeter* meter = nullptr);
 
   bool Next(table::RowBatch* batch) override;
@@ -54,7 +56,8 @@ class UnionReadBatchIterator : public table::BatchIterator {
 
   std::unique_ptr<MasterScanBatchIterator> master_;
   std::unique_ptr<ModificationScanner> attached_;
-  table::RowPredicateFn predicate_;
+  Schema schema_;
+  table::ScanPredicate predicate_;
   std::vector<size_t> predicate_columns_;
   /// patched_[c]: column c is materialized by the scan, so updates to it
   /// are decoded into the batch.
@@ -68,6 +71,9 @@ class UnionReadBatchIterator : public table::BatchIterator {
   uint64_t next_expected_id_ = 0;
   /// Per-batch delete mask, reused across batches.
   std::vector<bool> deleted_;
+  /// The patch being applied, decoded in place (strings point into the
+  /// attached scanner's buffer).
+  Value::Encoded patch_;
   Row scratch_;
   Status status_;
 };

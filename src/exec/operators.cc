@@ -278,52 +278,24 @@ Result<std::vector<Row>> Collect(Operator* op) {
 
 // --- BatchProjectOperator ----------------------------------------------------------
 
-BatchProjectOperator::BatchProjectOperator(std::unique_ptr<BatchOperator> child,
-                                           std::vector<ValueFn> exprs,
-                                           std::vector<int> column_refs)
-    : child_(std::move(child)),
-      exprs_(std::move(exprs)),
-      column_refs_(std::move(column_refs)) {
-  all_refs_ = !column_refs_.empty() &&
-              std::all_of(column_refs_.begin(), column_refs_.end(),
-                          [](int r) { return r >= 0; });
-}
-
 bool BatchProjectOperator::Next(table::RowBatch* batch) {
   if (!child_->Next(&in_)) return false;
-  if (all_refs_) {
-    // Zero-copy: point each output column at the referenced input column and
-    // forward the selection. `in_` is a member, so the views stay valid until
-    // the next call, and the anchor keeps any stripe storage alive.
-    batch->Reset(exprs_.size(), in_.num_rows());
-    for (size_t i = 0; i < column_refs_.size(); ++i) {
-      const table::ColumnVector& src = in_.column(static_cast<size_t>(column_refs_[i]));
-      if (src.data() != nullptr) batch->column(i).SetView(src.data(), in_.num_rows());
+  // Zero-copy: point each output column at the referenced input column and
+  // forward the selection. `in_` is a member, so the views stay valid until
+  // the next call, and the anchor keeps any stripe storage alive.
+  batch->Reset(columns_.size(), in_.num_rows());
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    batch->column(i).SetViewOf(in_.column(columns_[i]));
+  }
+  if (in_.has_selection()) {
+    std::vector<uint32_t> selection;
+    selection.reserve(in_.size());
+    for (size_t i = 0; i < in_.size(); ++i) {
+      selection.push_back(static_cast<uint32_t>(in_.row_index(i)));
     }
-    if (in_.has_selection()) {
-      std::vector<uint32_t> selection;
-      selection.reserve(in_.size());
-      for (size_t i = 0; i < in_.size(); ++i) {
-        selection.push_back(static_cast<uint32_t>(in_.row_index(i)));
-      }
-      batch->SetSelection(std::move(selection));
-    }
-    batch->SetAnchor(in_.anchor());
-    return true;
+    batch->SetSelection(std::move(selection));
   }
-  // General expressions: one scratch-row materialization per visible row.
-  const size_t n = in_.size();
-  cols_.resize(exprs_.size());
-  for (auto& col : cols_) {
-    col.clear();
-    col.reserve(n);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    in_.MaterializeRow(i, &scratch_);
-    for (size_t e = 0; e < exprs_.size(); ++e) cols_[e].push_back(exprs_[e](scratch_));
-  }
-  batch->Reset(exprs_.size(), n);
-  for (size_t e = 0; e < exprs_.size(); ++e) batch->column(e).SetOwned(std::move(cols_[e]));
+  batch->SetAnchor(in_.anchor());
   return true;
 }
 

@@ -256,8 +256,9 @@ Result<std::vector<Row>> Collect(Operator* op);
 // Same pull contract as table::BatchIterator: producers fill the caller's
 // RowBatch, never emit an empty batch, and the contents stay valid until the
 // next call. The executor uses this family for the SELECT fast path (scan ->
-// filter -> project -> limit) and bridges to the row operators above with
-// table::BatchToRowAdapter where batches end (joins, aggregates, sorts).
+// project -> limit; the scan applies the pushed predicate) and bridges to the
+// row operators above with table::BatchToRowAdapter where batches end (joins,
+// aggregates, sorts).
 
 /// Batch pull operator.
 using BatchOperator = table::BatchIterator;
@@ -274,50 +275,21 @@ class BatchScanOperator : public BatchOperator {
   std::unique_ptr<table::BatchIterator> it_;
 };
 
-/// Vectorized filter: compresses each batch's selection vector through the
-/// predicate instead of copying surviving rows. All-dropped batches are
-/// consumed internally.
-class BatchFilterOperator : public BatchOperator {
- public:
-  BatchFilterOperator(std::unique_ptr<BatchOperator> child, PredFn pred)
-      : child_(std::move(child)), pred_(std::move(pred)) {}
-  bool Next(table::RowBatch* batch) override {
-    while (child_->Next(batch)) {
-      batch->FilterSelected(pred_, &scratch_);
-      if (!batch->empty()) return true;
-    }
-    return false;
-  }
-  const Status& status() const override { return child_->status(); }
-
- private:
-  std::unique_ptr<BatchOperator> child_;
-  PredFn pred_;
-  Row scratch_;
-};
-
-/// Vectorized projection. When every output is a plain column reference
-/// (`column_refs[i] >= 0` for all i) the output batch is zero-copy views of
-/// the input columns with the selection forwarded; otherwise each visible
-/// row is materialized once into a scratch row and the expressions evaluated
-/// per row. Output batches carry no record IDs (projection derives new rows).
+/// Vectorized projection of bare column references: output column i is a
+/// zero-copy view of input column `columns[i]`, and the selection is
+/// forwarded. Output batches carry no record IDs (projection derives new
+/// rows). Computed outputs are evaluated on the rows a route collects.
 class BatchProjectOperator : public BatchOperator {
  public:
-  /// `column_refs[i]` is the input ordinal when `exprs[i]` is a bare column
-  /// reference, -1 otherwise. Must be the same length as `exprs`.
-  BatchProjectOperator(std::unique_ptr<BatchOperator> child, std::vector<ValueFn> exprs,
-                       std::vector<int> column_refs);
+  BatchProjectOperator(std::unique_ptr<BatchOperator> child, std::vector<size_t> columns)
+      : child_(std::move(child)), columns_(std::move(columns)) {}
   bool Next(table::RowBatch* batch) override;
   const Status& status() const override { return child_->status(); }
 
  private:
   std::unique_ptr<BatchOperator> child_;
-  std::vector<ValueFn> exprs_;
-  std::vector<int> column_refs_;
-  bool all_refs_;
+  std::vector<size_t> columns_;
   table::RowBatch in_;
-  Row scratch_;
-  std::vector<std::vector<Value>> cols_;
 };
 
 /// Vectorized LIMIT: truncates the selection of the batch that crosses the

@@ -89,15 +89,13 @@ inline constexpr const char* kDualOverwriteCostScalePpm =
     "dualtable.cost_model.overwrite_scale_ppm";
 
 // --- Secondary index (labeled by table name) ----------------------------------
-inline constexpr const char* kIndexLookups = "dualtable.index.lookups";
+// Views over SecondaryIndex's Stats atomics with no counter of their own.
 inline constexpr const char* kIndexEntriesAdded = "dualtable.index.entries_added";
 inline constexpr const char* kIndexEntriesFolded = "dualtable.index.entries_folded";
 inline constexpr const char* kIndexCandidateRows = "dualtable.index.candidate_rows";
-inline constexpr const char* kIndexStaleDropped = "dualtable.index.stale_dropped";
-inline constexpr const char* kIndexRebuilds = "dualtable.index.rebuilds";
-// Registry counters bumped inline by SecondaryIndex (the `dualtable.index.*`
-// names above are views over its Stats atomics; these count even when the
-// owning table object has been dropped and the views unregistered).
+// Registry counters bumped inline by SecondaryIndex: the one name of each
+// lookup, stale-entry and rebuild count. They keep counting after the owning
+// table is dropped, and the query log reads them.
 inline constexpr const char* kIndexCounterLookups = "index.lookups";
 inline constexpr const char* kIndexCounterStaleSkipped = "index.stale_entries_skipped";
 inline constexpr const char* kIndexCounterRebuilds = "index.rebuilds";

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 
@@ -236,15 +238,14 @@ bool NextString(const char** p, const char* limit, std::string_view* out) {
   return true;
 }
 
-/// Appends one cell per row: NULL for an absent row, and for a present one
-/// whatever `push(out)` appends. Fails with `what` when `push` does.
-template <typename Push>
-Status FillRows(const BitsView& presence, const char* what, std::vector<Value>* out,
-                Push push) {
+/// Fills one slot per row of `slots` (already sized to the row count): for
+/// a present row whatever `next(slot)` stores, and an absent row's slot
+/// keeps its zero. Fails with `what` when `next` does.
+template <typename T, typename Next>
+Status FillRows(const BitsView& presence, bool all_present, const char* what, T* slots,
+                Next next) {
   for (uint64_t i = 0; i < presence.count; ++i) {
-    if (!presence.at(i)) {
-      out->emplace_back();
-    } else if (!push(out)) {
+    if ((all_present || presence.at(i)) && !next(&slots[i])) {
       return Status::Corruption(what);
     }
   }
@@ -252,60 +253,75 @@ Status FillRows(const BitsView& presence, const char* what, std::vector<Value>* 
 }
 
 Status DecodeInt64s(const BitsView& presence, uint64_t present, Slice data,
-                    std::vector<Value>* out) {
+                    table::ColumnData* out) {
   Int64Reader reader(data);
   DTL_RETURN_NOT_OK(reader.Start(present));
-  return FillRows(presence, "bad int64 RLE stream", out,
-                  [&reader](std::vector<Value>* o) {
-                    int64_t v = 0;
-                    if (!reader.Next(&v)) return false;
-                    o->push_back(Value::Int64(v));
-                    return true;
-                  });
+  out->ints.resize(presence.count);
+  return FillRows(presence, present == presence.count, "bad int64 RLE stream",
+                  out->ints.data(), [&reader](int64_t* v) { return reader.Next(v); });
 }
 
 Status DecodeDoubles(const BitsView& presence, uint64_t present, Slice data,
-                     std::vector<Value>* out) {
+                     table::ColumnData* out) {
   uint64_t total = 0;
   DTL_RETURN_NOT_OK(GetVarint64(&data, &total));
   if (total != present) return Status::Corruption("double stream count mismatch");
   if (total > data.size() / 8) return Status::Corruption("truncated double stream");
+  out->doubles.resize(presence.count);
   const char* p = data.data();
-  return FillRows(presence, "bad double stream", out, [&p](std::vector<Value>* o) {
-    o->push_back(Value::Double(std::bit_cast<double>(DecodeFixed64(p))));
-    p += 8;
-    return true;
-  });
+  if constexpr (std::endian::native == std::endian::little) {
+    if (present == presence.count) {
+      std::memcpy(out->doubles.data(), p, present * sizeof(double));
+      return Status::OK();
+    }
+  }
+  return FillRows(presence, present == presence.count, "bad double stream",
+                  out->doubles.data(), [&p](double* v) {
+                    *v = std::bit_cast<double>(DecodeFixed64(p));
+                    p += 8;
+                    return true;
+                  });
 }
 
 Status DecodeBools(const BitsView& presence, uint64_t present, Slice data,
-                   std::vector<Value>* out) {
+                   table::ColumnData* out) {
   BitsView values;
   DTL_RETURN_NOT_OK(ReadBits(data, present, &values));
+  out->bools.resize(presence.count);
   uint64_t next = 0;
-  return FillRows(presence, "bad bool stream", out,
-                  [&values, &next](std::vector<Value>* o) {
-                    o->push_back(Value::Bool(values.at(next++)));
+  return FillRows(presence, present == presence.count, "bad bool stream",
+                  out->bools.data(), [&values, &next](uint8_t* v) {
+                    *v = static_cast<uint8_t>(values.at(next++) ? 1 : 0);
                     return true;
                   });
 }
 
 Status DecodeStrings(const BitsView& presence, uint64_t present, Slice data,
-                     std::vector<Value>* out) {
+                     table::ColumnData* out) {
   if (data.empty()) return Status::Corruption("empty string stream");
+  // Cells address the arena with 32-bit offsets, and the arena never holds
+  // more than the stream's bytes.
+  if (data.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("string stream too large");
+  }
   const char mode = data[0];
   data.RemovePrefix(1);
+  std::string& arena = out->arena;
   if (mode == 0) {
     uint64_t total = 0;
     DTL_RETURN_NOT_OK(GetVarint64(&data, &total));
     if (total != present) return Status::Corruption("string stream count mismatch");
     const char* p = data.data();
     const char* limit = p + data.size();
-    return FillRows(presence, "truncated string stream", out,
-                    [&p, limit](std::vector<Value>* o) {
+    arena.reserve(data.size());
+    out->strings.resize(presence.count);
+    return FillRows(presence, present == presence.count, "truncated string stream",
+                    out->strings.data(), [&p, limit, &arena](table::StringRef* cell) {
                       std::string_view s;
                       if (!NextString(&p, limit, &s)) return false;
-                      o->push_back(Value::String(std::string(s)));
+                      *cell = table::StringRef{static_cast<uint32_t>(arena.size()),
+                                               static_cast<uint32_t>(s.size())};
+                      arena.append(s);
                       return true;
                     });
   }
@@ -317,26 +333,29 @@ Status DecodeStrings(const BitsView& presence, uint64_t present, Slice data,
   if (dict_size > present || dict_size > data.size()) {
     return Status::Corruption("dictionary size out of range");
   }
-  // Keys are decoded once per stripe; each row copies its key.
-  std::vector<Value> dict;
+  // The keys go into the arena once per stripe; each row points at its key.
+  std::vector<table::StringRef> dict;
   dict.reserve(dict_size);
   const char* p = data.data();
   const char* limit = p + data.size();
   for (uint64_t k = 0; k < dict_size; ++k) {
     std::string_view key;
     if (!NextString(&p, limit, &key)) return Status::Corruption("truncated dictionary");
-    dict.push_back(Value::String(std::string(key)));
+    dict.push_back(table::StringRef{static_cast<uint32_t>(arena.size()),
+                                    static_cast<uint32_t>(key.size())});
+    arena.append(key);
   }
   Int64Reader indices(Slice(p, static_cast<size_t>(limit - p)));
   DTL_RETURN_NOT_OK(indices.Start(present));
-  return FillRows(presence, "bad dictionary index", out,
-                  [&indices, &dict](std::vector<Value>* o) {
+  out->strings.resize(presence.count);
+  return FillRows(presence, present == presence.count, "bad dictionary index",
+                  out->strings.data(), [&indices, &dict](table::StringRef* cell) {
                     int64_t idx = 0;
                     if (!indices.Next(&idx) || idx < 0 ||
                         static_cast<uint64_t>(idx) >= dict.size()) {
                       return false;
                     }
-                    o->push_back(dict[static_cast<size_t>(idx)]);
+                    *cell = dict[static_cast<size_t>(idx)];
                     return true;
                   });
 }
@@ -344,27 +363,34 @@ Status DecodeStrings(const BitsView& presence, uint64_t present, Slice data,
 }  // namespace
 
 Status DecodeColumn(DataType type, Slice presence, Slice data, uint64_t num_rows,
-                    std::vector<Value>* out) {
-  out->clear();
+                    table::ColumnData* out) {
+  out->Reset(type);
   BitsView rows;
   DTL_RETURN_NOT_OK(ReadBits(presence, num_rows, &rows));
   const uint64_t present = rows.CountSet();
-  // num_rows is now bounded by the presence bytes actually read.
-  out->reserve(num_rows);
+  // num_rows is now bounded by the presence bytes actually read, and the
+  // validity bitmap is those bytes.
+  if (present < num_rows) out->validity.assign(rows.bits, rows.bits + (num_rows + 7) / 8);
+  Status st;
   switch (type) {
     case DataType::kInt64:
     case DataType::kDate:
-      return DecodeInt64s(rows, present, data, out);
-    case DataType::kDouble:
-      return DecodeDoubles(rows, present, data, out);
-    case DataType::kString:
-      return DecodeStrings(rows, present, data, out);
-    case DataType::kBool:
-      return DecodeBools(rows, present, data, out);
-    case DataType::kNull:
+      st = DecodeInt64s(rows, present, data, out);
       break;
+    case DataType::kDouble:
+      st = DecodeDoubles(rows, present, data, out);
+      break;
+    case DataType::kString:
+      st = DecodeStrings(rows, present, data, out);
+      break;
+    case DataType::kBool:
+      st = DecodeBools(rows, present, data, out);
+      break;
+    case DataType::kNull:
+      return Status::Corruption("column with null type in footer");
   }
-  return Status::Corruption("column with null type in footer");
+  if (st.ok()) out->size = num_rows;
+  return st;
 }
 
 }  // namespace dtl::orc

@@ -8,7 +8,7 @@
 //                    non-null values, as in real ORC).
 //
 // The writer hands the encoders typed values; the reader decodes a column's
-// presence and data streams in one pass straight into Values.
+// presence and data streams in one pass straight into typed cells.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "table/column_data.h"
 
 namespace dtl::orc {
 
@@ -47,13 +48,15 @@ void EncodeBoolStream(std::span<const uint8_t> values, std::string* dst);
 
 // --- decoder ------------------------------------------------------------------
 
-/// Decodes one column of one stripe in one pass: `presence` is read in place
-/// and `data` straight into `num_rows` Values (nulls included). `num_rows` is
-/// the stripe directory's row count. Every count a stream carries is checked
-/// against it, or against the bytes left, before anything is allocated, so a
-/// malformed stream yields Corruption, never an oversized allocation or an
-/// out-of-bounds read.
+/// Decodes one column of one stripe in one pass into `num_rows` typed cells
+/// (nulls included): the presence bytes become the validity bitmap, and
+/// `data` fills the typed array. A direct string stream copies its bytes into
+/// the arena; a dictionary copies each key once and points its rows at it.
+/// `num_rows` is the stripe directory's row count. Every count a stream
+/// carries is checked against it, or against the bytes left, before anything
+/// is allocated, so a malformed stream yields Corruption, never an oversized
+/// allocation or an out-of-bounds read.
 Status DecodeColumn(DataType type, Slice presence, Slice data, uint64_t num_rows,
-                    std::vector<Value>* out);
+                    table::ColumnData* out);
 
 }  // namespace dtl::orc

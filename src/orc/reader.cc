@@ -18,8 +18,8 @@ void StripeBatch::SliceInto(size_t start, size_t count, size_t num_fields,
   for (size_t p = 0; p < projection.size(); ++p) {
     const size_t col = projection[p];
     if (col >= num_fields) continue;
-    DTL_DCHECK_EQ(columns[p]->values.size(), num_rows);
-    out->column(col).SetView(columns[p]->values.data() + start, count);
+    DTL_DCHECK_EQ(columns[p]->cells.size, num_rows);
+    out->column(col).SetView(&columns[p]->cells, start, count);
   }
 }
 
@@ -109,7 +109,7 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
   }
 
   // One buffer for every projected column's bytes; each column is checked
-  // against its CRC, then decoded in one pass into its Values.
+  // against its CRC, then decoded in one pass into its typed cells.
   std::string raw;
   for (size_t p = 0; p < projection.size(); ++p) {
     const size_t col = projection[p];
@@ -128,7 +128,7 @@ Result<StripeBatch> OrcReader::ReadStripe(size_t stripe_index,
                                    Slice(raw.data(), streams.presence_length),
                                    Slice(raw.data() + streams.presence_length,
                                          streams.data_length),
-                                   info.num_rows, &column->values));
+                                   info.num_rows, &column->cells));
     batch.columns.push_back(std::move(column));
   }
   return batch;

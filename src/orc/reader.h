@@ -22,7 +22,7 @@ class StripeCache;
 /// One decoded column of one stripe: the unit the StripeCache holds and
 /// shares across every projection that reads the column.
 struct DecodedColumn {
-  std::vector<Value> values;
+  table::ColumnData cells;
   /// Encoded bytes (presence + data streams) read from the file to decode it.
   uint64_t encoded_bytes = 0;
 };
@@ -40,13 +40,13 @@ struct StripeBatch {
   std::vector<DecodedColumnPtr> columns;
 
   /// Cell of projected column `p` at row `i` (0-based within the stripe).
-  const Value& at(size_t p, size_t i) const { return columns[p]->values[i]; }
+  Value at(size_t p, size_t i) const { return columns[p]->cells.ValueAt(i); }
 
   /// Materializes row `i` (0-based within the stripe) over the projection.
   Row GetRow(size_t i) const {
     Row row;
     row.reserve(columns.size());
-    for (const auto& col : columns) row.push_back(col->values[i]);
+    for (const auto& col : columns) row.push_back(col->cells.ValueAt(i));
     return row;
   }
 

@@ -30,14 +30,7 @@ StripeCache::Shard& StripeCache::ShardFor(const StripeKey& stripe) {
 }
 
 size_t StripeCache::Footprint(const DecodedColumn& column) {
-  static const size_t kInlineCapacity = std::string().capacity();
-  size_t bytes = column.values.capacity() * sizeof(Value);
-  for (const Value& v : column.values) {
-    if (!v.is_string()) continue;
-    const size_t capacity = v.AsString().capacity();
-    if (capacity > kInlineCapacity) bytes += capacity + 1;
-  }
-  return bytes;
+  return column.cells.MemoryBytes();
 }
 
 size_t StripeCache::Lookup(const StripeKey& stripe, const std::vector<size_t>& columns,

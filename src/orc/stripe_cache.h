@@ -51,8 +51,8 @@ struct StripeKey {
 /// (owner, file_id, generation, stripe_index, column). Thread-safe. Every
 /// column of one stripe lives in the same shard, so a projection is looked up
 /// (and its missing columns inserted) under one shard mutex. Capacity is
-/// measured in real bytes — cell storage plus string heap — evicting
-/// least-recently-used entries shard-locally.
+/// measured in real bytes — the typed arrays, validity bitmap and string
+/// arena of each column — evicting least-recently-used entries shard-locally.
 class StripeCache {
  public:
   explicit StripeCache(size_t capacity_bytes = 64ull << 20, size_t shards = 8);
@@ -87,9 +87,9 @@ class StripeCache {
 
   size_t capacity_bytes() const { return capacity_bytes_; }
 
-  /// Real memory one decoded column occupies: its cell storage
-  /// (capacity × sizeof(Value)) plus the heap blocks of strings too long for
-  /// the inline buffer.
+  /// Real memory one decoded column occupies: the capacity of its typed
+  /// array (8 bytes per int64, date, double or string cell, 1 per bool), its
+  /// validity bitmap and its string arena.
   static size_t Footprint(const DecodedColumn& column);
 
  private:

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <set>
 
+#include "table/column_data.h"
+
 namespace dtl::sql {
 
 namespace {
@@ -355,55 +357,28 @@ Result<exec::ValueFn> BindPostAggregate(const Expr& expr,
   return CompileNode(expr, std::move(children));
 }
 
-std::vector<table::ColumnBound> ExtractBounds(const std::vector<const Expr*>& conjuncts,
-                                              const Scope& scope) {
-  std::vector<table::ColumnBound> bounds;
-  for (const Expr* c : conjuncts) {
-    if (c->kind != Expr::Kind::kBinary) continue;
-    const std::string& op = c->op;
-    if (op != "=" && op != "<" && op != "<=" && op != ">" && op != ">=") continue;
-    const Expr* lhs = c->args[0].get();
-    const Expr* rhs = c->args[1].get();
-    bool flipped = false;
-    if (lhs->kind == Expr::Kind::kLiteral && rhs->kind == Expr::Kind::kColumnRef) {
-      std::swap(lhs, rhs);
-      flipped = true;
-    }
-    if (lhs->kind != Expr::Kind::kColumnRef || rhs->kind != Expr::Kind::kLiteral) continue;
-    auto ordinal = scope.Resolve(lhs->qualifier, lhs->column);
-    if (!ordinal.ok()) continue;
-    const Value& lit = rhs->literal;
-    if (lit.is_null()) continue;
-    table::ColumnBound bound;
-    bound.column = *ordinal;
-    std::string effective = op;
-    if (flipped) {
-      if (op == "<") effective = ">";
-      else if (op == "<=") effective = ">=";
-      else if (op == ">") effective = "<";
-      else if (op == ">=") effective = "<=";
-    }
-    if (effective == "=") {
-      bound.lower = lit;
-      bound.upper = lit;
-    } else if (effective == "<" || effective == "<=") {
-      bound.upper = lit;  // conservative: treat strict as inclusive
-    } else {
-      bound.lower = lit;
-    }
-    bounds.push_back(std::move(bound));
-  }
-  return bounds;
-}
-
 table::RowPredicateFn MakePredicate(exec::ValueFn fn) {
   return [fn = std::move(fn)](const Row& row) { return ValueIsTrue(fn(row)); };
 }
 
+namespace {
+
+/// Accepts a row when every one of `fns` is TRUE; null when there are none.
+table::RowPredicateFn AllTrue(std::vector<exec::ValueFn> fns) {
+  if (fns.empty()) return nullptr;
+  return [fns = std::move(fns)](const Row& row) {
+    for (const auto& fn : fns) {
+      if (!ValueIsTrue(fn(row))) return false;
+    }
+    return true;
+  };
+}
+
+}  // namespace
+
 Result<BoundPredicate> BindConjunction(const std::vector<const Expr*>& conjuncts,
                                        const Scope& scope) {
   BoundPredicate out;
-  if (conjuncts.empty()) return out;
   std::vector<exec::ValueFn> fns;
   std::set<size_t> columns;
   for (const Expr* c : conjuncts) {
@@ -411,12 +386,94 @@ Result<BoundPredicate> BindConjunction(const std::vector<const Expr*>& conjuncts
     fns.push_back(std::move(bound.fn));
     columns.insert(bound.columns.begin(), bound.columns.end());
   }
-  out.fn = [fns = std::move(fns)](const Row& row) {
-    for (const auto& fn : fns) {
-      if (!ValueIsTrue(fn(row))) return false;
-    }
-    return true;
+  out.fn = AllTrue(std::move(fns));
+  out.columns.assign(columns.begin(), columns.end());
+  return out;
+}
+
+std::optional<table::ScanTerm> CompileScanTerm(const Expr& conjunct, const Scope& scope) {
+  auto column_of = [&scope](const Expr& e) -> std::optional<size_t> {
+    if (e.kind != Expr::Kind::kColumnRef) return std::nullopt;
+    auto ordinal = scope.Resolve(e.qualifier, e.column);
+    if (!ordinal.ok()) return std::nullopt;
+    return *ordinal;
   };
+  table::ScanTerm term;
+  if (conjunct.kind == Expr::Kind::kBinary) {
+    std::optional<table::CompareOp> op = table::ParseCompareOp(conjunct.op);
+    if (!op.has_value()) return std::nullopt;
+    const Expr* lhs = conjunct.args[0].get();
+    const Expr* rhs = conjunct.args[1].get();
+    if (lhs->kind == Expr::Kind::kLiteral && rhs->kind == Expr::Kind::kColumnRef) {
+      std::swap(lhs, rhs);
+      op = table::FlipCompareOp(*op);
+    }
+    const std::optional<size_t> column = column_of(*lhs);
+    if (!column.has_value()) return std::nullopt;
+    const DataType type = scope.column(*column).type;
+    term.column = *column;
+    term.op = *op;
+    if (rhs->kind == Expr::Kind::kLiteral) {
+      if (!table::SameCompareDomain(type, table::KindOf(rhs->literal))) {
+        return std::nullopt;
+      }
+      term.kind = table::ScanTerm::Kind::kCompare;
+      term.literal = rhs->literal;
+      return term;
+    }
+    const std::optional<size_t> other = column_of(*rhs);
+    if (!other.has_value() ||
+        !table::SameCompareDomain(type, scope.column(*other).type)) {
+      return std::nullopt;
+    }
+    term.kind = table::ScanTerm::Kind::kCompareColumns;
+    term.other = *other;
+    return term;
+  }
+  if (conjunct.kind != Expr::Kind::kInList) return std::nullopt;
+  const std::optional<size_t> column = column_of(*conjunct.args[0]);
+  if (!column.has_value()) return std::nullopt;
+  const DataType type = scope.column(*column).type;
+  term.kind = table::ScanTerm::Kind::kInList;
+  term.column = *column;
+  term.negated = conjunct.negated;
+  for (size_t i = 1; i < conjunct.args.size(); ++i) {
+    const Expr& item = *conjunct.args[i];
+    if (item.kind != Expr::Kind::kLiteral) return std::nullopt;
+    if (item.literal.is_null()) {
+      term.null_item = true;
+    } else if (table::SameCompareDomain(type, table::KindOf(item.literal))) {
+      term.items.push_back(item.literal);
+    } else {
+      return std::nullopt;
+    }
+  }
+  return term;
+}
+
+Result<BoundScanPredicate> BindScanPredicate(const std::vector<const Expr*>& conjuncts,
+                                             const Scope& scope) {
+  BoundScanPredicate out;
+  std::vector<table::ScanTerm> terms;
+  std::vector<exec::ValueFn> residual;
+  std::set<size_t> columns;
+  for (const Expr* c : conjuncts) {
+    // Binding every conjunct reports unknown columns and misplaced
+    // aggregates exactly as the closure would, compiled or not.
+    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*c, scope));
+    columns.insert(bound.columns.begin(), bound.columns.end());
+    std::optional<table::ScanTerm> term = CompileScanTerm(*c, scope);
+    out.kernel.push_back(term.has_value());
+    if (!term.has_value()) {
+      residual.push_back(std::move(bound.fn));
+      continue;
+    }
+    if (std::optional<table::ColumnBound> stripe_bound = term->Bound()) {
+      out.bounds.push_back(std::move(*stripe_bound));
+    }
+    terms.push_back(std::move(*term));
+  }
+  out.predicate = table::ScanPredicate(std::move(terms), AllTrue(std::move(residual)));
   out.columns.assign(columns.begin(), columns.end());
   return out;
 }

@@ -4,6 +4,7 @@
 // circuit on FALSE/TRUE.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,11 +69,6 @@ Result<exec::AggSpec> BindAggregateCall(const Expr& expr, const Scope& scope);
 /// Splits a conjunction into its top-level AND terms.
 void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out);
 
-/// Derives stats-prunable bounds from conjuncts of form `col OP literal`.
-/// Ordinals are flat scope ordinals (callers re-map for per-table pushdown).
-std::vector<table::ColumnBound> ExtractBounds(
-    const std::vector<const Expr*>& conjuncts, const Scope& scope);
-
 /// Wraps a compiled boolean expression as a row predicate (NULL/non-bool ⇒
 /// row rejected, per SQL WHERE semantics).
 table::RowPredicateFn MakePredicate(exec::ValueFn fn);
@@ -86,6 +82,27 @@ struct BoundPredicate {
 };
 Result<BoundPredicate> BindConjunction(const std::vector<const Expr*>& conjuncts,
                                        const Scope& scope);
+
+/// The kernel term for one conjunct of the form `col op lit` (either side),
+/// `col [NOT] IN (lits)` or `col op col`, where op is a comparison, every
+/// literal's kind meets the column's declared type in Value::Compare's own
+/// domain (numbers with numbers, strings with strings, booleans with
+/// booleans) and a compared literal is not NULL; nullopt for anything else.
+std::optional<table::ScanTerm> CompileScanTerm(const Expr& conjunct, const Scope& scope);
+
+/// A scan's pushed conjuncts compiled in one pass: each that CompileScanTerm
+/// takes becomes a kernel term, every other one joins the residual closure.
+struct BoundScanPredicate {
+  table::ScanPredicate predicate;
+  /// Flat ordinals any conjunct reads, ascending.
+  std::vector<size_t> columns;
+  /// Stripe bounds implied by the `col op lit` terms.
+  std::vector<table::ColumnBound> bounds;
+  /// Per conjunct, in order: a kernel term (true) or residual (false).
+  std::vector<bool> kernel;
+};
+Result<BoundScanPredicate> BindScanPredicate(const std::vector<const Expr*>& conjuncts,
+                                             const Scope& scope);
 
 /// Truthiness used by filters: TRUE only.
 bool ValueIsTrue(const Value& v);

@@ -139,18 +139,22 @@ std::optional<dual::IndexProbe> FindDmlIndexProbe(
 }
 
 /// The scan a table's conjuncts push into: `projection` (empty = every
-/// column), the conjuncts ANDed into the predicate, and the stripe bounds
-/// they imply. SELECT builds one per table; UPDATE/DELETE one for the WHERE.
+/// column), the conjuncts compiled into the predicate's kernel terms and
+/// residual, and the stripe bounds the terms imply. SELECT builds one per
+/// table; UPDATE/DELETE one for the WHERE. `kernel` (optional) receives, per
+/// conjunct, whether it compiled into a term.
 Result<table::ScanSpec> BuildScanSpec(const std::vector<const Expr*>& conjuncts,
                                       const Scope& scope, std::vector<size_t> projection,
-                                      table::ScanMeter* meter) {
-  DTL_ASSIGN_OR_RETURN(BoundPredicate predicate, BindConjunction(conjuncts, scope));
+                                      table::ScanMeter* meter,
+                                      std::vector<bool>* kernel = nullptr) {
+  DTL_ASSIGN_OR_RETURN(BoundScanPredicate predicate, BindScanPredicate(conjuncts, scope));
   table::ScanSpec spec;
   spec.meter = meter;
   spec.projection = std::move(projection);
-  spec.predicate = std::move(predicate.fn);
+  spec.predicate = std::move(predicate.predicate);
   spec.predicate_columns = std::move(predicate.columns);
-  spec.bounds = ExtractBounds(conjuncts, scope);
+  spec.bounds = std::move(predicate.bounds);
+  if (kernel != nullptr) *kernel = std::move(predicate.kernel);
   return spec;
 }
 
@@ -191,7 +195,12 @@ void ExplainSelect(const SelectPlan& plan, const std::string& indent,
     const SelectPlan::Table& t = plan.tables[i];
     std::string line = in + "scan " + t.qualifier + " (" + t.kind +
                        (t.snapshot != nullptr ? ", UNION READ scan)" : ")");
-    if (!t.pushed.empty()) line += " where " + ExprsText(t.pushed, " AND ");
+    // Each pushed conjunct names how it runs: a compiled kernel term or the
+    // residual row closure.
+    for (size_t c = 0; c < t.pushed.size(); ++c) {
+      line += (c == 0 ? " where " : " AND ") + t.pushed[c]->ToString() +
+              (t.kernel[c] ? " [kernel]" : " [row]");
+    }
     emit(line);
     if (t.subquery != nullptr) ExplainSelect(*t.subquery, in + "  ", emit);
     if (i == 0 && plan.routes.front() == SelectRoute::kIndexLookup) {
@@ -315,10 +324,7 @@ class RouteRunner {
     std::vector<Row> rows;
     for (const auto& match : matches) {
       if (plan.limit.has_value() && rows.size() >= *plan.limit) break;
-      Row out;
-      out.reserve(plan.outputs.size());
-      for (const auto& fn : plan.outputs) out.push_back(fn(match.second));
-      rows.push_back(std::move(out));
+      rows.push_back(Project(plan, match.second));
     }
     return rows;
   }
@@ -341,15 +347,13 @@ class RouteRunner {
     DTL_ASSIGN_OR_RETURN(Row agg_row, scanner.Aggregate(plan.aggregates));
     std::vector<Row> rows;
     if (plan.limit.has_value() && *plan.limit == 0) return rows;
-    Row out;
-    out.reserve(plan.outputs.size());
-    for (const auto& fn : plan.outputs) out.push_back(fn(agg_row));
-    rows.push_back(std::move(out));
+    rows.push_back(Project(plan, agg_row));
     return rows;
   }
 
   // Storage batches (predicate applied inside the scan) -> vectorized
-  // projection -> vectorized limit; rows materialize only at the end.
+  // limit. Bare column outputs project as zero-copy views; computed outputs
+  // are evaluated on each row as it is collected, as the index route does.
   Result<std::vector<Row>> Vectorized(const SelectPlan& plan) {
     const SelectPlan::Table& t = plan.tables[0];
     std::unique_ptr<table::BatchIterator> it;
@@ -362,14 +366,46 @@ class RouteRunner {
     std::unique_ptr<exec::BatchOperator> op =
         Traced(std::make_unique<exec::BatchScanOperator>(std::move(it)),
                obs::names::kOpScan, t.qualifier);
-    op = Traced(std::make_unique<exec::BatchProjectOperator>(std::move(op), plan.outputs,
-                                                             plan.output_columns),
-                obs::names::kOpProject);
+    const bool refs_only =
+        !plan.output_columns.empty() &&
+        std::all_of(plan.output_columns.begin(), plan.output_columns.end(),
+                    [](int c) { return c >= 0; });
+    if (refs_only) {
+      op = Traced(std::make_unique<exec::BatchProjectOperator>(
+                      std::move(op), std::vector<size_t>(plan.output_columns.begin(),
+                                                         plan.output_columns.end())),
+                  obs::names::kOpProject);
+    }
     if (plan.limit.has_value()) {
       op = Traced(std::make_unique<exec::BatchLimitOperator>(std::move(op), *plan.limit),
                   obs::names::kOpLimit);
     }
-    return exec::CollectBatches(op.get());
+    if (refs_only) return exec::CollectBatches(op.get());
+    obs::TraceNode* node = AddNode(obs::names::kOpProject);
+    std::vector<Row> rows;
+    table::RowBatch batch;
+    Row row;
+    while (op->Next(&batch)) {
+      Stopwatch watch;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        batch.MaterializeRow(i, &row);
+        rows.push_back(Project(plan, row));
+      }
+      if (node != nullptr) {
+        node->stats.wall_seconds += watch.ElapsedSeconds();
+        node->stats.rows += batch.size();
+      }
+    }
+    DTL_RETURN_NOT_OK(op->status());
+    return rows;
+  }
+
+  /// The plan's outputs evaluated on one input row.
+  static Row Project(const SelectPlan& plan, const Row& input) {
+    Row out;
+    out.reserve(plan.outputs.size());
+    for (const auto& fn : plan.outputs) out.push_back(fn(input));
+    return out;
   }
 
   Result<std::unique_ptr<exec::Operator>> OpenTable(const SelectPlan::Table& t) {
@@ -800,7 +836,7 @@ Result<SelectPlan> Engine::PlanSelect(const SelectStmt& stmt) {
     }
     if (projection.empty()) projection.push_back(0);
     DTL_ASSIGN_OR_RETURN(t.scan, BuildScanSpec(pushed[i], locals[i], std::move(projection),
-                                               exec_.scan_meter));
+                                               exec_.scan_meter, &t.kernel));
     t.pushed = std::move(pushed[i]);
   }
 

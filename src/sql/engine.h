@@ -73,6 +73,9 @@ struct SelectPlan {
     table::ScanSpec scan;
     /// The conjuncts bound into scan.predicate; they point into `where`.
     std::vector<const Expr*> pushed;
+    /// Per pushed conjunct: compiled into a kernel term (true) or left to
+    /// the predicate's residual closure (false).
+    std::vector<bool> kernel;
   };
   /// Left-deep hash join of tables[j + 1] (build) into the rows so far.
   struct Join {

@@ -222,9 +222,6 @@ void Session::RegisterSnapshotViews(const std::string& label,
         },
         label);
   };
-  index_stat(obs::names::kIndexLookups, [](const dual::SecondaryIndex::Stats& s) {
-    return s.lookups.load(std::memory_order_relaxed);
-  });
   index_stat(obs::names::kIndexEntriesAdded, [](const dual::SecondaryIndex::Stats& s) {
     return s.entries_added.load(std::memory_order_relaxed);
   });
@@ -233,12 +230,6 @@ void Session::RegisterSnapshotViews(const std::string& label,
   });
   index_stat(obs::names::kIndexCandidateRows, [](const dual::SecondaryIndex::Stats& s) {
     return s.candidate_rows.load(std::memory_order_relaxed);
-  });
-  index_stat(obs::names::kIndexStaleDropped, [](const dual::SecondaryIndex::Stats& s) {
-    return s.stale_dropped.load(std::memory_order_relaxed);
-  });
-  index_stat(obs::names::kIndexRebuilds, [](const dual::SecondaryIndex::Stats& s) {
-    return s.rebuilds.load(std::memory_order_relaxed);
   });
 }
 

@@ -1,25 +1,51 @@
 #include "table/row_batch.h"
 
+#include <algorithm>
+
 #include "table/scan_stats.h"
 
 namespace dtl::table {
 
-const Value& ColumnVector::NullValue() {
-  static const Value kNull = Value::Null();
-  return kNull;
+ColumnVector& ColumnVector::operator=(const ColumnVector& other) {
+  if (this == &other) return *this;
+  if (!other.owned_active_) {
+    data_ = other.data_;
+    offset_ = other.offset_;
+    size_ = other.size_;
+    owned_active_ = false;
+    return *this;
+  }
+  if (owned_ == nullptr) owned_ = std::make_unique<ColumnData>();
+  *owned_ = *other.owned_;
+  data_ = owned_.get();
+  offset_ = 0;
+  size_ = other.size_;
+  owned_active_ = true;
+  return *this;
 }
 
-Value* ColumnVector::MakeMutable(size_t size) {
-  if (!absent_ && !owned_.empty()) return owned_.data();
-  if (absent_) {
-    owned_.assign(size, Value::Null());
+void ColumnVector::SetOwned(ColumnData cells) {
+  if (owned_ == nullptr) owned_ = std::make_unique<ColumnData>();
+  *owned_ = std::move(cells);
+  data_ = owned_.get();
+  offset_ = 0;
+  size_ = owned_->size;
+  owned_active_ = true;
+}
+
+ColumnData* ColumnVector::MakeMutable(DataType type, size_t size) {
+  if (owned_active_) return owned_.get();
+  if (owned_ == nullptr) owned_ = std::make_unique<ColumnData>();
+  if (data_ == nullptr) {
+    owned_->ResetNulls(type, size);
     size_ = size;
   } else {
-    owned_.assign(view_, view_ + size_);
+    owned_->CopyFrom(*data_, offset_, size_);
   }
-  absent_ = false;
-  view_ = owned_.data();
-  return owned_.data();
+  data_ = owned_.get();
+  offset_ = 0;
+  owned_active_ = true;
+  return owned_.get();
 }
 
 void RowBatch::Reset(size_t num_columns, size_t num_rows) {
@@ -48,7 +74,7 @@ void RowBatch::TruncateSelection(size_t n) {
 
 void RowBatch::MaterializePhysical(size_t phys, Row* row) const {
   row->resize(num_columns_);
-  for (size_t c = 0; c < num_columns_; ++c) (*row)[c] = columns_[c].at(phys);
+  for (size_t c = 0; c < num_columns_; ++c) columns_[c].AssignTo(phys, &(*row)[c]);
 }
 
 bool RowBatch::Passes(const RowPredicateFn& pred, std::span<const size_t> columns,
@@ -57,7 +83,7 @@ bool RowBatch::Passes(const RowPredicateFn& pred, std::span<const size_t> column
     MaterializePhysical(phys, scratch);
     return pred(*scratch);
   }
-  for (size_t c : columns) (*scratch)[c] = columns_[c].at(phys);
+  for (size_t c : columns) columns_[c].AssignTo(phys, &(*scratch)[c]);
   const bool verdict = pred(*scratch);
 #ifndef NDEBUG
   // A predicate that reads a column outside its list sees NULL there and can
@@ -69,33 +95,51 @@ bool RowBatch::Passes(const RowPredicateFn& pred, std::span<const size_t> column
   return verdict;
 }
 
-size_t RowBatch::FilterSelected(const RowPredicateFn& pred, Row* scratch,
-                                ScanMeter* meter, std::span<const size_t> columns) {
+size_t RowBatch::FilterSelected(const ScanPredicate& pred, Row* scratch, ScanMeter* meter,
+                                std::span<const size_t> columns) {
   const size_t before = size();
   if (before == 0) return 0;
-  // Cells outside `columns` are never written below, so they read NULL.
-  if (!columns.empty()) scratch->assign(num_columns_, Value::Null());
-  if (!has_selection_) {
-    // Fast path: scan for the first drop before touching the selection.
-    size_t first_drop = 0;
-    for (; first_drop < num_rows_; ++first_drop) {
-      if (!Passes(pred, columns, first_drop, scratch)) break;
-    }
-    if (first_drop == num_rows_) return 0;  // everything survives, no selection
-    selection_.clear();
-    selection_.reserve(num_rows_);
-    for (size_t i = 0; i < first_drop; ++i) selection_.push_back(static_cast<uint32_t>(i));
-    for (size_t i = first_drop + 1; i < num_rows_; ++i) {
-      if (Passes(pred, columns, i, scratch)) selection_.push_back(static_cast<uint32_t>(i));
-    }
-    has_selection_ = true;
-  } else {
-    size_t out = 0;
-    for (size_t i = 0; i < selection_.size(); ++i) {
-      if (Passes(pred, columns, selection_[i], scratch)) selection_[out++] = selection_[i];
-    }
-    selection_.resize(out);
+#ifndef NDEBUG
+  std::vector<uint32_t> candidates(before);
+  for (size_t i = 0; i < before; ++i) candidates[i] = static_cast<uint32_t>(row_index(i));
+#endif
+  const bool had_selection = has_selection_;
+  if (!had_selection) {
+    selection_.resize(num_rows_);
+    for (size_t i = 0; i < num_rows_; ++i) selection_[i] = static_cast<uint32_t>(i);
   }
+  // Kernels first, column at a time; each narrows the selection in place.
+  size_t n = selection_.size();
+  for (const ScanTerm& term : pred.terms()) {
+    if (n == 0) break;
+    n = term.Filter(*this, selection_.data(), n);
+  }
+  if (pred.residual() && n > 0) {
+    // Cells outside `columns` are never written below, so they read NULL.
+    if (!columns.empty()) scratch->assign(num_columns_, Value::Null());
+    size_t kept = 0;
+    for (size_t k = 0; k < n; ++k) {
+      if (Passes(pred.residual(), columns, selection_[k], scratch)) {
+        selection_[kept++] = selection_[k];
+      }
+    }
+    n = kept;
+  }
+  selection_.resize(n);
+  // Everything survived a batch with no selection: leave it without one.
+  has_selection_ = had_selection || n < num_rows_;
+  if (!has_selection_) selection_.clear();
+#ifndef NDEBUG
+  // The kernels and the residual must keep exactly the rows the predicate's
+  // row form accepts on the full-width row.
+  Row full;
+  for (uint32_t phys : candidates) {
+    MaterializePhysical(phys, &full);
+    const bool kept = !has_selection_ || std::binary_search(selection_.begin(),
+                                                            selection_.end(), phys);
+    DTL_DCHECK_EQ(pred(full), kept);
+  }
+#endif
   const size_t dropped = before - size();
   (meter != nullptr ? *meter : GlobalScanMeter()).AddPredicateDrops(dropped);
   return dropped;

@@ -1,12 +1,14 @@
 // Column-major row batches: the unit of data movement on the vectorized
 // read path (ORC stripe -> master scan -> UNION READ -> executor). A batch
-// holds up to ~1024 rows as per-column value vectors plus a per-row record-ID
-// column and an optional selection vector, so filters and delete masks
-// compress the visible row set without moving any cell data.
+// holds up to ~1024 rows as per-column typed cells (table/column_data.h)
+// plus a per-row record-ID column and an optional selection vector, so
+// filters and delete masks compress the visible row set without moving any
+// cell data.
 //
 // Columns come in three states:
-//   - view:   a zero-copy pointer into storage someone else owns (typically a
-//             decoded ORC StripeBatch, kept alive via the batch's anchor);
+//   - view:   a zero-copy window onto typed cells someone else owns
+//             (typically a decoded ORC stripe column, kept alive via the
+//             batch's anchor);
 //   - owned:  a private copy, created lazily when a consumer needs to patch
 //             cells in place (UNION READ overlaying attached updates);
 //   - absent: not materialized by the scan; reads as NULL (matching the
@@ -16,11 +18,13 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
 #include "common/schema.h"
 #include "common/value.h"
+#include "table/column_data.h"
 #include "table/spec.h"
 
 namespace dtl::table {
@@ -29,61 +33,86 @@ namespace dtl::table {
 /// per-batch bookkeeping, small enough to stay cache-resident.
 inline constexpr size_t kDefaultBatchRows = 1024;
 
-/// One column of a RowBatch; see file comment for the three states.
+/// One column of a RowBatch; see file comment for the three states. Cell i
+/// of the column is cell `offset() + i` of data().
 class ColumnVector {
  public:
   ColumnVector() = default;
+  ColumnVector(const ColumnVector& other) { *this = other; }
+  ColumnVector& operator=(const ColumnVector& other);
+  ColumnVector(ColumnVector&&) noexcept = default;
+  ColumnVector& operator=(ColumnVector&&) noexcept = default;
 
-  /// Back to the absent state (reads as NULL).
+  /// Back to the absent state (reads as NULL). Owned buffers keep their
+  /// capacity for the next patch.
   void Reset() {
-    view_ = nullptr;
+    data_ = nullptr;
+    offset_ = 0;
     size_ = 0;
-    absent_ = true;
-    owned_.clear();
+    owned_active_ = false;
   }
 
-  /// Zero-copy: points at `size` values owned elsewhere.
-  void SetView(const Value* data, size_t size) {
-    view_ = data;
+  /// Zero-copy: cells [offset, offset + size) of `data`, owned elsewhere.
+  void SetView(const ColumnData* data, size_t offset, size_t size) {
+    DTL_DCHECK_LE(offset + size, data->size);
+    data_ = data;
+    offset_ = offset;
     size_ = size;
-    absent_ = false;
-    owned_.clear();
+    owned_active_ = false;
   }
 
-  /// Takes ownership of the values.
-  void SetOwned(std::vector<Value> values) {
-    owned_ = std::move(values);
-    view_ = owned_.data();
-    size_ = owned_.size();
-    absent_ = false;
+  /// Zero-copy: a view of whatever `src` reads now (its view or its owned
+  /// cells); valid while `src` is neither patched nor reset.
+  void SetViewOf(const ColumnVector& src) {
+    if (src.absent()) {
+      Reset();
+    } else {
+      SetView(src.data_, src.offset_, src.size_);
+    }
   }
 
-  bool absent() const { return absent_; }
-  bool is_view() const { return !absent_ && owned_.empty(); }
+  /// Takes ownership of the cells.
+  void SetOwned(ColumnData cells);
+
+  bool absent() const { return data_ == nullptr; }
+  bool is_view() const { return data_ != nullptr && !owned_active_; }
   size_t size() const { return size_; }
+  /// The cells' type; kNull for an absent column.
+  DataType type() const { return data_ == nullptr ? DataType::kNull : data_->type; }
+  /// The cells this column reads (nullptr when absent), from offset().
+  const ColumnData* data() const { return data_; }
+  size_t offset() const { return offset_; }
 
-  /// Cell `i` (physical row index); NULL for absent columns.
-  const Value& at(size_t i) const {
-    if (absent_) return NullValue();
+  /// Cell `i` (physical row index) as a Value; NULL for absent columns.
+  /// Row consumers only: kernels read the typed cells.
+  Value at(size_t i) const {
+    if (data_ == nullptr) return Value::Null();
     DTL_DCHECK_LT(i, size_);
-    return view_[i];
+    return data_->ValueAt(offset_ + i);
+  }
+  /// Cell `i` into `*out`, reusing the buffer of a string `*out` holds.
+  void AssignTo(size_t i, Value* out) const {
+    if (data_ == nullptr) {
+      *out = Value::Null();
+      return;
+    }
+    DTL_DCHECK_LT(i, size_);
+    data_->AssignTo(offset_ + i, out);
   }
 
-  /// Raw cell storage (view or owned); nullptr for absent columns.
-  const Value* data() const { return absent_ ? nullptr : view_; }
-
-  /// Copy-on-write: after this call the column owns its cells and they may
-  /// be patched through the returned pointer. Absent columns materialize as
-  /// `size` NULLs.
-  Value* MakeMutable(size_t size);
-
-  static const Value& NullValue();
+  /// Copy-on-write: after this call the column owns its cells (offset 0),
+  /// which may be patched through the returned pointer. A view copies its
+  /// window; an absent column materializes as `size` NULLs of type `type`.
+  ColumnData* MakeMutable(DataType type, size_t size);
 
  private:
-  const Value* view_ = nullptr;
+  const ColumnData* data_ = nullptr;
+  size_t offset_ = 0;
   size_t size_ = 0;
-  bool absent_ = true;
-  std::vector<Value> owned_;
+  bool owned_active_ = false;
+  /// Heap-held so data_ stays valid when the vector moves; kept across
+  /// Reset() so a patched batch reuses its buffers.
+  std::unique_ptr<ColumnData> owned_;
 };
 
 /// A column-major batch of rows. Physical rows are [0, num_rows); consumers
@@ -138,17 +167,20 @@ class RowBatch {
   /// Keeps only the first `n` visible rows (LIMIT).
   void TruncateSelection(size_t n);
 
-  /// Filters the visible rows through `pred`. Each candidate is copied into
-  /// `*scratch` (reused, full width), but only its `columns` — the
-  /// predicate's own, ScanSpec::predicate_columns — are copied; the other
-  /// cells read NULL. An empty `columns` copies every column. Debug builds
-  /// also test the full-width row and check that both verdicts agree, which
-  /// catches a caller whose list misses a column its predicate reads.
-  /// Compresses the selection in place; when nothing is dropped and no
-  /// selection existed, none is created (the pass-through fast path).
-  /// Returns the number dropped. Drops are charged to `meter`, or to the
-  /// global meter when null.
-  size_t FilterSelected(const RowPredicateFn& pred, Row* scratch,
+  /// Filters the visible rows through `pred`: each compiled term runs
+  /// column-at-a-time over the typed columns and the selection vector, then
+  /// the residual closure tests each survivor. For the residual a candidate
+  /// is copied into `*scratch` (reused, full width), but only its `columns`
+  /// — the predicate's own, ScanSpec::predicate_columns — are copied; the
+  /// other cells read NULL. An empty `columns` copies every column. Debug
+  /// builds also test each candidate's full-width row against the
+  /// predicate's row form and check the verdicts agree, which catches a
+  /// kernel that disagrees with its closure and a caller whose list misses a
+  /// column its residual reads. Compresses the selection in place; when
+  /// nothing is dropped and no selection existed, none is created (the
+  /// pass-through fast path). Returns the number dropped. Drops are charged
+  /// to `meter`, or to the global meter when null.
+  size_t FilterSelected(const ScanPredicate& pred, Row* scratch,
                         ScanMeter* meter = nullptr,
                         std::span<const size_t> columns = {});
 
@@ -174,10 +206,10 @@ class RowBatch {
   }
 
   /// Cell (`c`, visible row `i`).
-  const Value& ValueAt(size_t c, size_t i) const { return columns_[c].at(row_index(i)); }
+  Value ValueAt(size_t c, size_t i) const { return columns_[c].at(row_index(i)); }
 
   /// Copies visible row `i` into `*row` as a full-width row (absent columns
-  /// NULL), reusing the row's storage.
+  /// NULL), reusing the row's storage: string cells are assigned in place.
   void MaterializeRow(size_t i, Row* row) const {
     MaterializePhysical(row_index(i), row);
   }
@@ -190,7 +222,7 @@ class RowBatch {
  private:
   /// MaterializeRow by physical row index.
   void MaterializePhysical(size_t phys, Row* row) const;
-  /// FilterSelected's verdict on physical row `phys`.
+  /// The residual's verdict on physical row `phys`.
   bool Passes(const RowPredicateFn& pred, std::span<const size_t> columns, size_t phys,
               Row* scratch) const;
 

@@ -11,31 +11,19 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "table/scan_predicate.h"
 
 namespace dtl::table {
 
 class ScanMeter;
 
-/// Inclusive value bounds on one column, used for stripe-level pruning
-/// against ORC statistics. A scan may carry several.
-struct ColumnBound {
-  size_t column = 0;
-  std::optional<Value> lower;
-  std::optional<Value> upper;
-};
-
-/// Row filter evaluated over a full-schema-width row. Only the spec's
-/// predicate_columns are guaranteed current: a storage-side filter copies
-/// just those cells of each candidate (RowBatch::FilterSelected), and the
-/// other cells may read NULL. Shared so operators can hold copies cheaply.
-using RowPredicateFn = std::function<bool(const Row&)>;
-
 /// What a scan must produce.
 struct ScanSpec {
   /// Column ordinals the consumer will read. Empty means every column.
   std::vector<size_t> projection;
-  /// Optional residual filter; evaluated on the storage side.
-  RowPredicateFn predicate;
+  /// Optional filter, evaluated on the storage side: compiled terms run as
+  /// batch kernels, the residual closure per surviving row.
+  ScanPredicate predicate;
   /// Every column the predicate reads: materialized even if not projected,
   /// and the only cells the storage-side filter copies for it (an empty
   /// list makes the filter copy every column).

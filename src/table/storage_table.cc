@@ -26,13 +26,24 @@ bool BatchToRowAdapter::Next() {
 }
 
 bool RowToBatchAdapter::Next(RowBatch* batch) {
-  std::vector<std::vector<Value>> columns(num_columns_);
+  if (!status_.ok()) return false;
+  std::vector<ColumnData> columns(num_columns_);
   std::vector<uint64_t> ids;
   size_t n = 0;
   while (n < capacity_ && rows_->Next()) {
     const Row& row = rows_->row();
     for (size_t c = 0; c < num_columns_; ++c) {
-      columns[c].push_back(c < row.size() ? row[c] : Value::Null());
+      static const Value kNull;
+      const Value& v = c < row.size() ? row[c] : kNull;
+      ColumnData& cells = columns[c];
+      // A column takes the kind of its first non-NULL cell in the batch.
+      if (!v.is_null() && cells.type == DataType::kNull) cells.ResetNulls(KindOf(v), n);
+      if (!cells.Append(v)) {
+        status_ = Status::InvalidArgument("column " + std::to_string(c) + " mixes " +
+                                          DataTypeName(cells.type) + " and " +
+                                          DataTypeName(KindOf(v)) + " cells");
+        return false;
+      }
     }
     ids.push_back(rows_->record_id());
     ++n;

@@ -68,8 +68,10 @@ class BatchToRowAdapter : public RowIterator {
 };
 
 /// Presents a RowIterator as a BatchIterator by buffering up to `capacity`
-/// rows per batch (owned columns). Default ScanBatches() for storage systems
-/// without a native batch path. `meter` defaults to the global meter.
+/// rows per batch (owned typed columns, each of the kind of its first
+/// non-NULL cell; a column mixing kinds fails the scan). Default
+/// ScanBatches() for storage systems without a native batch path. `meter`
+/// defaults to the global meter.
 class RowToBatchAdapter : public BatchIterator {
  public:
   RowToBatchAdapter(std::unique_ptr<RowIterator> rows, size_t num_columns,
@@ -78,13 +80,16 @@ class RowToBatchAdapter : public BatchIterator {
         meter_(meter) {}
 
   bool Next(RowBatch* batch) override;
-  const Status& status() const override { return rows_->status(); }
+  const Status& status() const override {
+    return status_.ok() ? rows_->status() : status_;
+  }
 
  private:
   std::unique_ptr<RowIterator> rows_;
   size_t num_columns_;
   size_t capacity_;
   ScanMeter* meter_;
+  Status status_;
 };
 
 /// A named table in some storage system.

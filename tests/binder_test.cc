@@ -123,7 +123,13 @@ TEST(BoundsTest, ExtractionFromComparisons) {
   auto expr = ParseExpression("day >= 5 and day < 10 and v = 2.5 and day + 1 = 3");
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(**expr, &conjuncts);
-  auto bounds = ExtractBounds(conjuncts, scope);
+  auto bound = BindScanPredicate(conjuncts, scope);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  // The arithmetic conjunct is the residual; the three comparisons compile.
+  EXPECT_EQ(bound->kernel, (std::vector<bool>{true, true, true, false}));
+  EXPECT_EQ(bound->predicate.terms().size(), 3u);
+  EXPECT_TRUE(static_cast<bool>(bound->predicate.residual()));
+  const std::vector<table::ColumnBound>& bounds = bound->bounds;
   ASSERT_EQ(bounds.size(), 3u);  // day>=5, day<10, v=2.5; the arithmetic one skipped
   EXPECT_EQ(bounds[0].column, 0u);
   EXPECT_EQ(bounds[0].lower->AsInt64(), 5);
@@ -139,7 +145,11 @@ TEST(BoundsTest, FlippedLiteralComparison) {
   auto expr = ParseExpression("5 < day");  // means day > 5
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(**expr, &conjuncts);
-  auto bounds = ExtractBounds(conjuncts, scope);
+  auto bound = BindScanPredicate(conjuncts, scope);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  ASSERT_EQ(bound->predicate.terms().size(), 1u);
+  EXPECT_EQ(bound->predicate.terms()[0].op, table::CompareOp::kGt);
+  const std::vector<table::ColumnBound>& bounds = bound->bounds;
   ASSERT_EQ(bounds.size(), 1u);
   ASSERT_TRUE(bounds[0].lower.has_value());
   EXPECT_EQ(bounds[0].lower->AsInt64(), 5);

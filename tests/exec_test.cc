@@ -196,51 +196,62 @@ TEST(OperatorSafetyTest, CollectSurfacesChildStatus) {
   EXPECT_TRUE(sort.row().empty());  // still safe to touch after the error
 }
 
-TEST(BatchOperatorTest, FilterProjectLimitPipeline) {
-  // Row source -> batches -> vectorized filter/project/limit -> rows.
-  std::vector<Row> input;
-  for (int i = 0; i < 20; ++i) input.push_back(R({i, i * 2}));
-  auto rows_op = std::make_unique<table::RowToBatchAdapter>(
-      std::make_unique<VectorRowIterator>(std::move(input)), 2, 6);
-  std::unique_ptr<BatchOperator> plan =
-      std::make_unique<BatchScanOperator>(std::move(rows_op));
-  plan = std::make_unique<BatchFilterOperator>(
-      std::move(plan), [](const Row& row) { return row[0].AsInt64() % 2 == 0; });
-  plan = std::make_unique<BatchProjectOperator>(
-      std::move(plan),
-      std::vector<ValueFn>{Col(1), [](const Row& row) {
-                             return Value::Int64(row[0].AsInt64() + 100);
-                           }},
-      std::vector<int>{1, -1});
-  plan = std::make_unique<BatchLimitOperator>(std::move(plan), 4);
-  auto out = CollectBatches(plan.get());
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ((*out)[i][0].AsInt64(), static_cast<int64_t>(i * 4));    // col 1 of even rows
-    EXPECT_EQ((*out)[i][1].AsInt64(), static_cast<int64_t>(i * 2 + 100));
+/// Filters each child batch through a row predicate's selection, as a
+/// storage-side scan filter does.
+class SelectingOperator : public BatchOperator {
+ public:
+  SelectingOperator(std::unique_ptr<BatchOperator> child, table::ScanPredicate pred)
+      : child_(std::move(child)), pred_(std::move(pred)) {}
+  bool Next(table::RowBatch* batch) override {
+    while (child_->Next(batch)) {
+      batch->FilterSelected(pred_, &scratch_);
+      if (!batch->empty()) return true;
+    }
+    return false;
   }
-}
+  const Status& status() const override { return child_->status(); }
 
+ private:
+  std::unique_ptr<BatchOperator> child_;
+  table::ScanPredicate pred_;
+  Row scratch_;
+};
+
+// The vectorized route's computed outputs, pushed filter and LIMIT are
+// checked at SQL level: EngineTest.VectorizedComputedOutputsMatchOperatorTree.
 TEST(BatchOperatorTest, ZeroCopyProjectionForwardsSelection) {
   std::vector<Row> input;
   for (int i = 0; i < 8; ++i) input.push_back(R({i, i * 3}));
   std::unique_ptr<BatchOperator> plan = std::make_unique<BatchScanOperator>(
       std::make_unique<table::RowToBatchAdapter>(
           std::make_unique<VectorRowIterator>(std::move(input)), 2, 8));
-  plan = std::make_unique<BatchFilterOperator>(
+  plan = std::make_unique<SelectingOperator>(
       std::move(plan), [](const Row& row) { return row[0].AsInt64() >= 4; });
   // Pure column refs: projection must not copy cells.
-  plan = std::make_unique<BatchProjectOperator>(std::move(plan),
-                                                std::vector<ValueFn>{Col(1), Col(0)},
-                                                std::vector<int>{1, 0});
+  plan =
+      std::make_unique<BatchProjectOperator>(std::move(plan), std::vector<size_t>{1, 0});
+  plan = std::make_unique<BatchLimitOperator>(std::move(plan), 3);
   auto out = CollectBatches(plan.get());
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 4u);
+  ASSERT_EQ(out->size(), 3u);
   EXPECT_EQ((*out)[0][0].AsInt64(), 12);
   EXPECT_EQ((*out)[0][1].AsInt64(), 4);
-  EXPECT_EQ((*out)[3][0].AsInt64(), 21);
-  EXPECT_EQ((*out)[3][1].AsInt64(), 7);
+  EXPECT_EQ((*out)[2][0].AsInt64(), 18);
+  EXPECT_EQ((*out)[2][1].AsInt64(), 6);
+}
+
+TEST(BatchOperatorTest, ProjectedColumnsAreViewsOfTheInput) {
+  std::vector<Row> input;
+  for (int i = 0; i < 4; ++i) input.push_back(R({i, i * 3}));
+  BatchProjectOperator project(
+      std::make_unique<table::RowToBatchAdapter>(
+          std::make_unique<VectorRowIterator>(std::move(input)), 2, 4),
+      std::vector<size_t>{1});
+  table::RowBatch batch;
+  ASSERT_TRUE(project.Next(&batch));
+  EXPECT_TRUE(batch.column(0).is_view());
+  EXPECT_EQ(batch.column(0).type(), DataType::kInt64);
+  EXPECT_EQ(batch.ValueAt(0, 3).AsInt64(), 9);
 }
 
 }  // namespace

@@ -196,5 +196,30 @@ TEST(SessionObservabilityTest, DroppedTableKvViewReadsZero) {
   EXPECT_DOUBLE_EQ(session->metrics()->Snapshot().views.at("kv.puts{t}"), 0.0);
 }
 
+TEST(SessionObservabilityTest, IndexCountsHaveOneNameAndOutliveTheTable) {
+  auto created = sql::Session::Create();
+  ASSERT_TRUE(created.ok());
+  auto session = std::move(*created);
+  ASSERT_TRUE(session->Execute("CREATE TABLE k (id BIGINT, v BIGINT) INDEX (id)").ok());
+  ASSERT_TRUE(session->Execute("INSERT INTO k VALUES (1, 10), (2, 20)").ok());
+  ASSERT_TRUE(session->Execute("SELECT v FROM k WHERE id = 2").ok());
+  ASSERT_TRUE(session->Execute("SELECT v FROM k WHERE id IN (1, 2)").ok());
+  const obs::MetricsSnapshot snap = session->metrics()->Snapshot();
+  EXPECT_EQ(snap.counters.at("index.lookups{k}"), 3u);  // one per probe value
+  EXPECT_EQ(snap.counters.at("index.stale_entries_skipped{k}"), 0u);
+  EXPECT_EQ(snap.counters.at("index.rebuilds{k}"), 1u);  // the build at CREATE
+  // The views that duplicated these counters are gone; the index views
+  // without a counter of their own remain.
+  for (const char* gone :
+       {"dualtable.index.lookups{k}", "dualtable.index.stale_dropped{k}",
+        "dualtable.index.rebuilds{k}"}) {
+    EXPECT_EQ(snap.views.count(gone), 0u) << gone;
+  }
+  EXPECT_EQ(snap.views.count("dualtable.index.entries_added{k}"), 1u);
+  ASSERT_TRUE(session->Execute("DROP TABLE k").ok());
+  EXPECT_EQ(session->metrics()->Snapshot().counters.at("index.lookups{k}"), 3u);
+  EXPECT_EQ(session->metrics()->SumCounterFamily(obs::names::kIndexCounterLookups), 3u);
+}
+
 }  // namespace
 }  // namespace dtl

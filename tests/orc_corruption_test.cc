@@ -214,15 +214,17 @@ Streams ValidStreams(DataType type, Random* rng, bool dictionary) {
 /// Decodes `s`; the answer must be Corruption, or exactly num_rows cells
 /// each NULL or of the column's kind.
 void ExpectCorruptionOrWellFormed(const Streams& s, const std::string& what) {
-  std::vector<Value> out;
+  table::ColumnData cells;
   const Status st =
-      orc::DecodeColumn(s.type, Slice(s.presence), Slice(s.data), s.num_rows, &out);
+      orc::DecodeColumn(s.type, Slice(s.presence), Slice(s.data), s.num_rows, &cells);
   if (!st.ok()) {
     EXPECT_TRUE(st.IsCorruption()) << what << ": " << st.ToString();
     return;
   }
-  ASSERT_EQ(out.size(), s.num_rows) << what;
-  for (const Value& v : out) {
+  ASSERT_EQ(cells.size, s.num_rows) << what;
+  EXPECT_EQ(cells.type, s.type) << what;
+  for (size_t i = 0; i < cells.size; ++i) {
+    const Value v = cells.ValueAt(i);
     const bool kind_ok = v.is_null() ||
                          ((s.type == DataType::kInt64 || s.type == DataType::kDate) &&
                           v.is_int64()) ||
@@ -305,8 +307,8 @@ TEST(OrcStreamMutationTest, CraftedStringStreamsAreCorruption) {
   std::string presence;
   orc::EncodeBoolStream(std::vector<uint8_t>(4, 1), &presence);
   auto decode = [&presence](const std::string& data) {
-    std::vector<Value> out;
-    return orc::DecodeColumn(DataType::kString, Slice(presence), Slice(data), 4, &out);
+    table::ColumnData cells;
+    return orc::DecodeColumn(DataType::kString, Slice(presence), Slice(data), 4, &cells);
   };
   auto dictionary = [](uint64_t size, const std::vector<std::string>& keys,
                        const std::vector<int64_t>& indexes) {

@@ -32,10 +32,12 @@ Row MakeRow(int64_t i) {
 std::vector<Value> DecodeAllPresent(DataType type, const std::string& data, size_t n) {
   std::string presence;
   EncodeBoolStream(std::vector<uint8_t>(n, 1), &presence);
-  std::vector<Value> out;
-  const Status s = DecodeColumn(type, Slice(presence), Slice(data), n, &out);
+  table::ColumnData cells;
+  const Status s = DecodeColumn(type, Slice(presence), Slice(data), n, &cells);
   EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(out.size(), n);
+  EXPECT_EQ(cells.size, n);
+  std::vector<Value> out;
+  for (size_t i = 0; i < cells.size; ++i) out.push_back(cells.ValueAt(i));
   return out;
 }
 

@@ -4,6 +4,8 @@
 // deleted batches, and planted modifications through the batch UNION READ).
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "dualtable/dual_table.h"
 #include "dualtable/record_id.h"
 #include "fs/filesystem.h"
@@ -16,49 +18,153 @@ namespace {
 
 // --- ColumnVector / RowBatch mechanics ---------------------------------------------
 
+/// Typed cells of `type` holding `values` (each NULL or of the type's kind).
+ColumnData Cells(DataType type, const std::vector<Value>& values) {
+  ColumnData cells;
+  cells.Reset(type);
+  for (const Value& v : values) EXPECT_TRUE(cells.Append(v)) << v.ToString();
+  return cells;
+}
+
+ColumnData Ints(int64_t n, int64_t scale = 1) {
+  std::vector<Value> values;
+  for (int64_t i = 0; i < n; ++i) values.push_back(Value::Int64(i * scale));
+  return Cells(DataType::kInt64, values);
+}
+
+/// A patch as UNION READ decodes it from the attached store.
+Value::Encoded Patch(const Value& v) {
+  std::string bytes;
+  v.EncodeTo(&bytes);
+  Slice in(bytes);
+  Value::Encoded out;
+  EXPECT_TRUE(Value::DecodeEncoded(&in, &out).ok());
+  // Strings point into `bytes`; keep them alive in a static copy that never
+  // relocates.
+  static std::deque<std::string> keep;
+  if (out.kind == DataType::kString) {
+    keep.push_back(out.bytes.ToString());
+    out.bytes = Slice(keep.back());
+  }
+  return out;
+}
+
 TEST(ColumnVectorTest, AbsentReadsAsNull) {
   ColumnVector col;
   EXPECT_TRUE(col.absent());
   EXPECT_TRUE(col.at(0).is_null());
   EXPECT_EQ(col.data(), nullptr);
+  EXPECT_EQ(col.type(), DataType::kNull);
 }
 
-TEST(ColumnVectorTest, ViewIsZeroCopy) {
-  std::vector<Value> storage = {Value::Int64(1), Value::Int64(2), Value::Int64(3)};
+TEST(ColumnVectorTest, ViewIsZeroCopyWindow) {
+  const ColumnData storage = Ints(6, 10);
   ColumnVector col;
-  col.SetView(storage.data(), storage.size());
+  col.SetView(&storage, 2, 3);
   EXPECT_TRUE(col.is_view());
-  EXPECT_EQ(col.data(), storage.data());
-  EXPECT_EQ(col.at(1).AsInt64(), 2);
+  EXPECT_EQ(col.data(), &storage);
+  EXPECT_EQ(col.offset(), 2u);
+  EXPECT_EQ(col.size(), 3u);
+  EXPECT_EQ(col.type(), DataType::kInt64);
+  EXPECT_EQ(col.at(0).AsInt64(), 20);
+  EXPECT_EQ(col.at(2).AsInt64(), 40);
 }
 
-TEST(ColumnVectorTest, MakeMutableCopiesViewOnce) {
-  std::vector<Value> storage = {Value::Int64(1), Value::Int64(2)};
+TEST(ColumnVectorTest, OwnedHoldsItsCellsAcrossMoves) {
   ColumnVector col;
-  col.SetView(storage.data(), storage.size());
-  Value* data = col.MakeMutable(2);
-  ASSERT_NE(data, storage.data());  // copy-on-write
-  data[0] = Value::Int64(99);
-  EXPECT_EQ(col.at(0).AsInt64(), 99);
-  EXPECT_EQ(storage[0].AsInt64(), 1);  // original untouched
-  EXPECT_EQ(col.MakeMutable(2), data);  // already owned: no second copy
+  col.SetOwned(Cells(DataType::kString, {Value::String("a"), Value::Null()}));
+  EXPECT_FALSE(col.is_view());
+  EXPECT_FALSE(col.absent());
+  std::vector<ColumnVector> moved;
+  moved.push_back(std::move(col));
+  moved.resize(8);  // reallocates: the owned cells must not move under data()
+  EXPECT_EQ(moved[0].at(0).AsString(), "a");
+  EXPECT_TRUE(moved[0].at(1).is_null());
+  const ColumnVector copy = moved[0];  // a deep copy, not a view of moved[0]
+  moved[0].MakeMutable(DataType::kString, 2)->Set(0, Patch(Value::String("b")));
+  EXPECT_EQ(copy.at(0).AsString(), "a");
+  EXPECT_EQ(moved[0].at(0).AsString(), "b");
 }
 
-TEST(ColumnVectorTest, MakeMutableMaterializesAbsentAsNulls) {
+TEST(ColumnVectorTest, MakeMutableCopiesViewOnceForEveryType) {
+  const std::vector<std::pair<DataType, std::vector<Value>>> cases = {
+      {DataType::kInt64, {Value::Int64(1), Value::Null(), Value::Int64(3)}},
+      {DataType::kDate, {Value::Date(100), Value::Date(101), Value::Null()}},
+      {DataType::kDouble, {Value::Null(), Value::Double(-0.0), Value::Double(2.5)}},
+      {DataType::kBool, {Value::Bool(true), Value::Null(), Value::Bool(false)}},
+      {DataType::kString, {Value::String("x"), Value::String(""), Value::Null()}},
+  };
+  const std::vector<Value> patches = {Value::Int64(99), Value::Date(7),
+                                      Value::Double(9.5), Value::Bool(false),
+                                      Value::String("patched")};
+  for (size_t t = 0; t < cases.size(); ++t) {
+    const auto& [type, values] = cases[t];
+    SCOPED_TRACE(DataTypeName(type));
+    // A window [1, 3) of a four-cell column: the copy covers only it.
+    std::vector<Value> padded = values;
+    padded.insert(padded.begin(), values[0]);
+    const ColumnData storage = Cells(type, padded);
+    ColumnVector col;
+    col.SetView(&storage, 1, 3);
+    ColumnData* cells = col.MakeMutable(type, 3);
+    ASSERT_NE(cells, &storage);  // copy-on-write
+    EXPECT_EQ(col.MakeMutable(type, 3), cells);  // already owned: no second copy
+    EXPECT_EQ(cells->size, 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(col.at(i).Compare(values[i]), 0) << i;
+      EXPECT_EQ(cells->IsNull(i), values[i].is_null()) << i;
+    }
+    // Patch a NULL cell and NULL out a set one; the view's storage is untouched.
+    const size_t null_at = values[0].is_null() ? 0 : values[1].is_null() ? 1 : 2;
+    const size_t set_at = null_at == 0 ? 1 : 0;
+    ASSERT_TRUE(cells->Set(null_at, Patch(patches[t])));
+    ASSERT_TRUE(cells->Set(set_at, Patch(Value::Null())));
+    EXPECT_EQ(col.at(null_at).Compare(patches[t]), 0);
+    EXPECT_TRUE(col.at(set_at).is_null());
+    for (size_t i = 0; i < padded.size(); ++i) {
+      EXPECT_EQ(storage.ValueAt(i).Compare(padded[i]), 0) << i;
+    }
+    // A patch of another kind changes nothing.
+    const Value other = type == DataType::kString ? Value::Int64(1) : Value::String("s");
+    EXPECT_FALSE(cells->Set(2, Patch(other)));
+  }
+}
+
+TEST(ColumnVectorTest, MakeMutableMaterializesAbsentAsTypedNulls) {
   ColumnVector col;
-  Value* data = col.MakeMutable(3);
-  EXPECT_TRUE(data[0].is_null());
-  data[2] = Value::Int64(7);
+  ColumnData* cells = col.MakeMutable(DataType::kDouble, 3);
+  EXPECT_EQ(cells->type, DataType::kDouble);
   EXPECT_TRUE(col.at(0).is_null());
-  EXPECT_EQ(col.at(2).AsInt64(), 7);
+  ASSERT_TRUE(cells->Set(2, Patch(Value::Double(7.5))));
+  EXPECT_TRUE(col.at(0).is_null());
+  EXPECT_TRUE(col.at(1).is_null());
+  EXPECT_EQ(col.at(2).AsDouble(), 7.5);
+}
+
+TEST(ColumnVectorTest, StringPatchAppendsToTheArenaAndRepointsOneCell) {
+  // A dictionary-like view: two cells share one key's bytes.
+  ColumnData storage;
+  storage.Reset(DataType::kString);
+  ASSERT_TRUE(storage.Append(Value::String("key")));
+  storage.strings.push_back(storage.strings[0]);
+  storage.size = 2;
+  ColumnVector col;
+  col.SetView(&storage, 0, 2);
+  ColumnData* cells = col.MakeMutable(DataType::kString, 2);
+  const size_t arena_before = cells->arena.size();
+  EXPECT_EQ(arena_before, 3u);  // the shared key is copied once
+  const std::string longer(100, 'z');
+  ASSERT_TRUE(cells->Set(1, Patch(Value::String(longer))));
+  EXPECT_EQ(cells->arena.size(), arena_before + longer.size());
+  EXPECT_EQ(col.at(0).AsString(), "key");
+  EXPECT_EQ(col.at(1).AsString(), longer);
+  EXPECT_EQ(cells->strings[0].offset, 0u);  // the other cell still points at its key
 }
 
 TEST(RowBatchTest, SelectionCompressesVisibleRows) {
   RowBatch batch;
   batch.Reset(1, 5);
-  std::vector<Value> vals;
-  for (int i = 0; i < 5; ++i) vals.push_back(Value::Int64(i));
-  batch.column(0).SetOwned(std::move(vals));
+  batch.column(0).SetOwned(Ints(5));
   EXPECT_EQ(batch.size(), 5u);
 
   batch.SetSelection({1, 3});
@@ -82,9 +188,7 @@ TEST(RowBatchTest, TruncateWithoutSelectionCreatesPrefix) {
 TEST(RowBatchTest, FilterAllPassCreatesNoSelection) {
   RowBatch batch;
   batch.Reset(1, 4);
-  std::vector<Value> vals;
-  for (int i = 0; i < 4; ++i) vals.push_back(Value::Int64(i));
-  batch.column(0).SetOwned(std::move(vals));
+  batch.column(0).SetOwned(Ints(4));
   Row scratch;
   size_t dropped = batch.FilterSelected([](const Row&) { return true; }, &scratch);
   EXPECT_EQ(dropped, 0u);
@@ -94,9 +198,7 @@ TEST(RowBatchTest, FilterAllPassCreatesNoSelection) {
 TEST(RowBatchTest, FilterDropsAndCompressesExistingSelection) {
   RowBatch batch;
   batch.Reset(1, 6);
-  std::vector<Value> vals;
-  for (int i = 0; i < 6; ++i) vals.push_back(Value::Int64(i));
-  batch.column(0).SetOwned(std::move(vals));
+  batch.column(0).SetOwned(Ints(6));
   Row scratch;
   auto even = [](const Row& row) { return row[0].AsInt64() % 2 == 0; };
   EXPECT_EQ(batch.FilterSelected(even, &scratch), 3u);
@@ -112,15 +214,11 @@ TEST(RowBatchTest, FilterDropsAndCompressesExistingSelection) {
 TEST(RowBatchTest, FilterCopiesOnlyThePredicateColumns) {
   RowBatch batch;
   batch.Reset(3, 4);
-  std::vector<Value> a, b, c;
-  for (int i = 0; i < 4; ++i) {
-    a.push_back(Value::Int64(i));
-    b.push_back(Value::Int64(10 * i));
-    c.push_back(Value::String("s" + std::to_string(i)));
-  }
-  batch.column(0).SetOwned(std::move(a));
-  batch.column(1).SetOwned(std::move(b));
-  batch.column(2).SetOwned(std::move(c));
+  std::vector<Value> c;
+  for (int i = 0; i < 4; ++i) c.push_back(Value::String("s" + std::to_string(i)));
+  batch.column(0).SetOwned(Ints(4));
+  batch.column(1).SetOwned(Ints(4, 10));
+  batch.column(2).SetOwned(Cells(DataType::kString, c));
   Row scratch;
   int calls = 0;
   auto pred = [&calls](const Row& row) {
@@ -153,8 +251,7 @@ TEST(RowBatchTest, ContiguousRecordIdsFollowSelection) {
 TEST(RowBatchTest, MaterializeRowIsFullWidthWithAbsentNull) {
   RowBatch batch;
   batch.Reset(3, 2);
-  std::vector<Value> vals = {Value::Int64(5), Value::Int64(6)};
-  batch.column(1).SetOwned(std::move(vals));
+  batch.column(1).SetOwned(Cells(DataType::kInt64, {Value::Int64(5), Value::Int64(6)}));
   Row row;
   batch.MaterializeRow(1, &row);
   ASSERT_EQ(row.size(), 3u);
@@ -338,6 +435,36 @@ TEST_F(BatchScanTest, BatchPathAppliesPlantedModifications) {
     EXPECT_EQ(RowToString(rows[i].second), RowToString(expected[i].second))
         << "row " << i;
   }
+}
+
+TEST_F(BatchScanTest, MismatchedPatchFailsTheScan) {
+  // The ORC writer refuses a cell whose kind does not match its column; a
+  // patch that holds one fails the UNION READ the same way instead of
+  // landing in a typed column.
+  Open(/*stripe_rows=*/8, /*batch_rows=*/4);
+  InsertSequential(10);
+  const uint64_t file_id = table_->master()->files()[0].file_id;
+  ASSERT_TRUE(
+      table_->attached()->PutUpdate(dual::MakeRecordId(file_id, 6), 1, Value::String("x"))
+          .ok());
+  table_->PublishEditCommit();
+  auto batches = table_->ScanBatches(ScanSpec{});
+  ASSERT_TRUE(batches.ok());
+  RowBatch batch;
+  size_t rows = 0;
+  while ((*batches)->Next(&batch)) rows += batch.size();
+  EXPECT_EQ(rows, 4u);  // the first batch, before the patched one
+  EXPECT_TRUE((*batches)->status().IsInvalidArgument())
+      << (*batches)->status().ToString();
+  EXPECT_NE((*batches)->status().ToString().find("column v of type bigint"),
+            std::string::npos)
+      << (*batches)->status().ToString();
+  // A projection without the patched column never decodes the patch.
+  ScanSpec narrow;
+  narrow.projection = {0};
+  auto ids = CollectRows(table_.get(), narrow);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  EXPECT_EQ(ids->size(), 10u);
 }
 
 TEST_F(BatchScanTest, RowBatchAdapterRoundTripPreservesRowsAndIds) {

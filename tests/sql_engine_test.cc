@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "dualtable/dual_table.h"
+#include "sql/parser.h"
 #include "sql/session.h"
+#include "workload/tpch_gen.h"
 
 namespace dtl::sql {
 namespace {
@@ -528,6 +530,73 @@ TEST_F(EngineTest, ExplainSurfacesIndexLookup) {
       EXPECT_EQ(explained.status().ToString(), ran.status().ToString());
     }
   }
+}
+
+TEST_F(EngineTest, ExplainMarksKernelAndRowConjuncts) {
+  // The tpch-cold queries' pushed conjuncts all compile into kernel terms;
+  // a conjunct of another form stays on the residual row closure.
+  Run("CREATE TABLE lineitem (l_orderkey BIGINT, l_quantity DOUBLE, "
+      "l_extendedprice DOUBLE, l_discount DOUBLE, l_tax DOUBLE, l_returnflag STRING, "
+      "l_linestatus STRING, l_shipdate DATE, l_commitdate DATE, l_receiptdate DATE, "
+      "l_shipmode STRING)");
+  Run("CREATE TABLE orders (o_orderkey BIGINT, o_orderpriority STRING)");
+  auto text_of = [this](const std::string& sql) {
+    std::string text;
+    for (const Row& row : Run("EXPLAIN " + sql).rows) text += row[0].AsString() + "\n";
+    return text;
+  };
+  const std::string q1 = text_of(workload::QueryA("lineitem"));
+  EXPECT_NE(q1.find("  scan lineitem (dualtable, UNION READ scan) where (l_shipdate <= " +
+                    std::to_string(workload::kDateEpoch + workload::kDateSpanDays - 90) +
+                    ") [kernel]\n"),
+            std::string::npos)
+      << q1;
+  const std::string q12 = text_of(workload::QueryB("lineitem", "orders"));
+  const int64_t from = workload::kDateEpoch + 365;
+  EXPECT_NE(q12.find("  scan l (dualtable, UNION READ scan) where (l.l_shipmode in "
+                     "('MAIL', 'SHIP')) [kernel] AND (l.l_commitdate < l.l_receiptdate) "
+                     "[kernel] AND (l.l_shipdate < l.l_commitdate) [kernel] AND "
+                     "(l.l_receiptdate >= " +
+                     std::to_string(from) + ") [kernel] AND (l.l_receiptdate < " +
+                     std::to_string(from + 365) + ") [kernel]\n"),
+            std::string::npos)
+      << q12;
+  EXPECT_NE(q12.find("  scan o (dualtable, UNION READ scan)\n"), std::string::npos)
+      << q12;
+  const std::string mixed =
+      text_of("SELECT l_orderkey FROM lineitem WHERE l_orderkey % 2 = 0 AND l_tax > 1");
+  EXPECT_NE(mixed.find(" where ((l_orderkey % 2) = 0) [row] AND (l_tax > 1) [kernel]\n"),
+            std::string::npos)
+      << mixed;
+}
+
+TEST_F(EngineTest, VectorizedComputedOutputsMatchOperatorTree) {
+  // A computed output, a pushed filter (kernel and residual) and LIMIT on the
+  // vectorized route return the operator tree's rows, in its order.
+  Run("CREATE TABLE vc (id BIGINT, v DOUBLE, tag STRING)");
+  std::string insert = "INSERT INTO vc VALUES (0, 0.5, 't0')";
+  for (int i = 1; i < 40; ++i) {
+    insert += ", (" + std::to_string(i) + ", " + std::to_string(i) + ".5, " +
+              (i % 5 == 0 ? "NULL" : "'t" + std::to_string(i % 3) + "'") + ")";
+  }
+  Run(insert);
+  Run("UPDATE vc SET v = v * 2 WHERE id < 10 WITH RATIO 0.01");
+  const std::string sql =
+      "SELECT v * 2 AS twice, id, tag FROM vc WHERE id >= 3 AND id % 3 <> 1 LIMIT 7";
+  auto parsed = ParseStatement(sql);
+  ASSERT_TRUE(parsed.ok());
+  auto plan = session_->engine()->PlanSelect(std::get<SelectStmt>(*parsed));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->routes.front(), SelectRoute::kVectorized);
+  auto vectorized = session_->engine()->RunSelect(*plan, SelectRoute::kVectorized);
+  auto tree = session_->engine()->RunSelect(*plan, SelectRoute::kOperatorTree);
+  ASSERT_TRUE(vectorized.ok() && tree.ok());
+  ASSERT_EQ(vectorized->rows.size(), 7u);
+  ASSERT_EQ(tree->rows.size(), 7u);
+  for (size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(RowToString(vectorized->rows[i]), RowToString(tree->rows[i])) << i;
+  }
+  EXPECT_EQ(vectorized->rows[0][0].AsDouble(), 14.0);  // id 3: (3.5 * 2) * 2
 }
 
 TEST_F(EngineTest, ExplainDmlShowsThePlanThatRuns) {

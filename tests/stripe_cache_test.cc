@@ -28,8 +28,9 @@ namespace {
 
 DecodedColumnPtr MakeColumn(size_t rows, const std::string& payload) {
   auto column = std::make_shared<DecodedColumn>();
+  column->cells.Reset(DataType::kString);
   for (size_t i = 0; i < rows; ++i) {
-    column->values.push_back(Value::String(payload + std::to_string(i)));
+    EXPECT_TRUE(column->cells.Append(Value::String(payload + std::to_string(i))));
   }
   column->encoded_bytes = rows;
   return column;
@@ -72,7 +73,7 @@ TEST(StripeCacheTest, GenerationIsPartOfTheKey) {
   EXPECT_EQ(LookupOne(&cache, Key(2, 10, 1, 0), 0), nullptr);
   auto hit = LookupOne(&cache, Key(1, 10, 1, 0), 0);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->values[0].AsString(), "old0");
+  EXPECT_EQ(hit->cells.ValueAt(0).AsString(), "old0");
 }
 
 TEST(StripeCacheTest, PartialLookupCountsOneMissAndReturnsTheResidentColumns) {
@@ -92,8 +93,8 @@ TEST(StripeCacheTest, PartialLookupCountsOneMissAndReturnsTheResidentColumns) {
 }
 
 TEST(StripeCacheTest, CapacityBoundsResidentBytesAndEvictsLru) {
-  // Each column holds ~1.4 KB; inserting many must evict the
-  // least-recently-used while never exceeding capacity.
+  // Each column holds ~0.6 KB (16 string refs and their arena); inserting
+  // many must evict the least-recently-used while never exceeding capacity.
   StripeCache cache(/*capacity_bytes=*/8192, /*shards=*/1);
   for (uint64_t i = 0; i < 64; ++i) {
     cache.Insert(Key(1, i, 1, 0), {0}, {MakeColumn(16, "payload-payload-")});
@@ -232,10 +233,10 @@ TEST(StripeCacheTest, ChargeIsTheRealFootprint) {
   ASSERT_TRUE(writer.ok());
   constexpr size_t kRows = 100;
   const std::string long_prefix(40, 'x');
-  size_t long_heap = 0;
+  size_t long_bytes = 0;
   for (size_t i = 0; i < kRows; ++i) {
     const std::string long_value = long_prefix + std::to_string(i);
-    long_heap += long_value.size() + 1;
+    long_bytes += long_value.size();
     ASSERT_TRUE((*writer)
                     ->Append({Value::Int64(static_cast<int64_t>(i)), Value::String("s"),
                               Value::Double(1.0), Value::String(long_value)})
@@ -249,10 +250,12 @@ TEST(StripeCacheTest, ChargeIsTheRealFootprint) {
   ASSERT_TRUE((*reader)->ReadStripeShared(0).ok());
   const StripeCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 4u);
-  // Every cell occupies a whole Value, whatever its type; the long strings
-  // add their heap blocks, the short ones live inline.
-  EXPECT_GE(stats.bytes, 4 * kRows * sizeof(Value) + long_heap);
-  EXPECT_LT(stats.bytes, 4 * kRows * sizeof(Value) + 2 * long_heap);
+  // Every cell occupies 8 bytes: an int64, a double, or a string's (offset,
+  // length) into its column's arena. The dictionary-encoded "s" column keeps
+  // its one key inline; the direct-encoded long strings add their bytes once,
+  // plus at most two bytes of stream framing per row the arena reserves.
+  EXPECT_GE(stats.bytes, 4 * kRows * sizeof(int64_t) + long_bytes);
+  EXPECT_LE(stats.bytes, 4 * kRows * sizeof(int64_t) + long_bytes + 2 * kRows);
 }
 
 Schema StressSchema() {

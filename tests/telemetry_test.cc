@@ -247,6 +247,33 @@ TEST(TelemetrySqlTest, QueryLogCapturesStatements) {
   EXPECT_FALSE(tail[3].error.empty());
 }
 
+TEST(TelemetrySqlTest, QueryLogReadsTheIndexLookupCounter) {
+  auto created = sql::Session::Create();
+  ASSERT_TRUE(created.ok());
+  auto session = std::move(*created);
+  ASSERT_TRUE(session->Execute("CREATE TABLE k (id BIGINT, v BIGINT) INDEX (id)").ok());
+  ASSERT_TRUE(session->Execute("INSERT INTO k VALUES (1, 10), (2, 20), (3, 30)").ok());
+  ASSERT_TRUE(session->Execute("SELECT v FROM k WHERE id IN (1, 3)").ok());
+  ASSERT_TRUE(session->Execute("SELECT v FROM k WHERE v = 20").ok());
+  const std::vector<obs::QueryLogRecord> tail = session->query_log()->Tail(2);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].index_probes, 2u);  // the index.lookups{k} delta
+  EXPECT_EQ(tail[1].index_probes, 0u);  // a scan probes nothing
+  auto summary = session->Execute("SHOW STATS");
+  ASSERT_TRUE(summary.ok());
+  size_t lookup_rows = 0;
+  for (const Row& row : summary->rows) {
+    const std::string& name = row[0].AsString();
+    EXPECT_EQ(name.find("dualtable.index.lookups"), std::string::npos) << name;
+    if (name == "index.lookups{k}") {
+      ++lookup_rows;
+      EXPECT_EQ(row[1].AsString(), "counter");
+      EXPECT_EQ(row[2].AsDouble(), 2.0);
+    }
+  }
+  EXPECT_EQ(lookup_rows, 1u);
+}
+
 TEST(TelemetrySqlTest, ShowStatsSurfaces) {
   auto created = sql::Session::Create();
   ASSERT_TRUE(created.ok());
