@@ -113,8 +113,11 @@ dtl::Status UpdateRange(dtl::dual::DualTable* table, int64_t lo, int64_t hi) {
   return table->Update(filter, {assign}).status();
 }
 
-uint64_t CountRows(dtl::dual::DualTable* table) {
-  auto it = table->ScanBatches(dtl::table::ScanSpec{});
+/// Drains one UNION READ of `table`, counted into `meter` when given.
+uint64_t CountRows(dtl::dual::DualTable* table, dtl::table::ScanMeter* meter = nullptr) {
+  dtl::table::ScanSpec spec;
+  spec.meter = meter;
+  auto it = table->ScanBatches(spec);
   if (!it.ok()) Die("scan: " + it.status().ToString());
   dtl::table::RowBatch batch;
   uint64_t rows = 0;
@@ -176,13 +179,12 @@ std::vector<RoundEntry> RunMode(const std::string& mode, int64_t rows_per_file,
     // the steady state, not the cold read of files a rewrite just published.
     if (CountRows(table.get()) != total_rows) Die("row count drifted");
 
-    const dtl::table::ScanSnapshot scan_before = dtl::table::GlobalScanMeter().Snapshot();
+    dtl::table::ScanMeter meter;
     (*session)->MarkIo();
     dtl::Stopwatch watch;
-    if (CountRows(table.get()) != total_rows) Die("row count drifted");
+    if (CountRows(table.get(), &meter) != total_rows) Die("row count drifted");
     entry.read_wall_seconds = watch.ElapsedSeconds();
-    const dtl::table::ScanSnapshot scan =
-        dtl::table::GlobalScanMeter().Snapshot() - scan_before;
+    const dtl::table::ScanSnapshot scan = meter.Snapshot();
     const dtl::fs::IoSnapshot io = (*session)->IoDelta();
     entry.read_modeled_seconds = (*session)->cluster()->ScanSeconds(
         scan.bytes + io.hbase_bytes_read + io.hdfs_bytes_read, 1);
@@ -197,8 +199,9 @@ std::vector<RoundEntry> RunMode(const std::string& mode, int64_t rows_per_file,
   const dtl::obs::MetricsSnapshot snap = (*session)->metrics()->Snapshot();
   summary->mode = mode;
   summary->rounds = SumCounters(snap, "maintenance.rounds");
-  summary->preview_scans = SumCounters(snap, "maintenance.preview_scans");
   summary->skips = SumCounters(snap, "maintenance.skips");
+  // Every round that is not skipped runs the preview scan.
+  summary->preview_scans = summary->rounds - summary->skips;
   summary->incremental_compacts = SumCounters(snap, "maintenance.incremental_compacts");
   summary->triggers_density = snap.counters.count("maintenance.triggers{density}")
                                   ? snap.counters.at("maintenance.triggers{density}")

@@ -172,7 +172,7 @@ void RunLayout(const std::string& layout, int flushes, double scale, int reps,
 
   dtl::table::ScanSpec spec;
   spec.projection = {0, 1, 2, 3};
-  dtl::table::ScanMeter meter;  // keeps the drains off the global meter
+  dtl::table::ScanMeter meter;  // metered as a SQL statement's scan is
   spec.meter = &meter;
   const dtl::kv::KvStore* store = attached->store();
   dual::SnapshotPtr plain = plain_owner->AcquireSnapshot();

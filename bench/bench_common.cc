@@ -309,6 +309,46 @@ std::string FormatParallelScanEntry(const ParallelScanBenchEntry& e) {
 
 }  // namespace
 
+uint64_t RawScan(dual::DualTable* table, const std::string& path, table::ScanMeter* meter,
+                 uint64_t* checksum) {
+  table::ScanSpec spec;
+  spec.meter = meter;
+  uint64_t n = 0;
+  uint64_t sum = 0;
+  if (path == "row") {
+    auto it = table->Scan(spec);
+    if (!it.ok()) Die("row scan of " + table->name(), it.status());
+    while ((*it)->Next()) {
+      const Value& v = (*it)->row()[0];
+      sum += v.is_int64() ? static_cast<uint64_t>(v.AsInt64()) : 1;
+      ++n;
+    }
+    if (!(*it)->status().ok()) Die("row scan of " + table->name(), (*it)->status());
+  } else {
+    auto it = table->ScanBatches(spec);
+    if (!it.ok()) Die("batch scan of " + table->name(), it.status());
+    table::RowBatch batch;
+    // One Value per column: a single Value alternating between kinds would
+    // free and reallocate its string buffer at every string column.
+    Row cells(table->schema().num_fields());
+    while ((*it)->Next(&batch)) {
+      // Each logical row once, every visible cell read: crediting whole
+      // batches would let pass-through view batches count rows never read.
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const size_t phys = batch.row_index(i);
+        for (size_t c = 0; c < batch.num_columns(); ++c) {
+          batch.column(c).AssignTo(phys, &cells[c]);
+          sum += cells[c].is_int64() ? static_cast<uint64_t>(cells[c].AsInt64()) : 1;
+        }
+        ++n;
+      }
+    }
+    if (!(*it)->status().ok()) Die("batch scan of " + table->name(), (*it)->status());
+  }
+  *checksum += sum;
+  return n;
+}
+
 double ColdParallelSum(Env* env, const std::string& table, size_t column,
                        ParallelScanBenchEntry* entry) {
   auto found = env->session->catalog()->Lookup(table);

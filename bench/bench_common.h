@@ -82,6 +82,16 @@ struct ScanBenchEntry {
   table::ScanSnapshot scan;  // per-scan scan-meter delta
 };
 
+/// One raw scan of `table` for BENCH_scan.json, counted into `meter`. "row"
+/// drains DualTable::Scan: the batch UNION READ plus the BatchToRowAdapter
+/// that row consumers run. "batch" drains ScanBatches and reads every
+/// visible cell with AssignTo into one reused Value per column, as the row
+/// path's MaterializeRow reuses its row. Returns the logical rows visited;
+/// folds the cells read into `*checksum` so the reads cannot be optimized
+/// away.
+uint64_t RawScan(dual::DualTable* table, const std::string& path, table::ScanMeter* meter,
+                 uint64_t* checksum);
+
 /// Queues an entry for FlushScanBench.
 void RecordScanBench(ScanBenchEntry entry);
 

@@ -35,11 +35,9 @@ void BM_GridSelect2(benchmark::State& state, const std::string& kind) {
   }
 }
 
-// Raw storage scan of the big consumption table, row-at-a-time vs batch.
-// The "row" series is DualTable::Scan: the batch UNION READ plus the
-// BatchToRowAdapter that row consumers actually run (the row-at-a-time
-// UNION READ is gone). The "batch" series drains ScanBatches directly.
-// Feeds the row-vs-batch rows/sec comparison in BENCH_scan.json.
+// Raw storage scan of the big consumption table, row-at-a-time vs batch
+// (bench::RawScan), counted into a meter of its own. Feeds the row-vs-batch
+// rows/sec comparison in BENCH_scan.json.
 void BM_RawScan(benchmark::State& state, const std::string& path) {
   Env env = MakeGridTableII("dualtable");
   auto entry = env.session->catalog()->Lookup("tj_gbsjwzl_mx");
@@ -47,43 +45,16 @@ void BM_RawScan(benchmark::State& state, const std::string& path) {
   auto dual = std::dynamic_pointer_cast<dtl::dual::DualTable>(entry->table);
   if (dual == nullptr) { state.SkipWithError("not a DualTable"); return; }
 
-  const auto before = dtl::table::GlobalScanMeter().Snapshot();
+  dtl::table::ScanMeter meter;
   double total_s = 0;
   uint64_t rows_per_scan = 0;
   uint64_t checksum = 0;
   for (auto _ : state) {
     dtl::Stopwatch watch;
-    uint64_t n = 0;
-    if (path == "row") {
-      auto it = dual->Scan({});
-      if (!it.ok()) { state.SkipWithError("scan failed"); return; }
-      while ((*it)->Next()) {
-        benchmark::DoNotOptimize((*it)->row());
-        ++n;
-      }
-    } else {
-      auto it = dual->ScanBatches({});
-      if (!it.ok()) { state.SkipWithError("scan failed"); return; }
-      dtl::table::RowBatch batch;
-      while ((*it)->Next(&batch)) {
-        // Consume each logical row once: read every visible cell. Crediting
-        // whole batches (n += batch.size()) did no per-row work, so
-        // pass-through view batches multiplied straight into the rows/sec
-        // figure (a nonsensical ~1e9+ "view-flow" rate).
-        for (size_t i = 0; i < batch.size(); ++i) {
-          const size_t phys = batch.row_index(i);
-          for (size_t c = 0; c < batch.num_columns(); ++c) {
-            const dtl::Value& v = batch.column(c).at(phys);
-            checksum += v.is_int64() ? static_cast<uint64_t>(v.AsInt64()) : 1;
-          }
-          ++n;
-        }
-      }
-    }
+    rows_per_scan = dtl::bench::RawScan(dual.get(), path, &meter, &checksum);
     const double s = watch.ElapsedSeconds();
     state.SetIterationTime(s);
     total_s += s;
-    rows_per_scan = n;
   }
   benchmark::DoNotOptimize(checksum);
   const auto iters = static_cast<uint64_t>(state.iterations());
@@ -97,9 +68,9 @@ void BM_RawScan(benchmark::State& state, const std::string& path) {
   record.rows = rows_per_scan;
   record.seconds = per_scan_s;
   record.rows_per_sec = static_cast<double>(rows_per_scan) / per_scan_s;
-  // Per-scan meter delta: the raw delta spans every timed iteration, which
-  // re-counted the same rows, batches, and bytes once per iteration.
-  record.scan = (dtl::table::GlobalScanMeter().Snapshot() - before) / iters;
+  // Per-scan counts: the meter spans every timed iteration, which re-counted
+  // the same rows, batches, and bytes once per iteration.
+  record.scan = meter.Snapshot() / iters;
   dtl::bench::RecordScanBench(std::move(record));
 }
 

@@ -107,8 +107,11 @@ dtl::Status UpdateRange(dtl::dual::DualTable* table, int64_t lo, int64_t hi) {
   return table->Update(filter, {assign}).status();
 }
 
-uint64_t CountRows(dtl::dual::DualTable* table) {
-  auto it = table->ScanBatches(dtl::table::ScanSpec{});
+/// Drains one UNION READ of `table`, counted into `meter` when given.
+uint64_t CountRows(dtl::dual::DualTable* table, dtl::table::ScanMeter* meter = nullptr) {
+  dtl::table::ScanSpec spec;
+  spec.meter = meter;
+  auto it = table->ScanBatches(spec);
   if (!it.ok()) Die("scan: " + it.status().ToString());
   dtl::table::RowBatch batch;
   uint64_t rows = 0;
@@ -174,12 +177,12 @@ std::vector<RoundEntry> RunMaintenanceMode(const std::string& mode,
     // a rewrite just published.
     if (CountRows(table.get()) != total_rows) Die("row count drifted");
 
-    const dtl::table::ScanSnapshot scan_before = dtl::table::GlobalScanMeter().Snapshot();
+    dtl::table::ScanMeter meter;
     (*session)->MarkIo();
     dtl::Stopwatch watch;
-    if (CountRows(table.get()) != total_rows) Die("row count drifted");
+    if (CountRows(table.get(), &meter) != total_rows) Die("row count drifted");
     entry.read_wall_seconds = watch.ElapsedSeconds();
-    const dtl::table::ScanSnapshot scan = dtl::table::GlobalScanMeter().Snapshot() - scan_before;
+    const dtl::table::ScanSnapshot scan = meter.Snapshot();
     // Read price = scan arithmetic over every byte this SELECT touched: the
     // decoded master columns (cache-stable, identical floor across modes)
     // plus the attached-table bytes re-read from HBase each scan — the

@@ -23,7 +23,10 @@ ARRAY_SCHEMAS = {
         "select_qps", "update_qps", "total_qps",
         "snapshots_acquired", "live_generations",
     },
-    "BENCH_scan.json": {"workload", "path", "rows", "seconds", "rows_per_sec"},
+    "BENCH_scan.json": {
+        "workload", "path", "rows", "seconds", "rows_per_sec", "batches",
+        "materialized_rows",
+    },
     "BENCH_point_lookup.json": {
         "path", "rows", "seconds", "lookups", "qps", "speedup_vs_scan",
         "stripes_skipped", "stripes_skipped_bloom", "files_skipped",
@@ -103,8 +106,30 @@ def check_parallel_scan(data, name, errors):
         errors.append(f"{name}: workload {workload!r} has no workers=1 baseline")
 
 
+def check_scan(data, name, errors):
+    """BM_RawScan counts one scan into a meter of its own: every entry read
+    batches, the row path materialized each row it visited, and the batch
+    path materialized none. A scan that stops reaching its meter fails."""
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            continue
+        if entry.get("batches", 0) <= 0:
+            errors.append(f"{name}[{i}]: batches must be positive (the scan was not "
+                          "metered)")
+        path = entry.get("path")
+        materialized = entry.get("materialized_rows")
+        if path == "row" and materialized != entry.get("rows"):
+            errors.append(f"{name}[{i}]: row path materialized {materialized} of "
+                          f"{entry.get('rows')} rows")
+        if path == "batch" and materialized != 0:
+            errors.append(f"{name}[{i}]: batch path materialized {materialized} rows")
+
+
 # Value checks beyond the schema, per file.
-VALUE_CHECKS = {"BENCH_parallel_scan.json": check_parallel_scan}
+VALUE_CHECKS = {
+    "BENCH_parallel_scan.json": check_parallel_scan,
+    "BENCH_scan.json": check_scan,
+}
 
 
 def walk_numbers(node, path, errors):

@@ -14,6 +14,16 @@
 
 namespace dtl::dual {
 
+namespace {
+
+/// The modification ratio the cost model assumes when a statement carries no
+/// hint and the metadata table has no history yet.
+constexpr double kDefaultModificationRatio = 0.01;
+/// How far back the adaptive-maintenance latency trigger looks.
+constexpr uint64_t kAdaptiveWindowMicros = 8'000'000;
+
+}  // namespace
+
 size_t IncrementalCompactionPlan::selected_files() const {
   size_t n = 0;
   for (const FileCompactionPlan& f : files) n += f.selected ? 1 : 0;
@@ -108,8 +118,6 @@ Result<std::shared_ptr<DualTable>> DualTable::Open(fs::SimFileSystem* fs,
         static_cast<int64_t>(dual->options_.cost_params.overwrite_cost_scale * 1e6));
     dual->maint_rounds_ctr_ = metrics->counter(obs::names::kMaintenanceRounds, name);
     dual->maint_skips_ctr_ = metrics->counter(obs::names::kMaintenanceSkips, name);
-    dual->maint_preview_scans_ctr_ =
-        metrics->counter(obs::names::kMaintenancePreviewScans, name);
     dual->maint_incremental_ctr_ =
         metrics->counter(obs::names::kMaintenanceIncrementalCompacts, name);
     dual->maint_full_ctr_ = metrics->counter(obs::names::kMaintenanceFullCompacts, name);
@@ -286,15 +294,9 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatch(
                                                      /*apply_predicate=*/false,
                                                      options_.scan_batch_rows, fill));
   auto it = std::make_unique<UnionReadBatchIterator>(
-      std::move(master_it), attached_->NewScannerAt(snapshot->attached), spec, schema_,
-      spec.meter);
+      std::move(master_it), attached_->NewScannerAt(snapshot->attached), spec, schema_);
   it->AnchorSnapshot(snapshot);
   return it;
-}
-
-Result<std::vector<ScanMorsel>> DualTable::PlanScanMorsels(const table::ScanSpec& spec,
-                                                           size_t stripes_per_morsel) {
-  return PlanScanMorselsAt(AcquireSnapshot(), spec, stripes_per_morsel);
 }
 
 Result<std::vector<ScanMorsel>> DualTable::PlanScanMorselsAt(
@@ -304,27 +306,19 @@ Result<std::vector<ScanMorsel>> DualTable::PlanScanMorselsAt(
                               stripes_per_morsel);
 }
 
-Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForMorsel(
-    const ScanMorsel& morsel, const table::ScanSpec& spec, table::ScanMeter* meter) {
-  return NewUnionReadBatchForMorselAt(AcquireSnapshot(), morsel, spec, meter);
-}
-
 Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForMorselAt(
     const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
-    table::ScanMeter* meter, orc::CacheFill fill) {
-  table::ScanSpec master_spec = MasterSpecFor(spec, snapshot);
-  master_spec.meter = meter;
-  DTL_ASSIGN_OR_RETURN(
-      auto master_it,
-      master_->NewMorselBatchScanIterator(snapshot->generation, morsel, master_spec,
-                                          /*apply_predicate=*/false,
-                                          options_.scan_batch_rows, fill));
+    orc::CacheFill fill) {
+  DTL_ASSIGN_OR_RETURN(auto master_it, master_->NewMorselBatchScanIterator(
+                                           snapshot->generation, morsel,
+                                           MasterSpecFor(spec, snapshot),
+                                           /*apply_predicate=*/false,
+                                           options_.scan_batch_rows, fill));
   auto attached_it = attached_->NewScannerAt(snapshot->attached,
                                              morsel.first_record_id,
                                              morsel.end_record_id);
   auto it = std::make_unique<UnionReadBatchIterator>(std::move(master_it),
-                                                     std::move(attached_it), spec,
-                                                     schema_, meter);
+                                                     std::move(attached_it), spec, schema_);
   it->AnchorSnapshot(snapshot);
   return it;
 }
@@ -484,7 +478,7 @@ DmlPlanChoice DualTable::PlanDml(bool update, std::optional<double> ratio_hint) 
       break;
   }
   choice.cost_model = true;
-  choice.ratio = options_.default_modification_ratio;
+  choice.ratio = kDefaultModificationRatio;
   if (ratio_hint.has_value()) {
     choice.ratio = std::clamp(*ratio_hint, 0.0, 1.0);
     choice.ratio_source = RatioSource::kHint;
@@ -863,7 +857,6 @@ Status DualTable::FoldFile(const SnapshotPtr& snapshot, const FileCompactionPlan
         MakeRecordId(file.file_id, reader->stripe(run.stripe_begin).first_row);
     run.end_record_id = MakeRecordId(file.file_id, last.first_row + last.num_rows);
     DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatchForMorselAt(snapshot, run, all,
-                                                               /*meter=*/nullptr,
                                                                orc::CacheFill::kNoAdmit));
     DTL_RETURN_NOT_OK(
         ForEachRow(it.get(), [out](uint64_t, Row* row) { return out->Append(*row); }));
@@ -986,8 +979,8 @@ const char* DualTable::AdaptiveTriggerReason() {
                                      : obs::DefaultTelemetryClock();
     const uint64_t now_us = clock->NowMicros();
     union_read_seconds_hist_->MaybeRotate(now_us);
-    const obs::HistogramSnapshot window = union_read_seconds_hist_->WindowSnapshot(
-        static_cast<uint64_t>(options_.adaptive_window_seconds * 1e6), now_us);
+    const obs::HistogramSnapshot window =
+        union_read_seconds_hist_->WindowSnapshot(kAdaptiveWindowMicros, now_us);
     window_count = window.count;
     p95_us = window.ValueAtQuantile(0.95);
     if (maint_p95_gauge_ != nullptr) {
@@ -1021,7 +1014,6 @@ void DualTable::BackgroundMaintenance() {
       if (reason[0] == 'b') maint_trigger_bytes_ctr_->Inc();
     }
   }
-  if (maint_preview_scans_ctr_ != nullptr) maint_preview_scans_ctr_->Inc();
   Result<IncrementalCompactionPlan> plan = PreviewIncrementalCompaction();
   if (!plan.ok()) return;  // transient failure; retried next round
   if (stripe_density_hist_ != nullptr) {

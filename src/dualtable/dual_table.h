@@ -136,10 +136,6 @@ struct DualTableOptions {
   /// never rolls: each rewritten file gets one replacement.
   uint64_t rewrite_file_rows = 1ull << 20;
 
-  /// Fallback modification ratio when a statement carries no hint and the
-  /// metadata table has no history yet.
-  double default_modification_ratio = 0.01;
-
   /// When the attached table holds at least this fraction of master bytes,
   /// Scan suggests compaction (surfaced via NeedsCompaction()).
   double compact_threshold = 0.25;
@@ -184,10 +180,8 @@ struct DualTableOptions {
   /// Requires `metrics` (the triggers read registry histograms).
   bool adaptive_maintenance = false;
   /// Latency trigger: fires when the union-read wall-seconds p95 over the
-  /// window exceeds this.
+  /// last 8 seconds exceeds this.
   double adaptive_latency_slo_seconds = 0.050;
-  /// How far back the latency window looks.
-  double adaptive_window_seconds = 8.0;
   /// Minimum observations inside the window before the latency trigger may
   /// fire (a p95 of three reads is noise).
   uint64_t adaptive_min_window_count = 16;
@@ -269,11 +263,16 @@ class DualTable : public table::StorageTable {
   Result<std::vector<ScanMorsel>> PlanScanMorselsAt(const SnapshotPtr& snapshot,
                                                     const table::ScanSpec& spec,
                                                     size_t stripes_per_morsel);
-  /// `fill` kNoAdmit reads cached columns without inserting the ones it
-  /// decodes (a whole-file rewrite, whose output replaces what it reads).
+  /// UNION READ over one morsel: the master stripe range merged with the
+  /// attached modifications in the morsel's record-ID window, counted into
+  /// `spec.meter` (a parallel scan points each worker's spec at its own).
+  /// Order-insensitive consumers may run many of these concurrently; within
+  /// a morsel, batches arrive in record-ID order. `fill` kNoAdmit reads
+  /// cached columns without inserting the ones it decodes (a whole-file
+  /// rewrite, whose output replaces what it reads).
   Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorselAt(
       const SnapshotPtr& snapshot, const ScanMorsel& morsel, const table::ScanSpec& spec,
-      table::ScanMeter* meter, orc::CacheFill fill = orc::CacheFill::kAdmit);
+      orc::CacheFill fill = orc::CacheFill::kAdmit);
 
   /// Tracker behind the snapshot.* metric views.
   const SnapshotTracker* snapshot_tracker() const { return snapshot_tracker_.get(); }
@@ -348,21 +347,6 @@ class DualTable : public table::StorageTable {
 
   /// True when the attached table exceeds the compaction threshold.
   bool NeedsCompaction() const;
-
-  /// Splits the up-to-date view into stripe-aligned morsels for a parallel
-  /// scan (see MasterTable::PlanMorsels). Uses the same bounds treatment as
-  /// a serial scan, so morsels cover exactly the stripes a serial scan would
-  /// decode.
-  Result<std::vector<ScanMorsel>> PlanScanMorsels(const table::ScanSpec& spec,
-                                                  size_t stripes_per_morsel);
-
-  /// UNION READ over one morsel: the master stripe range merged with the
-  /// attached modifications in the morsel's record-ID window. `meter`
-  /// (worker-local; may be null for the global meter) receives the morsel's
-  /// scan counts. Order-insensitive consumers may run many of these
-  /// concurrently; within a morsel, batches arrive in record-ID order.
-  Result<std::unique_ptr<UnionReadBatchIterator>> NewUnionReadBatchForMorsel(
-      const ScanMorsel& morsel, const table::ScanSpec& spec, table::ScanMeter* meter);
 
   /// Snapshot read: the table as it looked when the attached table's clock
   /// was at `as_of` (see AttachedTable::LastTimestamp), i.e. ScanAt over
@@ -570,7 +554,6 @@ class DualTable : public table::StorageTable {
   // Counters/gauges are labeled by table; the trigger counters by reason.
   obs::Counter* maint_rounds_ctr_ = nullptr;
   obs::Counter* maint_skips_ctr_ = nullptr;
-  obs::Counter* maint_preview_scans_ctr_ = nullptr;
   obs::Counter* maint_incremental_ctr_ = nullptr;
   obs::Counter* maint_full_ctr_ = nullptr;
   obs::Counter* maint_reclaims_ctr_ = nullptr;

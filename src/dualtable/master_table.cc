@@ -203,8 +203,9 @@ bool MasterScanBatchIterator::LoadNextStripe() {
   while (file_index_ < readers_.size()) {
     const orc::OrcReader* reader = readers_[file_index_].get();
     if (stripe_index_ >= std::min(stripe_end_limit_, reader->num_stripes())) {
-      if (count_skips_ && reader->num_stripes() > 0 && survivors_in_file_ == 0) {
-        (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter()).AddSkippedFile();
+      if (count_skips_ && spec_.meter != nullptr && reader->num_stripes() > 0 &&
+          survivors_in_file_ == 0) {
+        spec_.meter->AddSkippedFile();
       }
       ++file_index_;
       stripe_index_ = 0;
@@ -214,10 +215,7 @@ bool MasterScanBatchIterator::LoadNextStripe() {
     const orc::StripeInfo& info = reader->stripe(stripe_index_);
     bool bloom_pruned = false;
     if (!StripeMayMatch(info, spec_.bounds, &bloom_pruned)) {
-      if (count_skips_) {
-        (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter())
-            .AddSkippedStripe(bloom_pruned);
-      }
+      if (count_skips_ && spec_.meter != nullptr) spec_.meter->AddSkippedStripe(bloom_pruned);
       ++stripe_index_;
       continue;
     }
@@ -248,12 +246,14 @@ bool MasterScanBatchIterator::Next(table::RowBatch* batch) {
     batch->SetContiguousRecordIds(
         MakeRecordId(file_ids_[file_index_], stripe_->first_row + offset_in_stripe_));
     batch->SetAnchor(stripe_);
-    (spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter())
-        .AddBatch(count, offset_in_stripe_ == 0 ? stripe_->encoded_bytes : 0);
+    if (spec_.meter != nullptr) {
+      spec_.meter->AddBatch(count, offset_in_stripe_ == 0 ? stripe_->encoded_bytes : 0);
+    }
     offset_in_stripe_ += count;
     if (apply_predicate_ && spec_.predicate) {
-      batch->FilterSelected(spec_.predicate, &scratch_, spec_.meter,
-                            spec_.predicate_columns);
+      const size_t dropped =
+          batch->FilterSelected(spec_.predicate, &scratch_, spec_.predicate_columns);
+      if (spec_.meter != nullptr) spec_.meter->AddPredicateDrops(dropped);
       if (batch->empty()) continue;  // never emit an all-filtered batch
     }
     return true;
@@ -552,7 +552,6 @@ Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(
   // Pruning is metered HERE, once per plan, and the morsel iterators are
   // built with count_skips=false: the merged worker meters must equal a
   // serial scan's no matter how stripes land in morsel windows.
-  table::ScanMeter& meter = spec.meter != nullptr ? *spec.meter : table::GlobalScanMeter();
   for (const MasterFileInfo& info : gen->files()) {
     DTL_ASSIGN_OR_RETURN(auto reader, gen->OpenReader(info));
     ScanMorsel cur;
@@ -562,7 +561,7 @@ Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(
       const orc::StripeInfo& stripe = reader->stripe(s);
       bool bloom_pruned = false;
       if (!StripeMayMatch(stripe, spec.bounds, &bloom_pruned)) {
-        meter.AddSkippedStripe(bloom_pruned);
+        if (spec.meter != nullptr) spec.meter->AddSkippedStripe(bloom_pruned);
         continue;
       }
       ++bounds_survivors;
@@ -582,7 +581,9 @@ Result<std::vector<ScanMorsel>> MasterTable::PlanMorsels(
       }
     }
     if (surviving > 0) morsels.push_back(cur);
-    if (reader->num_stripes() > 0 && bounds_survivors == 0) meter.AddSkippedFile();
+    if (spec.meter != nullptr && reader->num_stripes() > 0 && bounds_survivors == 0) {
+      spec.meter->AddSkippedFile();
+    }
   }
   return morsels;
 }

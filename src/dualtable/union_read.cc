@@ -8,19 +8,15 @@ namespace dtl::dual {
 UnionReadBatchIterator::UnionReadBatchIterator(
     std::unique_ptr<MasterScanBatchIterator> master,
     std::unique_ptr<ModificationScanner> attached, const table::ScanSpec& spec,
-    const Schema& schema, table::ScanMeter* meter)
+    const Schema& schema)
     : master_(std::move(master)),
       attached_(std::move(attached)),
       schema_(schema),
       predicate_(spec.predicate),
       predicate_columns_(spec.predicate_columns),
       patched_(schema.num_fields(), false),
-      meter_(meter) {
+      meter_(spec.meter) {
   for (size_t c : spec.RequiredColumns(schema.num_fields())) patched_[c] = true;
-}
-
-table::ScanMeter& UnionReadBatchIterator::meter() {
-  return meter_ != nullptr ? *meter_ : table::GlobalScanMeter();
 }
 
 bool UnionReadBatchIterator::ApplyModifications(table::RowBatch* batch) {
@@ -52,7 +48,7 @@ bool UnionReadBatchIterator::ApplyModifications(table::RowBatch* batch) {
   if (!attached_valid_ || attached_->modification().record_id > last_id) {
     // No modification touches this batch: the stripe views flow through
     // untouched. This is the whole point of the batch merge.
-    meter().AddPassthroughBatch();
+    if (meter_ != nullptr) meter_->AddPassthroughBatch();
     return true;
   }
 
@@ -101,9 +97,9 @@ bool UnionReadBatchIterator::ApplyModifications(table::RowBatch* batch) {
       if (!deleted_[i]) selection.push_back(static_cast<uint32_t>(i));
     }
     batch->SetSelection(std::move(selection));
-    meter().AddMaskedRows(num_deleted);
+    if (meter_ != nullptr) meter_->AddMaskedRows(num_deleted);
   }
-  if (num_patched > 0) meter().AddPatchedRows(num_patched);
+  if (num_patched > 0 && meter_ != nullptr) meter_->AddPatchedRows(num_patched);
   return true;
 }
 
@@ -113,7 +109,8 @@ bool UnionReadBatchIterator::Next(table::RowBatch* batch) {
     if (batch->num_rows() == 0) continue;
     if (!ApplyModifications(batch)) return false;
     if (predicate_) {
-      batch->FilterSelected(predicate_, &scratch_, meter_, predicate_columns_);
+      const size_t dropped = batch->FilterSelected(predicate_, &scratch_, predicate_columns_);
+      if (meter_ != nullptr) meter_->AddPredicateDrops(dropped);
     }
     if (batch->size() == 0) continue;  // every row deleted or filtered out
     return true;

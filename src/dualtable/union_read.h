@@ -29,13 +29,11 @@ class UnionReadBatchIterator : public table::BatchIterator {
   /// `master` must emit contiguous-record-ID batches (MasterScanBatchIterator
   /// does: each batch is a slice of one stripe of one file), must read
   /// `spec`'s required columns, and must NOT have applied the predicate
-  /// already. `meter` receives the merge's pass-through / patch / mask
-  /// counts; nullptr means the process-global meter (parallel scans pass a
-  /// worker-local one).
+  /// already. `spec.meter` receives the merge's pass-through / patch / mask
+  /// / drop counts (not counted when null).
   UnionReadBatchIterator(std::unique_ptr<MasterScanBatchIterator> master,
                          std::unique_ptr<ModificationScanner> attached,
-                         const table::ScanSpec& spec, const Schema& schema,
-                         table::ScanMeter* meter = nullptr);
+                         const table::ScanSpec& spec, const Schema& schema);
 
   bool Next(table::RowBatch* batch) override;
   const Status& status() const override { return status_; }
@@ -50,9 +48,6 @@ class UnionReadBatchIterator : public table::BatchIterator {
   std::shared_ptr<const void> anchor_;
   /// Patches/masks the batch with attached modifications; false on error.
   bool ApplyModifications(table::RowBatch* batch);
-
-  /// The meter this iterator reports to (worker-local or global).
-  table::ScanMeter& meter();
 
   std::unique_ptr<MasterScanBatchIterator> master_;
   std::unique_ptr<ModificationScanner> attached_;

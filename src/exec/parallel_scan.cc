@@ -19,18 +19,21 @@ Status ParallelScanner::Run(
   size_t workers = planned_parallelism();
   workers = std::min(workers, morsels.size());
 
-  // Worker-local meters: counting is contention-free during the scan and the
-  // totals fold into the target at the barrier below.
+  // Worker-local meters: each worker's spec points at its own, so no two
+  // threads write one meter, and the totals fold into spec.meter at the
+  // barrier below.
   std::vector<table::ScanMeter> meters(std::max<size_t>(workers, 1));
   std::atomic<size_t> next_morsel{0};
 
   auto worker_loop = [&](size_t w, const std::function<bool()>& cancelled) -> Status {
+    table::ScanSpec spec = spec_;
+    spec.meter = &meters[w];
     table::RowBatch batch;
     while (!cancelled()) {
       const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
       if (m >= morsels.size()) break;
-      DTL_ASSIGN_OR_RETURN(auto it, table_->NewUnionReadBatchForMorselAt(
-                                        snapshot, morsels[m], spec_, &meters[w]));
+      DTL_ASSIGN_OR_RETURN(auto it,
+                           table_->NewUnionReadBatchForMorselAt(snapshot, morsels[m], spec));
       while (it->Next(&batch)) {
         DTL_RETURN_NOT_OK(consume(w, batch));
       }
@@ -55,9 +58,9 @@ Status ParallelScanner::Run(
     st = group.Wait();
   }
 
-  table::ScanMeter& target =
-      spec_.meter != nullptr ? *spec_.meter : table::GlobalScanMeter();
-  for (const table::ScanMeter& m : meters) target.Add(m.Snapshot());
+  if (spec_.meter != nullptr) {
+    for (const table::ScanMeter& m : meters) spec_.meter->Add(m.Snapshot());
+  }
   if (options_.metrics != nullptr) {
     options_.metrics->counter(obs::names::kParallelScans)->Inc();
     options_.metrics->counter(obs::names::kParallelMorsels)->Inc(morsels.size());

@@ -58,7 +58,7 @@ class ParallelScanner {
   /// batch of the morsels it claimed. `consume` must be safe to run
   /// concurrently for DIFFERENT worker indices; per index it is sequential.
   /// The first error cancels remaining morsels. Worker-local meters merge
-  /// into spec.meter (or the global meter) before Run returns.
+  /// into spec.meter (when set) before Run returns.
   Status Run(const std::function<Status(size_t worker, const table::RowBatch& batch)>&
                  consume);
 

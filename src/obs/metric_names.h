@@ -20,7 +20,7 @@ inline constexpr const char* kFsHbaseBytesWritten = "fs.hbase.bytes_written";
 inline constexpr const char* kFsHbaseReadOps = "fs.hbase.read_ops";
 inline constexpr const char* kFsHbaseWriteOps = "fs.hbase.write_ops";
 
-// --- table::ScanMeter views ---------------------------------------------------
+// --- table::ScanMeter counters (each top-level statement's delta) -------------
 inline constexpr const char* kScanBatches = "scan.batches";
 inline constexpr const char* kScanRows = "scan.rows";
 inline constexpr const char* kScanBytes = "scan.bytes";
@@ -112,7 +112,6 @@ inline constexpr const char* kSnapshotOldestSeconds = "snapshot.oldest_seconds";
 inline constexpr const char* kMaintenanceRounds = "maintenance.rounds";
 inline constexpr const char* kMaintenanceTriggers = "maintenance.triggers";
 inline constexpr const char* kMaintenanceSkips = "maintenance.skips";
-inline constexpr const char* kMaintenancePreviewScans = "maintenance.preview_scans";
 inline constexpr const char* kMaintenanceIncrementalCompacts =
     "maintenance.incremental_compacts";
 inline constexpr const char* kMaintenanceFullCompacts = "maintenance.full_compacts";

@@ -84,7 +84,7 @@ std::string QueryLog::RenderJsonLines() const {
     AppendJsonString(&out, r.sql);
     out << ",\"wall_seconds\":" << r.wall_seconds
         << ",\"modeled_seconds\":" << r.modeled_seconds << ",\"rows\":" << r.rows
-        << ",\"bytes_decoded\":" << r.bytes_decoded
+        << ",\"scan_bytes\":" << r.scan_bytes
         << ",\"stripe_cache_hits\":" << r.stripe_cache_hits
         << ",\"index_probes\":" << r.index_probes
         << ",\"snapshot_age_seconds\":" << r.snapshot_age_seconds

@@ -22,7 +22,7 @@ struct QueryLogRecord {
   double wall_seconds = 0;
   double modeled_seconds = 0;     // cluster-model seconds for the io delta
   uint64_t rows = 0;              // result rows (or rows affected for DML)
-  uint64_t bytes_decoded = 0;     // scan.bytes delta
+  uint64_t scan_bytes = 0;        // scan.bytes delta (see ScanSnapshot::bytes)
   uint64_t stripe_cache_hits = 0;
   uint64_t index_probes = 0;      // index.lookups delta
   double snapshot_age_seconds = 0;  // oldest live snapshot at capture

@@ -17,17 +17,6 @@ void Accumulate(fs::IoSnapshot* into, const fs::IoSnapshot& d) {
   into->hbase_write_ops += d.hbase_write_ops;
 }
 
-void Accumulate(table::ScanSnapshot* into, const table::ScanSnapshot& d) {
-  into->batches += d.batches;
-  into->rows += d.rows;
-  into->bytes += d.bytes;
-  into->passthrough_batches += d.passthrough_batches;
-  into->patched_rows += d.patched_rows;
-  into->masked_rows += d.masked_rows;
-  into->predicate_drops += d.predicate_drops;
-  into->materialized_rows += d.materialized_rows;
-}
-
 uint64_t IoBytes(const fs::IoSnapshot& io) {
   return io.hdfs_bytes_read + io.hdfs_bytes_written + io.hbase_bytes_read +
          io.hbase_bytes_written;
@@ -174,7 +163,7 @@ Span::~Span() {
     }
   }
   if (tracer_->scan_ != nullptr) {
-    Accumulate(&node_->stats.scan, tracer_->scan_->Snapshot() - scan_before_);
+    node_->stats.scan += tracer_->scan_->Snapshot() - scan_before_;
   }
   if (pushed_ && !tracer_->stack_.empty() && tracer_->stack_.back() == node_) {
     tracer_->stack_.pop_back();

@@ -17,6 +17,7 @@
 #include "obs/recorder.h"
 #include "orc/stripe_cache.h"
 #include "table/csv.h"
+#include "table/scan_stats.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -541,6 +542,21 @@ Result<QueryResult> Engine::Execute(const std::string& sql) {
 
 namespace {
 
+/// The scan.* registry counter of each ScanSnapshot field.
+constexpr std::pair<const char*, uint64_t table::ScanSnapshot::*> kScanCounters[] = {
+    {obs::names::kScanBatches, &table::ScanSnapshot::batches},
+    {obs::names::kScanRows, &table::ScanSnapshot::rows},
+    {obs::names::kScanBytes, &table::ScanSnapshot::bytes},
+    {obs::names::kScanPassthroughBatches, &table::ScanSnapshot::passthrough_batches},
+    {obs::names::kScanPatchedRows, &table::ScanSnapshot::patched_rows},
+    {obs::names::kScanMaskedRows, &table::ScanSnapshot::masked_rows},
+    {obs::names::kScanPredicateDrops, &table::ScanSnapshot::predicate_drops},
+    {obs::names::kScanMaterializedRows, &table::ScanSnapshot::materialized_rows},
+    {obs::names::kScanStripesSkipped, &table::ScanSnapshot::stripes_skipped},
+    {obs::names::kScanStripesSkippedBloom, &table::ScanSnapshot::stripes_skipped_bloom},
+    {obs::names::kScanFilesSkipped, &table::ScanSnapshot::files_skipped},
+};
+
 const char* StatementKindName(const Statement& stmt) {
   if (std::get_if<SelectStmt>(&stmt)) return "select";
   if (std::get_if<CreateTableStmt>(&stmt)) return "create";
@@ -561,21 +577,36 @@ const char* StatementKindName(const Statement& stmt) {
 
 }  // namespace
 
+void Engine::set_exec_options(const ExecOptions& options) {
+  exec_ = options;
+  scan_counters_.clear();
+  if (exec_.metrics == nullptr || exec_.scan_meter == nullptr) return;
+  for (const auto& [name, field] : kScanCounters) {
+    scan_counters_.push_back(exec_.metrics->counter(name));
+  }
+}
+
 Result<QueryResult> Engine::ExecuteStatement(const Statement& stmt) {
+  // EXPLAIN ANALYZE runs its inner statement through here again; only the
+  // outermost call logs and publishes, so each statement counts once.
+  if (statement_depth_ > 0) return DispatchStatement(stmt);
   obs::QueryLog* log = exec_.query_log;
   // The SHOW introspection forms are excluded: logging SHOW STATS QUERIES
   // would make the log describe itself.
   const bool capture = log != nullptr && !std::holds_alternative<ShowTablesStmt>(stmt) &&
                        !std::holds_alternative<ShowStatsStmt>(stmt);
-  if (!capture) return DispatchStatement(stmt);
+  const bool publish = !scan_counters_.empty();
+  if (!capture && !publish) return DispatchStatement(stmt);
 
   // Capture reads individual meters, NOT MetricsRegistry::Snapshot(): a full
   // snapshot evaluates every view and copies every histogram, which costs
   // more than a small SELECT — the observability-overhead contract
   // (DESIGN.md §10) rules it out of the statement path.
-  const table::ScanMeter* scan_meter =
-      exec_.scan_meter != nullptr ? exec_.scan_meter : &table::GlobalScanMeter();
-  const table::ScanSnapshot scan_before = scan_meter->Snapshot();
+  auto scan_counts = [this] {
+    return exec_.scan_meter != nullptr ? exec_.scan_meter->Snapshot()
+                                       : table::ScanSnapshot();
+  };
+  const table::ScanSnapshot scan_before = scan_counts();
   const orc::StripeCacheStats cache_before = orc::StripeCache::Default()->Stats();
   const uint64_t probes_before =
       exec_.metrics != nullptr
@@ -587,12 +618,23 @@ Result<QueryResult> Engine::ExecuteStatement(const Statement& stmt) {
   if (modeled) io_before = exec_.tracer->io()->Snapshot();
 
   Stopwatch wall;
+  ++statement_depth_;
   auto result = DispatchStatement(stmt);
+  --statement_depth_;
+  const double wall_seconds = wall.ElapsedSeconds();
+  const table::ScanSnapshot scan = scan_counts() - scan_before;
+  if (publish) {
+    for (size_t i = 0; i < scan_counters_.size(); ++i) {
+      const uint64_t n = scan.*kScanCounters[i].second;
+      if (n > 0) scan_counters_[i]->Inc(n);
+    }
+  }
+  if (!capture) return result;
 
   obs::QueryLogRecord record;
   record.kind = StatementKindName(stmt);
   record.sql = last_sql_;
-  record.wall_seconds = wall.ElapsedSeconds();
+  record.wall_seconds = wall_seconds;
   if (modeled) {
     record.modeled_seconds =
         exec_.tracer->cluster()->JobSeconds(exec_.tracer->io()->Snapshot() - io_before);
@@ -604,7 +646,7 @@ Result<QueryResult> Engine::ExecuteStatement(const Statement& stmt) {
     record.ok = false;
     record.error = result.status().message();
   }
-  record.bytes_decoded = (scan_meter->Snapshot() - scan_before).bytes;
+  record.scan_bytes = scan.bytes;
   const orc::StripeCacheStats cache_after = orc::StripeCache::Default()->Stats();
   record.stripe_cache_hits = cache_after.hits - cache_before.hits;
   if (exec_.metrics != nullptr) {
@@ -1461,14 +1503,14 @@ Result<QueryResult> Engine::ExecuteShowStats(const ShowStatsStmt& stmt) {
           "SHOW STATS QUERIES requires the session query log (observability on)");
     }
     result.column_names = {"kind",       "wall_seconds",  "modeled_seconds",
-                           "rows",       "bytes_decoded", "stripe_cache_hits",
+                           "rows",       "scan_bytes",    "stripe_cache_hits",
                            "index_probes", "snapshot_age_seconds", "slow",
                            "ok",         "sql"};
     for (const obs::QueryLogRecord& r : exec_.query_log->Tail(50)) {
       result.rows.push_back(Row{
           Value::String(r.kind), Value::Double(r.wall_seconds),
           Value::Double(r.modeled_seconds), Value::Int64(static_cast<int64_t>(r.rows)),
-          Value::Int64(static_cast<int64_t>(r.bytes_decoded)),
+          Value::Int64(static_cast<int64_t>(r.scan_bytes)),
           Value::Int64(static_cast<int64_t>(r.stripe_cache_hits)),
           Value::Int64(static_cast<int64_t>(r.index_probes)),
           Value::Double(r.snapshot_age_seconds), Value::Bool(r.slow),

@@ -137,8 +137,9 @@ struct ExecOptions {
   /// Session tracer; EXPLAIN ANALYZE requires it and the engine opens stage
   /// spans on it while it is active.
   obs::Tracer* tracer = nullptr;
-  /// Session scan meter; substituted into every ScanSpec the engine builds
-  /// with no explicit meter. Null keeps the process-global meter.
+  /// Session scan meter: every ScanSpec the engine builds counts into it,
+  /// and each top-level statement's delta is added to the scan.* counters
+  /// of `metrics`. Null leaves the engine's scans uncounted.
   table::ScanMeter* scan_meter = nullptr;
   /// Structured query log: every executed statement (except the SHOW
   /// introspection forms) appends one record with wall/modeled seconds and
@@ -188,12 +189,15 @@ class Engine {
   /// `execute(<route>)` node.
   Result<QueryResult> RunSelect(const SelectPlan& plan, SelectRoute route);
 
-  void set_exec_options(const ExecOptions& options) { exec_ = options; }
+  /// Also resolves the scan.* counters when both `metrics` and
+  /// `scan_meter` are set.
+  void set_exec_options(const ExecOptions& options);
   const ExecOptions& exec_options() const { return exec_; }
 
  private:
-  /// The per-kind dispatch body. ExecuteStatement wraps it with query-log
-  /// capture (wall clock, registry delta, modeled seconds).
+  /// The per-kind dispatch body. ExecuteStatement wraps a top-level
+  /// statement with query-log capture (wall clock, registry delta, modeled
+  /// seconds) and the scan.* publish.
   Result<QueryResult> DispatchStatement(const Statement& stmt);
   /// PlanSelect, then RunSelect by the preferred route.
   Result<QueryResult> ExecuteSelect(const SelectStmt& stmt);
@@ -214,6 +218,13 @@ class Engine {
   TableFactory factory_;
   const fs::SimFileSystem* fs_;
   ExecOptions exec_;
+  /// The scan.* counters, one per ScanSnapshot field in kScanCounters order;
+  /// empty when scans are not published.
+  std::vector<obs::Counter*> scan_counters_;
+  /// ExecuteStatement calls in progress: EXPLAIN ANALYZE runs its inner
+  /// statement through ExecuteStatement too, and only the outermost call
+  /// logs and publishes.
+  int statement_depth_ = 0;
   /// Wall seconds Execute() spent parsing the most recent statement; EXPLAIN
   /// ANALYZE reports it as the retrospective `parse` leaf of the trace.
   double last_parse_seconds_ = 0;

@@ -50,14 +50,10 @@ Result<std::unique_ptr<Session>> Session::Create(SessionOptions options) {
     session->RegisterSessionViews();
 
     obs::QueryLogOptions log_options;
-    log_options.capacity = session->options_.query_log_capacity;
     log_options.slow_threshold_seconds = session->options_.slow_query_seconds;
     session->query_log_ =
         std::make_unique<obs::QueryLog>(log_options, &session->metrics_);
     obs::RecorderOptions rec_options;
-    rec_options.capacity = session->options_.recorder_capacity;
-    rec_options.window_us = static_cast<uint64_t>(
-        session->options_.recorder_window_seconds * 1e6);
     rec_options.clock = session->options_.telemetry_clock;
     session->recorder_ =
         std::make_unique<obs::MetricsRecorder>(&session->metrics_, rec_options);
@@ -99,33 +95,6 @@ void Session::RegisterSessionViews() {
           [](const fs::IoSnapshot& s) { return s.hbase_read_ops; });
   io_view(obs::names::kFsHbaseWriteOps,
           [](const fs::IoSnapshot& s) { return s.hbase_write_ops; });
-
-  const table::ScanMeter* sm = &scan_meter_;
-  auto scan_view = [this, sm](const char* name, auto read) {
-    metrics_.RegisterView(name, [sm, read]() -> double {
-      return static_cast<double>(read(sm->Snapshot()));
-    });
-  };
-  scan_view(obs::names::kScanBatches,
-            [](const table::ScanSnapshot& s) { return s.batches; });
-  scan_view(obs::names::kScanRows, [](const table::ScanSnapshot& s) { return s.rows; });
-  scan_view(obs::names::kScanBytes, [](const table::ScanSnapshot& s) { return s.bytes; });
-  scan_view(obs::names::kScanPassthroughBatches,
-            [](const table::ScanSnapshot& s) { return s.passthrough_batches; });
-  scan_view(obs::names::kScanPatchedRows,
-            [](const table::ScanSnapshot& s) { return s.patched_rows; });
-  scan_view(obs::names::kScanMaskedRows,
-            [](const table::ScanSnapshot& s) { return s.masked_rows; });
-  scan_view(obs::names::kScanPredicateDrops,
-            [](const table::ScanSnapshot& s) { return s.predicate_drops; });
-  scan_view(obs::names::kScanMaterializedRows,
-            [](const table::ScanSnapshot& s) { return s.materialized_rows; });
-  scan_view(obs::names::kScanStripesSkipped,
-            [](const table::ScanSnapshot& s) { return s.stripes_skipped; });
-  scan_view(obs::names::kScanStripesSkippedBloom,
-            [](const table::ScanSnapshot& s) { return s.stripes_skipped_bloom; });
-  scan_view(obs::names::kScanFilesSkipped,
-            [](const table::ScanSnapshot& s) { return s.files_skipped; });
 
   // Tables in this process share the default decoded-stripe cache unless
   // their options point elsewhere; these views expose its hit economics.

@@ -44,19 +44,15 @@ struct SessionOptions {
   /// debt is paid even on write-only workloads.
   bool background_compaction = false;
   /// Wire the unified observability layer: the session-scoped metrics
-  /// registry (with fs/scan/kv/scheduler views), the query tracer behind
-  /// EXPLAIN ANALYZE, the cost-model decision audit, and the session scan
-  /// meter. Off = none of it is connected, which is the bench baseline for
-  /// the instrumentation-overhead contract (DESIGN.md §10).
+  /// registry (scan.* counters; fs/kv/scheduler views), the query tracer
+  /// behind EXPLAIN ANALYZE, the cost-model decision audit, the query log
+  /// and recorder (their QueryLogOptions and RecorderOptions defaults), and
+  /// the session scan meter. Off = none of it is connected and no scan is
+  /// counted, which is the bench baseline for the instrumentation-overhead
+  /// contract (DESIGN.md §10).
   bool observability = true;
-  /// Structured query-log depth and slow-statement threshold (seconds; <= 0
-  /// never flags). Wired only when `observability` is on.
-  size_t query_log_capacity = 256;
+  /// Query-log slow-statement threshold (seconds; <= 0 never flags).
   double slow_query_seconds = 0.1;
-  /// Metrics-recorder sample-ring depth and the window (seconds) behind the
-  /// windowed percentiles in SHOW STATS HISTOGRAMS and adaptive maintenance.
-  size_t recorder_capacity = 240;
-  double recorder_window_seconds = 10.0;
   /// Telemetry clock for window rotation and recorder timestamps (not
   /// owned; must outlive the session). Null = process steady clock. Tests
   /// install a ManualTelemetryClock for deterministic rotation.
@@ -106,9 +102,9 @@ class Session {
   obs::MetricsRegistry* metrics() { return &metrics_; }
   obs::CostAudit* cost_audit() { return &cost_audit_; }
   obs::Tracer* tracer() { return &tracer_; }
-  /// Session-scoped scan meter. Forwards into GlobalScanMeter(), so
-  /// process-wide totals include this session's scans; Reset() clears only
-  /// the session's own counts.
+  /// Session-scoped scan meter: the statements this session runs count into
+  /// it (only with observability on). Read it from the thread that runs the
+  /// statements; the registry's scan.* counters carry the same totals.
   table::ScanMeter* scan_meter() { return &scan_meter_; }
   /// One-stop session report: every registered metric (FS channel bytes,
   /// scan counters, per-table KV stats, scheduler state) plus the cost-audit
@@ -167,7 +163,7 @@ class Session {
   std::shared_ptr<BackgroundScheduler> scheduler_;
   obs::MetricsRegistry metrics_;
   obs::CostAudit cost_audit_;
-  table::ScanMeter scan_meter_{&table::GlobalScanMeter()};
+  table::ScanMeter scan_meter_;
   obs::Tracer tracer_;
   std::unique_ptr<obs::MetricsRecorder> recorder_;
   std::unique_ptr<obs::QueryLog> query_log_;

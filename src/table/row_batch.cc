@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "table/scan_stats.h"
-
 namespace dtl::table {
 
 ColumnVector& ColumnVector::operator=(const ColumnVector& other) {
@@ -95,7 +93,7 @@ bool RowBatch::Passes(const RowPredicateFn& pred, std::span<const size_t> column
   return verdict;
 }
 
-size_t RowBatch::FilterSelected(const ScanPredicate& pred, Row* scratch, ScanMeter* meter,
+size_t RowBatch::FilterSelected(const ScanPredicate& pred, Row* scratch,
                                 std::span<const size_t> columns) {
   const size_t before = size();
   if (before == 0) return 0;
@@ -140,9 +138,7 @@ size_t RowBatch::FilterSelected(const ScanPredicate& pred, Row* scratch, ScanMet
     DTL_DCHECK_EQ(pred(full), kept);
   }
 #endif
-  const size_t dropped = before - size();
-  (meter != nullptr ? *meter : GlobalScanMeter()).AddPredicateDrops(dropped);
-  return dropped;
+  return before - size();
 }
 
 }  // namespace dtl::table

@@ -178,10 +178,9 @@ class RowBatch {
   /// kernel that disagrees with its closure and a caller whose list misses a
   /// column its residual reads. Compresses the selection in place; when
   /// nothing is dropped and no selection existed, none is created (the
-  /// pass-through fast path). Returns the number dropped. Drops are charged
-  /// to `meter`, or to the global meter when null.
+  /// pass-through fast path). Returns the number dropped, for the caller to
+  /// charge to its scan's meter.
   size_t FilterSelected(const ScanPredicate& pred, Row* scratch,
-                        ScanMeter* meter = nullptr,
                         std::span<const size_t> columns = {});
 
   // --- record IDs ---

@@ -30,7 +30,7 @@ struct ScanSpec {
   std::vector<size_t> predicate_columns;
   /// Stats-prunable bounds implied by the predicate (conjunctive).
   std::vector<ColumnBound> bounds;
-  /// Meter the scan reports to; nullptr means the process-global one.
+  /// Meter the scan counts into; nullptr means the scan is not counted.
   /// Parallel scans point each worker's spec at a worker-local meter.
   ScanMeter* meter = nullptr;
 

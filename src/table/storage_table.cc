@@ -20,7 +20,7 @@ bool BatchToRowAdapter::Next() {
     batch_.MaterializeRow(index_, &row_);
     record_id_ = batch_.record_id(index_);
     ++index_;
-    (meter_ != nullptr ? *meter_ : GlobalScanMeter()).AddMaterializedRows(1);
+    if (meter_ != nullptr) meter_->AddMaterializedRows(1);
     return true;
   }
 }
@@ -54,7 +54,7 @@ bool RowToBatchAdapter::Next(RowBatch* batch) {
     batch->column(c).SetOwned(std::move(columns[c]));
   }
   batch->SetRecordIds(std::move(ids));
-  (meter_ != nullptr ? *meter_ : GlobalScanMeter()).AddBatch(n, 0);
+  if (meter_ != nullptr) meter_->AddBatch(n, 0);
   return true;
 }
 

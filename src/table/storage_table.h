@@ -44,8 +44,8 @@ class ScanMeter;
 
 /// Presents a BatchIterator as a RowIterator: materializes one (reused) row
 /// at a time. This is how row-at-a-time consumers (joins, aggregates, DML
-/// scans) ride the batch read path unchanged.
-/// `meter` defaults to the process-global scan meter when null.
+/// scans) ride the batch read path unchanged. Each row is charged to
+/// `meter` as materialized (not counted when null).
 class BatchToRowAdapter : public RowIterator {
  public:
   explicit BatchToRowAdapter(std::unique_ptr<BatchIterator> batches,
@@ -70,8 +70,8 @@ class BatchToRowAdapter : public RowIterator {
 /// Presents a RowIterator as a BatchIterator by buffering up to `capacity`
 /// rows per batch (owned typed columns, each of the kind of its first
 /// non-NULL cell; a column mixing kinds fails the scan). Default
-/// ScanBatches() for storage systems without a native batch path. `meter`
-/// defaults to the global meter.
+/// ScanBatches() for storage systems without a native batch path. Each
+/// batch is charged to `meter` (not counted when null).
 class RowToBatchAdapter : public BatchIterator {
  public:
   RowToBatchAdapter(std::unique_ptr<RowIterator> rows, size_t num_columns,

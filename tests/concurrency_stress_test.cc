@@ -1,7 +1,7 @@
 // Deterministic concurrency stress tests for the shared-state hot spots the
 // vectorized read path introduced: ThreadPool, the skip-list memtable
-// (concurrent readers + single writer), the KV store write/flush path, the
-// OrcReader decoded-stripe LRU cache, and the process-global ScanMeter.
+// (concurrent readers + single writer), the KV store write/flush path, and
+// the OrcReader decoded-stripe LRU cache.
 //
 // These are designed to run under ThreadSanitizer (cmake -DDTL_TSAN=ON) as
 // well as the ASan/UBSan job: fixed seeds, bounded iterations, no timing
@@ -32,7 +32,6 @@
 #include "orc/reader.h"
 #include "orc/stripe_cache.h"
 #include "orc/writer.h"
-#include "table/scan_stats.h"
 
 namespace dtl {
 namespace {
@@ -314,36 +313,6 @@ TEST(OrcStripeCacheStressTest, ConcurrentReadersShareDecodedStripes) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes, cache.capacity_bytes());
-}
-
-TEST(ScanMeterStressTest, ConcurrentCountersSumExactly) {
-  table::ScanMeter meter;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&meter] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        meter.AddBatch(2, 10);
-        meter.AddPatchedRows(1);
-        if (i % 8 == 0) meter.AddPassthroughBatch();
-        meter.Snapshot();  // concurrent snapshots must never tear
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-  const table::ScanSnapshot s = meter.Snapshot();
-  EXPECT_EQ(s.batches, static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(s.rows, static_cast<uint64_t>(kThreads) * kOpsPerThread * 2);
-  EXPECT_EQ(s.bytes, static_cast<uint64_t>(kThreads) * kOpsPerThread * 10);
-  EXPECT_EQ(s.patched_rows, static_cast<uint64_t>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(s.passthrough_batches, static_cast<uint64_t>(kThreads) * (kOpsPerThread / 8));
-
-  // The documented single-resetter contract: one thread resets while the
-  // others are quiescent; counters restart from zero.
-  meter.Reset();
-  const table::ScanSnapshot z = meter.Snapshot();
-  EXPECT_EQ(z.batches, 0u);
-  EXPECT_EQ(z.rows, 0u);
 }
 
 // --- morsel-driven parallel scans under concurrent mutation ------------------------

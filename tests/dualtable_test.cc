@@ -471,7 +471,7 @@ TEST_F(DualTableTest, MorselsCoverWholeTable) {
   EXPECT_EQ(morsels->size(), 3u);  // one per file
   uint64_t total = 0;
   for (const ScanMorsel& morsel : *morsels) {
-    auto it = (*t)->NewUnionReadBatchForMorselAt(snapshot, morsel, all, nullptr);
+    auto it = (*t)->NewUnionReadBatchForMorselAt(snapshot, morsel, all);
     ASSERT_TRUE(it.ok());
     table::RowBatch batch;
     while ((*it)->Next(&batch)) total += batch.size();

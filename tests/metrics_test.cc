@@ -1,9 +1,15 @@
-// MetricsRegistry unit tests plus the session-scoped metering satellite:
-// ScanMeter forwarding semantics and the Session::StatsDump surface.
+// MetricsRegistry unit tests plus session-scoped metering: the session scan
+// meter, the scan.* counters each statement publishes, and the
+// Session::StatsDump surface.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/query_log.h"
 #include "sql/session.h"
 #include "table/scan_stats.h"
 
@@ -99,46 +105,51 @@ TEST(MetricsTest, RenderTextAndJsonContainInstruments) {
 
 // --- session-scoped metering -------------------------------------------------
 
-TEST(ScanMeterForwardingTest, AddsForwardButResetDoesNot) {
-  table::ScanMeter root;
-  table::ScanMeter session(&root);
-  session.AddBatch(10, 100);
-  session.AddPatchedRows(2);
-  EXPECT_EQ(session.Snapshot().rows, 10u);
-  EXPECT_EQ(root.Snapshot().rows, 10u);
-  EXPECT_EQ(root.Snapshot().patched_rows, 2u);
-
-  table::ScanSnapshot merged;
-  merged.rows = 5;
-  merged.batches = 1;
-  session.Add(merged);
-  EXPECT_EQ(session.Snapshot().rows, 15u);
-  EXPECT_EQ(root.Snapshot().rows, 15u);
-
-  // Reset clears only the forwarding meter, never the forward target.
-  session.Reset();
-  EXPECT_EQ(session.Snapshot().rows, 0u);
-  EXPECT_EQ(root.Snapshot().rows, 15u);
+/// Each scan.* registry counter next to the session meter field it totals.
+const std::vector<std::pair<const char*, uint64_t table::ScanSnapshot::*>>& ScanCounters() {
+  static const std::vector<std::pair<const char*, uint64_t table::ScanSnapshot::*>> k = {
+      {"scan.batches", &table::ScanSnapshot::batches},
+      {"scan.rows", &table::ScanSnapshot::rows},
+      {"scan.bytes", &table::ScanSnapshot::bytes},
+      {"scan.passthrough_batches", &table::ScanSnapshot::passthrough_batches},
+      {"scan.patched_rows", &table::ScanSnapshot::patched_rows},
+      {"scan.masked_rows", &table::ScanSnapshot::masked_rows},
+      {"scan.predicate_drops", &table::ScanSnapshot::predicate_drops},
+      {"scan.materialized_rows", &table::ScanSnapshot::materialized_rows},
+      {"scan.stripes_skipped", &table::ScanSnapshot::stripes_skipped},
+      {"scan.stripes_skipped_bloom", &table::ScanSnapshot::stripes_skipped_bloom},
+      {"scan.files_skipped", &table::ScanSnapshot::files_skipped},
+  };
+  return k;
 }
 
-TEST(SessionObservabilityTest, SessionMeterFeedsGlobalAndStatsDump) {
+/// Every scan.* counter equals the session meter's total of its field.
+void ExpectCountersMatchMeter(sql::Session* session) {
+  const table::ScanSnapshot meter = session->scan_meter()->Snapshot();
+  const obs::MetricsSnapshot snap = session->metrics()->Snapshot();
+  for (const auto& [name, field] : ScanCounters()) {
+    ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    EXPECT_EQ(snap.counters.at(name), meter.*field) << name;
+    EXPECT_EQ(snap.views.count(name), 0u) << name;
+  }
+}
+
+TEST(SessionObservabilityTest, SessionMeterFeedsCountersAndStatsDump) {
   auto created = sql::Session::Create();
   ASSERT_TRUE(created.ok());
   auto session = std::move(*created);
 
-  const table::ScanSnapshot global_before = table::GlobalScanMeter().Snapshot();
   ASSERT_TRUE(session->Execute("CREATE TABLE t (id BIGINT, v BIGINT)").ok());
   ASSERT_TRUE(session->Execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)").ok());
   auto rows = session->Execute("SELECT id FROM t");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->rows.size(), 3u);
 
-  // The session meter counted the scan, and forwarded into the global meter
-  // so process-wide totals (used by the benches) still move.
+  // The session meter counted the scan, and the statement published the
+  // same count into the scan.rows counter.
   const uint64_t session_rows = session->scan_meter()->Snapshot().rows;
   EXPECT_GE(session_rows, 3u);
-  EXPECT_GE(table::GlobalScanMeter().Snapshot().rows - global_before.rows,
-            session_rows);
+  EXPECT_EQ(session->metrics()->Snapshot().counters.at("scan.rows"), session_rows);
 
   // sql.statements counted every statement, with a labeled select counter.
   obs::MetricsSnapshot snap = session->metrics()->Snapshot();
@@ -162,6 +173,54 @@ TEST(SessionObservabilityTest, SessionMeterFeedsGlobalAndStatsDump) {
   std::string json = session->StatsDumpJson();
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"cost_audit\""), std::string::npos);
+}
+
+TEST(SessionObservabilityTest, EveryRouteAndDmlScanIsPublishedOnce) {
+  sql::SessionOptions options;
+  // Forced EDIT keeps the UPDATE and DELETE on the attached store, so later
+  // reads patch and mask rows.
+  options.dual_defaults.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
+  auto created = sql::Session::Create(std::move(options));
+  ASSERT_TRUE(created.ok());
+  auto session = std::move(*created);
+  auto run = [&session](const std::string& sql) {
+    auto result = session->Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+  };
+  run("CREATE TABLE t (id BIGINT, v BIGINT) INDEX (id)");
+  run("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)");
+  ExpectCountersMatchMeter(session.get());
+
+  run("SELECT id, v FROM t WHERE v > 10");      // vectorized route
+  run("SELECT v FROM t ORDER BY v");            // operator tree
+  run("SELECT COUNT(*) FROM t WHERE v < 40");   // operator tree, aggregate
+  run("SELECT v FROM t WHERE id = 2");          // index lookup
+  run("UPDATE t SET v = 99 WHERE v >= 30");     // EDIT, scan-routed
+  run("DELETE FROM t WHERE v = 20");            // EDIT delete
+  run("SELECT id, v FROM t WHERE v > 0");       // patches and masks
+  ExpectCountersMatchMeter(session.get());
+
+  const table::ScanSnapshot totals = session->scan_meter()->Snapshot();
+  EXPECT_GT(totals.rows, 0u);
+  EXPECT_GT(totals.bytes, 0u);
+  EXPECT_GT(totals.patched_rows, 0u);
+  EXPECT_GT(totals.masked_rows, 0u);
+  EXPECT_GT(totals.predicate_drops, 0u);
+  EXPECT_GT(totals.materialized_rows, 0u);
+
+  // EXPLAIN ANALYZE runs its SELECT through the statement path a second
+  // time: the counters move by the meter's delta, not twice it, and the
+  // query log gains one record carrying that delta.
+  const table::ScanSnapshot before = session->scan_meter()->Snapshot();
+  const uint64_t records = session->query_log()->total();
+  run("EXPLAIN ANALYZE SELECT id FROM t WHERE v > 10");
+  const table::ScanSnapshot delta = session->scan_meter()->Snapshot() - before;
+  EXPECT_GT(delta.rows, 0u);
+  ExpectCountersMatchMeter(session.get());
+  ASSERT_EQ(session->query_log()->total(), records + 1);
+  const obs::QueryLogRecord last = session->query_log()->Tail(1).at(0);
+  EXPECT_EQ(last.kind, "explain_analyze");
+  EXPECT_EQ(last.scan_bytes, delta.bytes);
 }
 
 TEST(SessionObservabilityTest, ObservabilityOffWiresNothing) {

@@ -231,7 +231,7 @@ TEST(RowBatchTest, FilterCopiesOnlyThePredicateColumns) {
     return row[1].AsInt64() >= 20;
   };
   const std::vector<size_t> columns = {1};
-  EXPECT_EQ(batch.FilterSelected(pred, &scratch, nullptr, columns), 2u);
+  EXPECT_EQ(batch.FilterSelected(pred, &scratch, columns), 2u);
   EXPECT_EQ(calls, 4);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch.ValueAt(0, 0).AsInt64(), 2);
@@ -518,10 +518,12 @@ TEST_F(BatchScanTest, MasterPredicateEmitsFullPassBatchesAndSkipsAllDropped) {
 TEST_F(BatchScanTest, PassthroughBatchesAreMeteredOnUnmodifiedTable) {
   Open(8, 4);
   InsertSequential(16);
-  const ScanSnapshot before = GlobalScanMeter().Snapshot();
-  auto rows = CollectRows(table_.get(), ScanSpec{});
+  ScanMeter meter;
+  ScanSpec spec;
+  spec.meter = &meter;
+  auto rows = CollectRows(table_.get(), spec);
   ASSERT_TRUE(rows.ok());
-  const ScanSnapshot delta = GlobalScanMeter().Snapshot() - before;
+  const ScanSnapshot delta = meter.Snapshot();
   EXPECT_EQ(delta.rows, 16u);
   EXPECT_EQ(delta.batches, 4u);  // 2 stripes x 2 batches each
   EXPECT_EQ(delta.passthrough_batches, 4u);  // empty attached: all pass through

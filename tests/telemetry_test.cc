@@ -1,8 +1,9 @@
 // Telemetry-pipeline tests (DESIGN.md §14): deterministic histogram window
 // rotation under a ManualTelemetryClock, recorder ring wraparound, the
 // Prometheus exposition golden format, the structured query log + SHOW STATS
-// SQL surface, and the obs-driven adaptive-maintenance trigger. A TSan stress
-// case exercises Observe racing MaybeRotate.
+// SQL surface, and the obs-driven adaptive-maintenance trigger. Two TSan
+// stress cases: Observe racing MaybeRotate, and statements publishing the
+// scan.* counters while the recorder ticks on the scheduler thread.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -227,14 +228,15 @@ TEST(TelemetrySqlTest, QueryLogCapturesStatements) {
   ASSERT_TRUE(session->Execute("INSERT INTO t VALUES (1, 10), (2, 20)").ok());
   auto rows = session->Execute("SELECT id FROM t");
   ASSERT_TRUE(rows.ok());
+  ASSERT_TRUE(session->Execute("SELECT id FROM t").ok());  // warm repeat
   EXPECT_FALSE(session->Execute("SELECT id FROM missing").ok());
 
   obs::QueryLog* log = session->query_log();
   ASSERT_NE(log, nullptr);
-  EXPECT_EQ(log->total(), 4u);
-  EXPECT_EQ(log->slow_total(), 4u);
+  EXPECT_EQ(log->total(), 5u);
+  EXPECT_EQ(log->slow_total(), 5u);
   const std::vector<obs::QueryLogRecord> tail = log->Tail(10);
-  ASSERT_EQ(tail.size(), 4u);
+  ASSERT_EQ(tail.size(), 5u);
   EXPECT_EQ(tail[0].kind, "create");
   EXPECT_EQ(tail[1].kind, "insert");
   EXPECT_EQ(tail[1].rows, 2u);
@@ -242,9 +244,14 @@ TEST(TelemetrySqlTest, QueryLogCapturesStatements) {
   EXPECT_EQ(tail[2].rows, 2u);
   EXPECT_EQ(tail[2].sql, "SELECT id FROM t");
   EXPECT_GT(tail[2].wall_seconds, 0.0);
-  EXPECT_GT(tail[2].bytes_decoded, 0u);
-  EXPECT_FALSE(tail[3].ok);
-  EXPECT_FALSE(tail[3].error.empty());
+  EXPECT_GT(tail[2].scan_bytes, 0u);
+  // scan_bytes counts the encoded bytes of the columns scanned, whether they
+  // were decoded or served from the stripe cache: the warm repeat hits the
+  // cache and reports the same bytes.
+  EXPECT_GT(tail[3].stripe_cache_hits, 0u);
+  EXPECT_EQ(tail[3].scan_bytes, tail[2].scan_bytes);
+  EXPECT_FALSE(tail[4].ok);
+  EXPECT_FALSE(tail[4].error.empty());
 }
 
 TEST(TelemetrySqlTest, QueryLogReadsTheIndexLookupCounter) {
@@ -312,6 +319,48 @@ TEST(TelemetrySqlTest, ShowStatsSurfaces) {
   ASSERT_EQ(queries->rows.size(), 3u);
   EXPECT_EQ(queries->rows[2][0].AsString(), "select");
   EXPECT_EQ(session->query_log()->total(), 3u);
+}
+
+TEST(TelemetrySqlTest, ScanCountersPublishWhileTheRecorderTicks) {
+  // The recorder samples the registry from the scheduler thread while this
+  // thread runs statements, and background COMPACT scans on the scheduler
+  // thread too. Under -DDTL_TSAN=ON this is the race gate for the scan
+  // counters: only the statement thread writes the session meter, and the
+  // recorder reads the registry's scan.* counters, never the meter.
+  sql::SessionOptions options;
+  options.background_compaction = true;
+  options.dual_defaults.plan_mode = dual::DualTableOptions::PlanMode::kForceEdit;
+  options.dual_defaults.compact_threshold = 0.05;
+  auto created = sql::Session::Create(std::move(options));
+  ASSERT_TRUE(created.ok());
+  auto session = std::move(*created);
+  auto run = [&session](const std::string& sql) {
+    auto result = session->Execute(sql);
+    ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+  };
+  run("CREATE TABLE t (id BIGINT, v BIGINT)");
+  std::string insert = "INSERT INTO t VALUES (0, 0)";
+  for (int i = 1; i < 64; ++i) {
+    insert += ", (" + std::to_string(i) + ", " + std::to_string(i) + ")";
+  }
+  run(insert);
+  for (int i = 0; i < 24; ++i) {
+    run("UPDATE t SET v = v + 1 WHERE id % 8 = " + std::to_string(i % 8));
+    run("SELECT COUNT(*), SUM(v) FROM t");
+    run("SELECT id, v FROM t WHERE v > 5");
+    session->scheduler()->Wake();
+  }
+  session->scheduler()->Quiesce();
+  EXPECT_GT(session->recorder()->total_samples(), 0u);
+
+  const table::ScanSnapshot meter = session->scan_meter()->Snapshot();
+  EXPECT_GT(meter.rows, 0u);
+  const obs::MetricsSnapshot snap = session->metrics()->Snapshot();
+  EXPECT_EQ(snap.counters.at("scan.rows"), meter.rows);
+  EXPECT_EQ(snap.counters.at("scan.batches"), meter.batches);
+  EXPECT_EQ(snap.counters.at("scan.bytes"), meter.bytes);
+  EXPECT_EQ(snap.counters.at("scan.materialized_rows"), meter.materialized_rows);
+  EXPECT_EQ(snap.counters.at("scan.patched_rows"), meter.patched_rows);
 }
 
 TEST(TelemetrySqlTest, ShowStatsRequiresObservability) {
@@ -403,6 +452,11 @@ class AdaptiveMaintenanceTest : public ::testing::Test {
     return it == snap.counters.end() ? 0 : it->second;
   }
 
+  /// Rounds that ran the preview scan: every round not skipped.
+  uint64_t Previews() {
+    return Count("maintenance.rounds{adp}") - Count("maintenance.skips{adp}");
+  }
+
   std::unique_ptr<fs::SimFileSystem> fs_;
   std::unique_ptr<dual::MetadataTable> metadata_;
   std::unique_ptr<fs::ClusterModel> cluster_;
@@ -422,21 +476,21 @@ TEST_F(AdaptiveMaintenanceTest, SkipsRoundsWithoutAnyPreviewScan) {
   for (int i = 0; i < 3; ++i) (*table)->BackgroundMaintenance();
   EXPECT_EQ(Count("maintenance.rounds{adp}"), 3u);
   EXPECT_EQ(Count("maintenance.skips{adp}"), 3u);
-  EXPECT_EQ(Count("maintenance.preview_scans{adp}"), 0u);
+  EXPECT_EQ(Previews(), 0u);
 
   // Density crosses the bar (100 attached cells / 200 master rows = 0.5):
   // one round triggers, previews once, and folds incrementally.
   ASSERT_TRUE(Bump(table->get(), 0, 100).ok());
   (*table)->BackgroundMaintenance();
   EXPECT_EQ(Count("maintenance.triggers{density}"), 1u);
-  EXPECT_EQ(Count("maintenance.preview_scans{adp}"), 1u);
+  EXPECT_EQ(Previews(), 1u);
   EXPECT_EQ(Count("maintenance.incremental_compacts{adp}"), 1u);
 
   // The fold drained the deltas: the next round skips again, and the
   // decision gauge reflects the drained density.
   (*table)->BackgroundMaintenance();
   EXPECT_EQ(Count("maintenance.skips{adp}"), 4u);
-  EXPECT_EQ(Count("maintenance.preview_scans{adp}"), 1u);
+  EXPECT_EQ(Previews(), 1u);
   EXPECT_EQ(registry_.Snapshot().gauges.at("maintenance.delta_density_ppm{adp}"), 0);
 }
 
@@ -461,7 +515,7 @@ TEST_F(AdaptiveMaintenanceTest, LatencyWindowBreachTriggersMaintenance) {
 
   (*table)->BackgroundMaintenance();
   EXPECT_EQ(Count("maintenance.triggers{latency}"), 1u);
-  EXPECT_EQ(Count("maintenance.preview_scans{adp}"), 1u);
+  EXPECT_EQ(Previews(), 1u);
   EXPECT_GT(registry_.Snapshot().gauges.at("maintenance.union_read_p95_us{adp}"),
             50'000);
 

@@ -184,7 +184,7 @@ TEST_F(ExplainAnalyzeTest, PlainExplainStillDoesNotExecute) {
 TEST(TraceConcurrencyTest, TwoSessionsTraceIndependently) {
   // Two sessions, each with its own tracer/meter/registry, running traced
   // queries concurrently. Under -DDTL_TSAN=ON this is the data-race gate for
-  // the shared pieces (GlobalScanMeter forwarding target, process clocks).
+  // the shared pieces (the stripe cache, process clocks).
   constexpr int kQueries = 20;
   auto worker = []() {
     auto created = sql::Session::Create();

@@ -136,8 +136,8 @@ TEST_F(UnionReadTest, PerFileMorselsSeeOnlyTheirModifications) {
   ASSERT_EQ(morsels->size(), 2u);
   for (size_t s = 0; s < 2; ++s) {
     EXPECT_EQ((*morsels)[s].file_id, files[s].file_id);
-    auto it = table_->NewUnionReadBatchForMorselAt(snapshot, (*morsels)[s],
-                                                   table::ScanSpec{}, nullptr);
+    auto it =
+        table_->NewUnionReadBatchForMorselAt(snapshot, (*morsels)[s], table::ScanSpec{});
     ASSERT_TRUE(it.ok());
     int modified = 0;
     int rows = 0;
