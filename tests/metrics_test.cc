@@ -5,7 +5,6 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -106,28 +105,25 @@ TEST(MetricsTest, RenderTextAndJsonContainInstruments) {
 // --- session-scoped metering -------------------------------------------------
 
 /// Each scan.* registry counter next to the session meter field it totals.
-const std::vector<std::pair<const char*, uint64_t table::ScanSnapshot::*>>& ScanCounters() {
-  static const std::vector<std::pair<const char*, uint64_t table::ScanSnapshot::*>> k = {
-      {"scan.batches", &table::ScanSnapshot::batches},
-      {"scan.rows", &table::ScanSnapshot::rows},
-      {"scan.bytes", &table::ScanSnapshot::bytes},
-      {"scan.passthrough_batches", &table::ScanSnapshot::passthrough_batches},
-      {"scan.patched_rows", &table::ScanSnapshot::patched_rows},
-      {"scan.masked_rows", &table::ScanSnapshot::masked_rows},
-      {"scan.predicate_drops", &table::ScanSnapshot::predicate_drops},
-      {"scan.materialized_rows", &table::ScanSnapshot::materialized_rows},
-      {"scan.stripes_skipped", &table::ScanSnapshot::stripes_skipped},
-      {"scan.stripes_skipped_bloom", &table::ScanSnapshot::stripes_skipped_bloom},
-      {"scan.files_skipped", &table::ScanSnapshot::files_skipped},
-  };
-  return k;
-}
+constexpr std::pair<const char*, uint64_t table::ScanSnapshot::*> kScanCounters[] = {
+    {"scan.batches", &table::ScanSnapshot::batches},
+    {"scan.rows", &table::ScanSnapshot::rows},
+    {"scan.bytes", &table::ScanSnapshot::bytes},
+    {"scan.passthrough_batches", &table::ScanSnapshot::passthrough_batches},
+    {"scan.patched_rows", &table::ScanSnapshot::patched_rows},
+    {"scan.masked_rows", &table::ScanSnapshot::masked_rows},
+    {"scan.predicate_drops", &table::ScanSnapshot::predicate_drops},
+    {"scan.materialized_rows", &table::ScanSnapshot::materialized_rows},
+    {"scan.stripes_skipped", &table::ScanSnapshot::stripes_skipped},
+    {"scan.stripes_skipped_bloom", &table::ScanSnapshot::stripes_skipped_bloom},
+    {"scan.files_skipped", &table::ScanSnapshot::files_skipped},
+};
 
 /// Every scan.* counter equals the session meter's total of its field.
 void ExpectCountersMatchMeter(sql::Session* session) {
   const table::ScanSnapshot meter = session->scan_meter()->Snapshot();
   const obs::MetricsSnapshot snap = session->metrics()->Snapshot();
-  for (const auto& [name, field] : ScanCounters()) {
+  for (const auto& [name, field] : kScanCounters) {
     ASSERT_EQ(snap.counters.count(name), 1u) << name;
     EXPECT_EQ(snap.counters.at(name), meter.*field) << name;
     EXPECT_EQ(snap.views.count(name), 0u) << name;
