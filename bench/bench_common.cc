@@ -8,6 +8,7 @@
 
 #include "common/stopwatch.h"
 #include "dualtable/dual_table.h"
+#include "exec/operators.h"
 #include "exec/parallel_scan.h"
 #include "orc/stripe_cache.h"
 
@@ -316,14 +317,15 @@ uint64_t RawScan(dual::DualTable* table, const std::string& path, table::ScanMet
   uint64_t n = 0;
   uint64_t sum = 0;
   if (path == "row") {
-    auto it = table->Scan(spec);
+    auto it = table->ScanBatches(spec);
     if (!it.ok()) Die("row scan of " + table->name(), it.status());
-    while ((*it)->Next()) {
-      const Value& v = (*it)->row()[0];
+    exec::ScanOperator rows(std::move(*it), meter);
+    while (rows.Next()) {
+      const Value& v = rows.row()[0];
       sum += v.is_int64() ? static_cast<uint64_t>(v.AsInt64()) : 1;
       ++n;
     }
-    if (!(*it)->status().ok()) Die("row scan of " + table->name(), (*it)->status());
+    if (!rows.status().ok()) Die("row scan of " + table->name(), rows.status());
   } else {
     auto it = table->ScanBatches(spec);
     if (!it.ok()) Die("batch scan of " + table->name(), it.status());

@@ -83,8 +83,8 @@ struct ScanBenchEntry {
 };
 
 /// One raw scan of `table` for BENCH_scan.json, counted into `meter`. "row"
-/// drains DualTable::Scan: the batch UNION READ plus the BatchToRowAdapter
-/// that row consumers run. "batch" drains ScanBatches and reads every
+/// drains the batch UNION READ through exec::ScanOperator, the leaf every
+/// row operator tree starts from. "batch" drains ScanBatches and reads every
 /// visible cell with AssignTo into one reused Value per column, as the row
 /// path's MaterializeRow reuses its row. Returns the logical rows visited;
 /// folds the cells read into `*checksum` so the reads cannot be optimized

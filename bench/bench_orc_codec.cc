@@ -58,7 +58,7 @@ class RowSink : public dtl::table::StorageTable {
       : name_(std::move(name)), schema_(std::move(schema)) {}
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
-  dtl::Result<std::unique_ptr<dtl::table::RowIterator>> Scan(
+  dtl::Result<std::unique_ptr<dtl::table::BatchIterator>> ScanBatches(
       const dtl::table::ScanSpec&) override {
     return Status::NotSupported("row sink");
   }

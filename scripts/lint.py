@@ -55,6 +55,12 @@ Enforced invariants (see DESIGN.md §7):
                       no `std::vector<Value>` in src/orc/ or in
                       src/table/row_batch.{h,cc}. A Value is built only where a
                       row consumer asks for one (ColumnVector::at).
+ 11. one-row-drain    Storage scans produce batches only, and rows are made
+                      from them in two places: the operator tree's leaf
+                      (exec::ScanOperator) and the push drain table::ForEachRow.
+                      No `MaterializeRow(` in src/ outside src/table/ and
+                      src/exec/, so a new storage or DML path takes its rows
+                      through one of the two.
 
 Usage:  scripts/lint.py [paths...]      (defaults to src/ tests/ bench/ examples/)
 Exit status: 0 clean, 1 findings (one line each: path:line: [rule] message).
@@ -145,6 +151,10 @@ UNCACHED_READ_EXEMPT_FUNCTIONS = {"DualTable::IndexStagedFiles"}
 # what row consumers receive.
 TYPED_COLUMN_FILES = ("src/orc/", "src/table/row_batch.h", "src/table/row_batch.cc")
 VALUE_VECTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<\s*(?:dtl\s*::\s*)?Value\s*>")
+
+# Rule 11: the only homes of row-making from batches.
+ROW_DRAIN_DIRS = ("src/table/", "src/exec/")
+MATERIALIZE_ROW_RE = re.compile(r"\bMaterializeRow\s*\(")
 
 # A function definition starts at column 0: `Type Class::Name(`.
 FUNCTION_DEF_RE = re.compile(r"^[A-Za-z_].*?\b(\w+::\w+)\s*\(")
@@ -445,6 +455,15 @@ def check_file(path: Path, findings):
                                  "std::vector<Value> on the decode path; store cells "
                                  "in a table::ColumnData (typed arrays, validity "
                                  "bitmap, string arena)"))
+
+    # Rule 11: rows leave batches through ForEachRow or the operator tree.
+    if rp.startswith("src/") and not rp.startswith(ROW_DRAIN_DIRS):
+        for i, line in enumerate(lines, 1):
+            if MATERIALIZE_ROW_RE.search(line):
+                findings.append((rp, i, "one-row-drain",
+                                 "rows made from a batch outside the two drains; "
+                                 "take them through table::ForEachRow or the "
+                                 "operator tree (exec::ScanOperator)"))
 
     # Rule 5: no (void)-discarded calls; DTL_IGNORE_STATUS is the audit trail.
     if rp != "src/common/status.h":  # the macro's own definition

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "orc/reader.h"
+#include "table/scan_stats.h"
 
 namespace dtl::baseline {
 
@@ -13,42 +14,91 @@ constexpr int64_t kOpUpdate = 0;
 constexpr int64_t kOpDelete = 1;
 }  // namespace
 
-/// Merge-on-read iterator: base scan + preloaded delta map overlay.
-class AcidRowIterator : public table::RowIterator {
+/// Merge-on-read: the base batch scan with the preloaded delta map laid over
+/// each batch. A deleted record leaves the selection; an updated record has
+/// every cell the batch holds overwritten from the delta's whole record. The
+/// predicate then runs over the current values.
+class AcidBatchIterator : public table::BatchIterator {
  public:
-  AcidRowIterator(std::unique_ptr<table::RowIterator> base, AcidTable::DeltaMap deltas,
-                  table::ScanSpec spec)
-      : base_(std::move(base)), deltas_(std::move(deltas)), spec_(std::move(spec)) {}
+  AcidBatchIterator(std::unique_ptr<table::BatchIterator> base,
+                    AcidTable::DeltaMap deltas, table::ScanSpec spec,
+                    const Schema& schema)
+      : base_(std::move(base)),
+        deltas_(std::move(deltas)),
+        spec_(std::move(spec)),
+        schema_(schema) {}
 
-  bool Next() override {
-    while (base_->Next()) {
-      const uint64_t id = base_->record_id();
-      auto it = deltas_.find(id);
-      if (it == deltas_.end()) {
-        row_ = base_->row();
-      } else if (it->second.deleted) {
-        continue;
-      } else {
-        row_ = it->second.row;  // whole updated record replaces the base row
+  bool Next(table::RowBatch* batch) override {
+    while (status_.ok() && base_->Next(batch)) {
+      if (!Overlay(batch)) return false;
+      if (spec_.predicate) {
+        const size_t dropped =
+            batch->FilterSelected(spec_.predicate, &scratch_, spec_.predicate_columns);
+        if (spec_.meter != nullptr) spec_.meter->AddPredicateDrops(dropped);
       }
-      if (spec_.predicate && !spec_.predicate(row_)) continue;
-      record_id_ = id;
-      return true;
+      if (!batch->empty()) return true;
     }
-    status_ = base_->status();
+    if (status_.ok()) status_ = base_->status();
     return false;
   }
-
-  const Row& row() const override { return row_; }
-  uint64_t record_id() const override { return record_id_; }
   const Status& status() const override { return status_; }
 
  private:
-  std::unique_ptr<table::RowIterator> base_;
+  /// Applies the deltas of the batch's records; false on a cell whose kind
+  /// does not match its column.
+  bool Overlay(table::RowBatch* batch) {
+    const size_t n = batch->size();
+    // Record IDs ascend through a batch, so one forward walk of the map
+    // meets every delta the batch holds.
+    auto delta = deltas_.lower_bound(batch->record_id(0));
+    if (delta == deltas_.end() || delta->first > batch->record_id(n - 1)) return true;
+    std::vector<uint32_t> live;
+    live.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t id = batch->record_id(i);
+      const size_t phys = batch->row_index(i);
+      while (delta != deltas_.end() && delta->first < id) ++delta;
+      if (delta == deltas_.end() || delta->first != id) {
+        live.push_back(static_cast<uint32_t>(phys));
+        continue;
+      }
+      if (delta->second.deleted) continue;
+      const Row& record = delta->second.row;
+      for (size_t c = 0; c < batch->num_columns(); ++c) {
+        table::ColumnVector& column = batch->column(c);
+        if (column.absent()) continue;
+        const Field& field = schema_.field(c);
+        table::ColumnData* cells = column.MakeMutable(field.type, batch->num_rows());
+        if (!cells->Set(phys, Encode(record[c]))) {
+          status_ = Status::InvalidArgument("delta cell of column " + field.name +
+                                            " does not match its type " +
+                                            DataTypeName(field.type));
+          return false;
+        }
+      }
+      live.push_back(static_cast<uint32_t>(phys));
+    }
+    if (live.size() < n) batch->SetSelection(std::move(live));
+    return true;
+  }
+
+  /// `v` in the form typed columns take a cell in.
+  static Value::Encoded Encode(const Value& v) {
+    Value::Encoded e;
+    if (v.is_null()) return e;
+    e.kind = table::KindOf(v);
+    if (v.is_int64()) e.int64 = v.AsInt64();
+    if (v.is_double()) e.dbl = v.AsDouble();
+    if (v.is_bool()) e.boolean = v.AsBool();
+    if (v.is_string()) e.bytes = Slice(v.AsString());
+    return e;
+  }
+
+  std::unique_ptr<table::BatchIterator> base_;
   AcidTable::DeltaMap deltas_;
   table::ScanSpec spec_;
-  Row row_;
-  uint64_t record_id_ = 0;
+  Schema schema_;
+  Row scratch_;
   Status status_;
 };
 
@@ -140,12 +190,13 @@ Result<AcidTable::DeltaMap> AcidTable::LoadDeltas() const {
   return map;
 }
 
-Result<std::unique_ptr<table::RowIterator>> AcidTable::Scan(const table::ScanSpec& spec) {
+Result<std::unique_ptr<table::BatchIterator>> AcidTable::ScanBatches(
+    const table::ScanSpec& spec) {
   DTL_ASSIGN_OR_RETURN(DeltaMap deltas, LoadDeltas());
   table::ScanSpec base_spec = spec;
   if (!deltas.empty()) {
-    // Updated records replace whole rows, so projection pruning must keep
-    // every column that could come from a delta; read full rows.
+    // A merge-on-read over whole-record deltas reads whole base records, and
+    // updated values may cross the stripe statistics' bounds.
     base_spec.projection.clear();
     base_spec.bounds.clear();
   }
@@ -154,9 +205,8 @@ Result<std::unique_ptr<table::RowIterator>> AcidTable::Scan(const table::ScanSpe
   DTL_ASSIGN_OR_RETURN(auto base_it, base_->NewBatchScanIterator(
                                          base_spec, /*apply_predicate=*/false,
                                          table::kDefaultBatchRows, orc::CacheFill::kNoAdmit));
-  auto base_rows = std::make_unique<table::BatchToRowAdapter>(std::move(base_it), spec.meter);
-  return std::unique_ptr<table::RowIterator>(
-      new AcidRowIterator(std::move(base_rows), std::move(deltas), spec));
+  return std::unique_ptr<table::BatchIterator>(std::make_unique<AcidBatchIterator>(
+      std::move(base_it), std::move(deltas), spec, schema_));
 }
 
 Status AcidTable::InsertRows(const std::vector<Row>& rows) {
@@ -199,19 +249,19 @@ Result<table::DmlResult> AcidTable::Update(
   {
     table::ScanSpec scan = filter;  // full rows: deltas store whole records
     scan.projection.clear();
-    DTL_ASSIGN_OR_RETURN(auto it, Scan(scan));
-    while (it->Next()) {
+    DTL_ASSIGN_OR_RETURN(auto it, ScanBatches(scan));
+    DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [&](uint64_t id, Row* row) {
       ++result.rows_matched;
-      Row updated = it->row();
-      for (const table::Assignment& a : assignments) updated[a.column] = a.compute(it->row());
+      Row updated = *row;
+      for (const table::Assignment& a : assignments) updated[a.column] = a.compute(*row);
       Row delta;
       delta.reserve(updated.size() + 2);
       delta.push_back(Value::Int64(kOpUpdate));
-      delta.push_back(Value::Int64(static_cast<int64_t>(it->record_id())));
+      delta.push_back(Value::Int64(static_cast<int64_t>(id)));
       delta.insert(delta.end(), updated.begin(), updated.end());
       delta_rows.push_back(std::move(delta));
-    }
-    DTL_RETURN_NOT_OK(it->status());
+      return Status::OK();
+    }));
   }
   DTL_RETURN_NOT_OK(WriteDeltaFile(next_txn_++, delta_rows));
   return result;
@@ -227,18 +277,18 @@ Result<table::DmlResult> AcidTable::Delete(const table::ScanSpec& filter) {
     table::ScanSpec scan = filter;
     scan.projection = filter.predicate_columns.empty() ? std::vector<size_t>{0}
                                                        : filter.predicate_columns;
-    DTL_ASSIGN_OR_RETURN(auto it, Scan(scan));
+    DTL_ASSIGN_OR_RETURN(auto it, ScanBatches(scan));
     const size_t width = schema_.num_fields();
-    while (it->Next()) {
+    DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [&](uint64_t id, Row*) {
       ++result.rows_matched;
       Row delta;
       delta.reserve(width + 2);
       delta.push_back(Value::Int64(kOpDelete));
-      delta.push_back(Value::Int64(static_cast<int64_t>(it->record_id())));
+      delta.push_back(Value::Int64(static_cast<int64_t>(id)));
       delta.insert(delta.end(), width, Value::Null());
       delta_rows.push_back(std::move(delta));
-    }
-    DTL_RETURN_NOT_OK(it->status());
+      return Status::OK();
+    }));
   }
   DTL_RETURN_NOT_OK(WriteDeltaFile(next_txn_++, delta_rows));
   return result;
@@ -271,10 +321,10 @@ Status AcidTable::MinorCompact() {
 Status AcidTable::MajorCompact() {
   if (delta_files_.empty()) return Status::OK();
   table::ScanSpec all;
-  DTL_ASSIGN_OR_RETURN(auto it, Scan(all));
+  DTL_ASSIGN_OR_RETURN(auto it, ScanBatches(all));
   dual::StagedFileWriter out(base_.get(), options_.rewrite_file_rows);
-  while (it->Next()) DTL_RETURN_NOT_OK(out.Append(it->row()));
-  DTL_RETURN_NOT_OK(it->status());
+  DTL_RETURN_NOT_OK(table::ForEachRow(
+      it.get(), [&out](uint64_t, Row* row) { return out.Append(*row); }));
   DTL_ASSIGN_OR_RETURN(std::vector<dual::MasterFileInfo> files, out.Finish());
   DTL_RETURN_NOT_OK(base_->ReplaceAllFiles(std::move(files)));
   return DropDeltaFiles();

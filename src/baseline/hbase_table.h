@@ -26,7 +26,8 @@ class HBaseTable : public table::StorageTable {
 
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
-  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
+  Result<std::unique_ptr<table::BatchIterator>> ScanBatches(
+      const table::ScanSpec& spec) override;
   Status InsertRows(const std::vector<Row>& rows) override;
   Status OverwriteRows(const std::vector<Row>& rows) override;
 

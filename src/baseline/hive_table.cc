@@ -14,17 +14,11 @@ Result<std::shared_ptr<HiveTable>> HiveTable::Open(fs::SimFileSystem* fs,
   return hive;
 }
 
-Result<std::unique_ptr<table::RowIterator>> HiveTable::Scan(const table::ScanSpec& spec) {
-  // Row consumers ride the batch pipeline too (same as DualTable::Scan), so
-  // the Hive baseline shares the decoded-stripe cache and the hive-vs-dual
-  // read comparison stays apples to apples.
-  DTL_ASSIGN_OR_RETURN(auto it, ScanBatches(spec));
-  return std::unique_ptr<table::RowIterator>(
-      new table::BatchToRowAdapter(std::move(it), spec.meter));
-}
-
 Result<std::unique_ptr<table::BatchIterator>> HiveTable::ScanBatches(
     const table::ScanSpec& spec) {
+  // The same master batch scan DualTable's UNION READ starts from, through
+  // the shared decoded-stripe cache, so the hive-vs-dual read comparison
+  // stays apples to apples.
   DTL_ASSIGN_OR_RETURN(auto it,
                        storage_->NewBatchScanIterator(spec, /*apply_predicate=*/true));
   return std::unique_ptr<table::BatchIterator>(std::move(it));
@@ -54,15 +48,9 @@ Status HiveTable::Rewrite(const std::function<bool(Row*)>& transform) {
                                     all, /*apply_predicate=*/false,
                                     table::kDefaultBatchRows, orc::CacheFill::kNoAdmit));
   dual::StagedFileWriter out(storage_.get(), options_.rewrite_file_rows);
-  table::RowBatch batch;
-  Row row;
-  while (it->Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch.MaterializeRow(i, &row);
-      if (transform(&row)) DTL_RETURN_NOT_OK(out.Append(row));
-    }
-  }
-  DTL_RETURN_NOT_OK(it->status());
+  DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [&](uint64_t, Row* row) {
+    return transform(row) ? out.Append(*row) : Status::OK();
+  }));
   DTL_ASSIGN_OR_RETURN(std::vector<dual::MasterFileInfo> files, out.Finish());
   return storage_->ReplaceAllFiles(std::move(files));
 }
@@ -72,10 +60,16 @@ Result<table::DmlResult> HiveTable::Update(
   table::DmlResult result;
   result.plan = table::DmlPlan::kOverwrite;
   result.rows_scanned = storage_->TotalRows();
+  std::vector<Value> values;
   auto transform = [&](Row* row) {
     if (!filter.predicate || filter.predicate(*row)) {
       ++result.rows_matched;
-      for (const table::Assignment& a : assignments) (*row)[a.column] = a.compute(*row);
+      // Every SET expression reads the row as it was before the statement.
+      values.clear();
+      for (const table::Assignment& a : assignments) values.push_back(a.compute(*row));
+      for (size_t i = 0; i < assignments.size(); ++i) {
+        (*row)[assignments[i].column] = std::move(values[i]);
+      }
     }
     return true;
   };

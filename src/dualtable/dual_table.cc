@@ -325,21 +325,6 @@ Result<std::unique_ptr<UnionReadBatchIterator>> DualTable::NewUnionReadBatchForM
 
 namespace {
 
-/// Drains a UNION READ, handing `fn` each visible row (full width, columns
-/// the scan did not read NULL) with its record ID, in record-ID order.
-Status ForEachRow(table::BatchIterator* it,
-                  const std::function<Status(uint64_t record_id, Row* row)>& fn) {
-  table::RowBatch batch;
-  Row row;
-  while (it->Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch.MaterializeRow(i, &row);
-      DTL_RETURN_NOT_OK(fn(batch.record_id(i), &row));
-    }
-  }
-  return it->status();
-}
-
 // Counts the rows a UNION READ scan emits and reports the total — plus the
 // scan's wall seconds, construction to destruction — into the per-table
 // histograms when the scan ends (destruction = end of scan, whether drained
@@ -379,17 +364,6 @@ std::unique_ptr<table::BatchIterator> DualTable::ObserveUnionReadRows(
       std::move(it), union_read_rows_hist_, union_read_seconds_hist_);
 }
 
-Result<std::unique_ptr<table::RowIterator>> DualTable::Scan(const table::ScanSpec& spec) {
-  return ScanAt(AcquireSnapshot(), spec);
-}
-
-Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAt(
-    const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
-  DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
-  return std::unique_ptr<table::RowIterator>(std::make_unique<table::BatchToRowAdapter>(
-      ObserveUnionReadRows(std::move(it)), spec.meter));
-}
-
 Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatches(
     const table::ScanSpec& spec) {
   return ScanBatchesAt(AcquireSnapshot(), spec);
@@ -399,11 +373,6 @@ Result<std::unique_ptr<table::BatchIterator>> DualTable::ScanBatchesAt(
     const SnapshotPtr& snapshot, const table::ScanSpec& spec) {
   DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
   return ObserveUnionReadRows(std::move(it));
-}
-
-Result<std::unique_ptr<table::RowIterator>> DualTable::ScanAsOf(
-    const table::ScanSpec& spec, uint64_t as_of) {
-  return ScanAt(AcquireSnapshot(as_of), spec);
 }
 
 Status DualTable::InsertRows(const std::vector<Row>& rows) {
@@ -543,8 +512,6 @@ Result<table::DmlResult> DualTable::RunDml(
     const std::function<Result<table::DmlResult>()>& edit,
     const std::function<Result<table::DmlResult>()>& overwrite) {
   // Caller holds mu_.
-  last_plan_ = choice.plan;
-
   const fs::IoSnapshot io_before = fs_->meter()->Snapshot();
   Stopwatch watch;
   Result<table::DmlResult> result =
@@ -558,9 +525,6 @@ Result<table::DmlResult> DualTable::RunDml(
     DTL_RETURN_NOT_OK(metadata_->RecordModificationRatio(
         name_, static_cast<double>(result->rows_matched) /
                    static_cast<double>(result->rows_scanned)));
-  }
-  if (result.ok() && options_.auto_compact && NeedsCompaction()) {
-    DTL_RETURN_NOT_OK(Compact().status());
   }
   return result;
 }
@@ -584,7 +548,8 @@ Status DualTable::ForEachEditMatch(const SnapshotPtr& snapshot,
   // Scan route: the predicate is applied inside the union read, whose
   // stripes come from (and warm) the shared column cache.
   DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatch(snapshot, spec));
-  return ForEachRow(it.get(), [&fn](uint64_t rid, Row* row) { return fn(rid, *row); });
+  return table::ForEachRow(it.get(),
+                          [&fn](uint64_t rid, Row* row) { return fn(rid, *row); });
 }
 
 Result<table::DmlResult> DualTable::ExecuteEditUpdate(
@@ -652,7 +617,7 @@ Status DualTable::RewriteMaster(const RowTransform& transform) {
   DTL_ASSIGN_OR_RETURN(auto it,
                        NewUnionReadBatch(snapshot, all, orc::CacheFill::kNoAdmit));
   StagedFileWriter out(master_.get(), options_.rewrite_file_rows);
-  DTL_RETURN_NOT_OK(ForEachRow(it.get(), [&](uint64_t rid, Row* row) -> Status {
+  DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [&](uint64_t rid, Row* row) -> Status {
     return transform(rid, row) ? out.Append(*row) : Status::OK();
   }));
   DTL_ASSIGN_OR_RETURN(std::vector<MasterFileInfo> files, out.Finish());
@@ -858,8 +823,8 @@ Status DualTable::FoldFile(const SnapshotPtr& snapshot, const FileCompactionPlan
     run.end_record_id = MakeRecordId(file.file_id, last.first_row + last.num_rows);
     DTL_ASSIGN_OR_RETURN(auto it, NewUnionReadBatchForMorselAt(snapshot, run, all,
                                                                orc::CacheFill::kNoAdmit));
-    DTL_RETURN_NOT_OK(
-        ForEachRow(it.get(), [out](uint64_t, Row* row) { return out->Append(*row); }));
+    DTL_RETURN_NOT_OK(table::ForEachRow(
+        it.get(), [out](uint64_t, Row* row) { return out->Append(*row); }));
   }
   return out->CloseFile();
 }
@@ -1143,7 +1108,7 @@ Status DualTable::RebuildIndex() {
   indexed.projection = index_->columns();
   DTL_ASSIGN_OR_RETURN(auto it,
                        NewUnionReadBatch(snapshot, indexed, orc::CacheFill::kNoAdmit));
-  DTL_RETURN_NOT_OK(ForEachRow(it.get(), [this](uint64_t rid, Row* row) {
+  DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [this](uint64_t rid, Row* row) {
     return index_->AddRow(*row, rid);
   }));
   DTL_RETURN_NOT_OK(index_->Sync());

@@ -137,13 +137,8 @@ struct DualTableOptions {
   uint64_t rewrite_file_rows = 1ull << 20;
 
   /// When the attached table holds at least this fraction of master bytes,
-  /// Scan suggests compaction (surfaced via NeedsCompaction()).
+  /// the table suggests compaction (surfaced via NeedsCompaction()).
   double compact_threshold = 0.25;
-
-  /// Compact automatically after a DML statement pushes the attached table
-  /// past the threshold (the paper schedules COMPACT to off-line hours; this
-  /// is the inline alternative).
-  bool auto_compact = false;
 
   /// Stripe delta density at/above which incremental COMPACT rewrites a
   /// file. Negative (the default) derives the threshold from the cost
@@ -225,7 +220,6 @@ class DualTable : public table::StorageTable {
   // --- StorageTable interface ---
   const std::string& name() const override { return name_; }
   const Schema& schema() const override { return schema_; }
-  Result<std::unique_ptr<table::RowIterator>> Scan(const table::ScanSpec& spec) override;
   Result<std::unique_ptr<table::BatchIterator>> ScanBatches(
       const table::ScanSpec& spec) override;
   Status InsertRows(const std::vector<Row>& rows) override;
@@ -245,15 +239,18 @@ class DualTable : public table::StorageTable {
   /// COMPACTs, or OVERWRITEs commit meanwhile. Unsynced (unacknowledged)
   /// EDIT cells are invisible. Releasing the last SnapshotPtr unpins the
   /// generation and lets deferred file GC run. `as_of` clamps the attached
-  /// read timestamp further, for a time-travel read (ScanAsOf).
+  /// read timestamp further, for a time-travel read: the table as it looked
+  /// when the attached table's clock was at `as_of` (see
+  /// AttachedTable::LastTimestamp) is ScanBatchesAt(AcquireSnapshot(as_of),
+  /// spec). Built on the HBase multi-version feature the paper highlights in
+  /// §V-C; only history since the last COMPACT/OVERWRITE is reconstructible
+  /// (both reset the clock).
   SnapshotPtr AcquireSnapshot(uint64_t as_of = UINT64_MAX) const;
 
-  /// Snapshot-pinned scans: the explicit-snapshot forms of Scan/ScanBatches.
-  /// The snapshot-less overloads above acquire one per call, so every read
-  /// through this table is snapshot-isolated; use these to hold one view
-  /// across several scans (a SQL statement, a parallel scan's morsels).
-  Result<std::unique_ptr<table::RowIterator>> ScanAt(const SnapshotPtr& snapshot,
-                                                     const table::ScanSpec& spec);
+  /// Snapshot-pinned scan: the explicit-snapshot form of ScanBatches. The
+  /// snapshot-less ScanBatches acquires one per call, so every read through
+  /// this table is snapshot-isolated; use this to hold one view across
+  /// several scans (a SQL statement, a parallel scan's morsels).
   Result<std::unique_ptr<table::BatchIterator>> ScanBatchesAt(const SnapshotPtr& snapshot,
                                                               const table::ScanSpec& spec);
 
@@ -348,14 +345,6 @@ class DualTable : public table::StorageTable {
   /// True when the attached table exceeds the compaction threshold.
   bool NeedsCompaction() const;
 
-  /// Snapshot read: the table as it looked when the attached table's clock
-  /// was at `as_of` (see AttachedTable::LastTimestamp), i.e. ScanAt over
-  /// AcquireSnapshot(as_of). Built on the HBase multi-version feature the
-  /// paper highlights in §V-C; only history since the last COMPACT/OVERWRITE
-  /// is reconstructible (both reset the clock).
-  Result<std::unique_ptr<table::RowIterator>> ScanAsOf(const table::ScanSpec& spec,
-                                                       uint64_t as_of);
-
   /// Cost-model decision that WOULD be taken for the given parameters
   /// (exposed for the cost-model ablation bench).
   PlanDecision PreviewUpdateDecision(double alpha) const;
@@ -386,8 +375,6 @@ class DualTable : public table::StorageTable {
   /// Point-in-time copy of the cost-model coefficients (the calibration loop
   /// mutates them; a copy keeps cross-thread readers race-free).
   CostModelParams cost_model_params() const;
-  /// Plan used by the most recent UPDATE/DELETE.
-  table::DmlPlan last_plan() const { return last_plan_; }
 
  private:
   DualTable(fs::SimFileSystem* fs, MetadataTable* metadata, std::string name,
@@ -581,7 +568,6 @@ class DualTable : public table::StorageTable {
   uint64_t index_commit_ts_ = 0;
   std::shared_ptr<SnapshotTracker> snapshot_tracker_ =
       std::make_shared<SnapshotTracker>();
-  table::DmlPlan last_plan_ = table::DmlPlan::kEdit;
   uint64_t scheduler_job_ = 0;  // background-compaction handle; 0 = none
 };
 

@@ -2,7 +2,21 @@
 
 #include <algorithm>
 
+#include "table/scan_stats.h"
+
 namespace dtl::exec {
+
+// --- ScanOperator -----------------------------------------------------------------
+
+bool ScanOperator::Next() {
+  while (index_ >= batch_.size()) {
+    if (!it_->Next(&batch_)) return false;
+    index_ = 0;
+  }
+  batch_.MaterializeRow(index_++, &row_);
+  if (meter_ != nullptr) meter_->AddMaterializedRows(1);
+  return true;
+}
 
 // --- HashJoinOperator ------------------------------------------------------------
 
@@ -301,15 +315,10 @@ bool BatchProjectOperator::Next(table::RowBatch* batch) {
 
 Result<std::vector<Row>> CollectBatches(BatchOperator* op) {
   std::vector<Row> rows;
-  table::RowBatch batch;
-  Row row;
-  while (op->Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      batch.MaterializeRow(i, &row);
-      rows.push_back(row);
-    }
-  }
-  DTL_RETURN_NOT_OK(op->status());
+  DTL_RETURN_NOT_OK(table::ForEachRow(op, [&rows](uint64_t, Row* row) {
+    rows.push_back(*row);
+    return Status::OK();
+  }));
   return rows;
 }
 

@@ -36,16 +36,23 @@ inline const Row& EmptyRow() {
   return kEmpty;
 }
 
-/// Adapts a storage RowIterator.
+/// The leaf of a row operator tree: makes one (reused) full-width row at a
+/// time from a storage scan's batches, charging each to `meter` as
+/// materialized (not counted when null).
 class ScanOperator : public Operator {
  public:
-  explicit ScanOperator(std::unique_ptr<table::RowIterator> it) : it_(std::move(it)) {}
-  bool Next() override { return it_->Next(); }
-  const Row& row() const override { return it_->row(); }
+  ScanOperator(std::unique_ptr<table::BatchIterator> it, table::ScanMeter* meter)
+      : it_(std::move(it)), meter_(meter) {}
+  bool Next() override;
+  const Row& row() const override { return row_; }
   const Status& status() const override { return it_->status(); }
 
  private:
-  std::unique_ptr<table::RowIterator> it_;
+  std::unique_ptr<table::BatchIterator> it_;
+  table::ScanMeter* meter_;
+  table::RowBatch batch_;
+  size_t index_ = 0;
+  Row row_;
 };
 
 /// Emits rows from memory (VALUES lists, subplan results).
@@ -256,9 +263,9 @@ Result<std::vector<Row>> Collect(Operator* op);
 // Same pull contract as table::BatchIterator: producers fill the caller's
 // RowBatch, never emit an empty batch, and the contents stay valid until the
 // next call. The executor uses this family for the SELECT fast path (scan ->
-// project -> limit; the scan applies the pushed predicate) and bridges to the
-// row operators above with table::BatchToRowAdapter where batches end (joins,
-// aggregates, sorts).
+// project -> limit; the scan applies the pushed predicate); the row operators
+// above start from a ScanOperator where batches end (joins, aggregates,
+// sorts).
 
 /// Batch pull operator.
 using BatchOperator = table::BatchIterator;
@@ -312,7 +319,7 @@ class BatchLimitOperator : public BatchOperator {
   uint64_t remaining_;
 };
 
-/// Drains a batch operator tree into rows.
+/// Drains a batch operator tree into rows (through table::ForEachRow).
 Result<std::vector<Row>> CollectBatches(BatchOperator* op);
 
 }  // namespace dtl::exec

@@ -159,6 +159,56 @@ Result<table::ScanSpec> BuildScanSpec(const std::vector<const Expr*>& conjuncts,
   return spec;
 }
 
+/// An UPDATE or DELETE bound once, for the executor and EXPLAIN alike: the
+/// target, the WHERE's scan, the SET assignments (none for a DELETE) and, on
+/// a DualTable, the index probe an EDIT takes its matches from.
+struct BoundDml {
+  table::Catalog::Entry entry;
+  /// The target when it is a DualTable, else null.
+  dual::DualTable* dual = nullptr;
+  table::ScanSpec filter;
+  std::vector<table::Assignment> assignments;
+  std::optional<dual::IndexProbe> probe;
+};
+
+/// Binds the WHERE, then the SET list, against `table` named `qualifier`;
+/// fails on the first unknown column either names.
+Result<BoundDml> BindDml(const table::Catalog& catalog, const std::string& table,
+                         const std::string& qualifier, const ExprPtr& where,
+                         const std::vector<std::pair<std::string, ExprPtr>>& set,
+                         table::ScanMeter* meter) {
+  BoundDml dml;
+  DTL_ASSIGN_OR_RETURN(dml.entry, catalog.Lookup(table));
+  const Schema& schema = dml.entry.table->schema();
+  Scope scope;
+  scope.AddTable(qualifier, schema);
+  const std::vector<const Expr*> conjuncts = Conjuncts(where);
+  DTL_ASSIGN_OR_RETURN(dml.filter, BuildScanSpec(conjuncts, scope, {}, meter));
+  for (const auto& [column, expr] : set) {
+    auto ordinal = schema.IndexOf(column);
+    if (!ordinal.has_value()) {
+      return Status::NotFound("unknown column in SET: " + column);
+    }
+    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*expr, scope));
+    table::Assignment a;
+    a.column = *ordinal;
+    const DataType type = schema.field(*ordinal).type;
+    const std::string name = schema.field(*ordinal).name;
+    auto fn = bound.fn;
+    a.compute = [fn, type, name](const Row& row) {
+      auto coerced = CoerceValue(fn(row), type, name);
+      return coerced.ok() ? *coerced : Value::Null();
+    };
+    a.input_columns = bound.columns;
+    dml.assignments.push_back(std::move(a));
+  }
+  if (dml.entry.kind == table::TableKind::kDual) {
+    dml.dual = dynamic_cast<dual::DualTable*>(dml.entry.table.get());
+    dml.probe = FindDmlIndexProbe(conjuncts, scope, dml.dual);
+  }
+  return dml;
+}
+
 /// The DML result message; names the index route when the EDIT took it.
 std::string DmlMessage(const char* verb, const table::DmlResult& dml) {
   return std::string(verb) + " " + std::to_string(dml.rows_matched) + " rows via " +
@@ -357,13 +407,7 @@ class RouteRunner {
   // are evaluated on each row as it is collected, as the index route does.
   Result<std::vector<Row>> Vectorized(const SelectPlan& plan) {
     const SelectPlan::Table& t = plan.tables[0];
-    std::unique_ptr<table::BatchIterator> it;
-    if (t.snapshot != nullptr) {
-      auto* dual = static_cast<dual::DualTable*>(t.storage.get());
-      DTL_ASSIGN_OR_RETURN(it, dual->ScanBatchesAt(t.snapshot, t.scan));
-    } else {
-      DTL_ASSIGN_OR_RETURN(it, t.storage->ScanBatches(t.scan));
-    }
+    DTL_ASSIGN_OR_RETURN(std::unique_ptr<table::BatchIterator> it, ScanTable(t));
     std::unique_ptr<exec::BatchOperator> op =
         Traced(std::make_unique<exec::BatchScanOperator>(std::move(it)),
                obs::names::kOpScan, t.qualifier);
@@ -382,22 +426,19 @@ class RouteRunner {
                   obs::names::kOpLimit);
     }
     if (refs_only) return exec::CollectBatches(op.get());
+    // Like a traced row operator, the project node's time includes the
+    // stages it pulls from.
     obs::TraceNode* node = AddNode(obs::names::kOpProject);
     std::vector<Row> rows;
-    table::RowBatch batch;
-    Row row;
-    while (op->Next(&batch)) {
-      Stopwatch watch;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch.MaterializeRow(i, &row);
-        rows.push_back(Project(plan, row));
-      }
-      if (node != nullptr) {
-        node->stats.wall_seconds += watch.ElapsedSeconds();
-        node->stats.rows += batch.size();
-      }
+    Stopwatch watch;
+    DTL_RETURN_NOT_OK(table::ForEachRow(op.get(), [&](uint64_t, Row* row) {
+      rows.push_back(Project(plan, *row));
+      return Status::OK();
+    }));
+    if (node != nullptr) {
+      node->stats.wall_seconds += watch.ElapsedSeconds();
+      node->stats.rows += rows.size();
     }
-    DTL_RETURN_NOT_OK(op->status());
     return rows;
   }
 
@@ -420,15 +461,17 @@ class RouteRunner {
       }
       return op;
     }
-    std::unique_ptr<table::RowIterator> it;
-    if (t.snapshot != nullptr) {
-      auto* dual = static_cast<dual::DualTable*>(t.storage.get());
-      DTL_ASSIGN_OR_RETURN(it, dual->ScanAt(t.snapshot, t.scan));
-    } else {
-      DTL_ASSIGN_OR_RETURN(it, t.storage->Scan(t.scan));
-    }
-    return Traced(std::make_unique<exec::ScanOperator>(std::move(it)),
+    DTL_ASSIGN_OR_RETURN(std::unique_ptr<table::BatchIterator> it, ScanTable(t));
+    return Traced(std::make_unique<exec::ScanOperator>(std::move(it), t.scan.meter),
                   obs::names::kOpScan, t.qualifier);
+  }
+
+  /// The table's scan, on the plan's snapshot when it pinned one.
+  static Result<std::unique_ptr<table::BatchIterator>> ScanTable(
+      const SelectPlan::Table& t) {
+    if (t.snapshot == nullptr) return t.storage->ScanBatches(t.scan);
+    auto* dual = static_cast<dual::DualTable*>(t.storage.get());
+    return dual->ScanBatchesAt(t.snapshot, t.scan);
   }
 
   // Left-deep join tree (probe = rows so far, build = next table), residual
@@ -588,8 +631,16 @@ void Engine::set_exec_options(const ExecOptions& options) {
 
 Result<QueryResult> Engine::ExecuteStatement(const Statement& stmt) {
   // EXPLAIN ANALYZE runs its inner statement through here again; only the
-  // outermost call logs and publishes, so each statement counts once.
+  // outermost call counts, logs and publishes, so each statement counts once.
   if (statement_depth_ > 0) return DispatchStatement(stmt);
+  ++statement_depth_;
+  struct Unwind {
+    int& depth;
+    ~Unwind() { --depth; }
+  } unwind{statement_depth_};
+  if (exec_.metrics != nullptr) {
+    exec_.metrics->counter(obs::names::kSqlStatements)->Inc();
+  }
   obs::QueryLog* log = exec_.query_log;
   // The SHOW introspection forms are excluded: logging SHOW STATS QUERIES
   // would make the log describe itself.
@@ -618,9 +669,7 @@ Result<QueryResult> Engine::ExecuteStatement(const Statement& stmt) {
   if (modeled) io_before = exec_.tracer->io()->Snapshot();
 
   Stopwatch wall;
-  ++statement_depth_;
   auto result = DispatchStatement(stmt);
-  --statement_depth_;
   const double wall_seconds = wall.ElapsedSeconds();
   const table::ScanSnapshot scan = scan_counts() - scan_before;
   if (publish) {
@@ -668,11 +717,8 @@ Result<QueryResult> Engine::ExecuteStatement(const Statement& stmt) {
 }
 
 Result<QueryResult> Engine::DispatchStatement(const Statement& stmt) {
-  // One unlabeled increment per statement plus a per-kind labeled counter
-  // for the statement kinds that also open trace spans.
-  if (exec_.metrics != nullptr) {
-    exec_.metrics->counter(obs::names::kSqlStatements)->Inc();
-  }
+  // A per-kind labeled counter for the statement kinds that also open trace
+  // spans; ExecuteStatement counts each top-level statement once, unlabeled.
   auto count = [this](const char* kind) {
     if (exec_.metrics != nullptr) {
       exec_.metrics->counter(obs::names::kSqlStatements, kind)->Inc();
@@ -1056,8 +1102,7 @@ Result<QueryResult> Engine::ExecuteCreate(const CreateTableStmt& stmt) {
       indexed_columns.push_back(*ordinal);
     }
   }
-  DTL_ASSIGN_OR_RETURN(auto storage, factory_(stmt.table, kind, schema, indexed_columns));
-  DTL_RETURN_NOT_OK(catalog_->Register(stmt.table, kind, std::move(storage)));
+  DTL_RETURN_NOT_OK(factory_(stmt.table, kind, schema, indexed_columns));
   QueryResult result;
   result.message = "created " + std::string(table::TableKindName(kind)) + " table " +
                    stmt.table + " (" + schema.ToString() + ")";
@@ -1138,42 +1183,15 @@ Result<QueryResult> Engine::ExecuteInsert(const InsertStmt& stmt) {
 }
 
 Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
-  DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
-  const Schema& schema = entry.table->schema();
-  Scope scope;
-  scope.AddTable(stmt.alias.empty() ? stmt.table : stmt.alias, schema);
-  const std::vector<const Expr*> conjuncts = Conjuncts(stmt.where);
-  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
-                       BuildScanSpec(conjuncts, scope, {}, exec_.scan_meter));
-
-  std::vector<table::Assignment> assignments;
-  for (const auto& [column, expr] : stmt.assignments) {
-    auto ordinal = schema.IndexOf(column);
-    if (!ordinal.has_value()) {
-      return Status::NotFound("unknown column in SET: " + column);
-    }
-    DTL_ASSIGN_OR_RETURN(BoundExpr bound, BindScalar(*expr, scope));
-    table::Assignment a;
-    a.column = *ordinal;
-    const DataType type = schema.field(*ordinal).type;
-    const std::string name = schema.field(*ordinal).name;
-    auto fn = bound.fn;
-    a.compute = [fn, type, name](const Row& row) {
-      auto coerced = CoerceValue(fn(row), type, name);
-      return coerced.ok() ? *coerced : Value::Null();
-    };
-    a.input_columns = bound.columns;
-    assignments.push_back(std::move(a));
-  }
-
-  Result<table::DmlResult> dml = Status::Internal("unset");
-  if (entry.kind == table::TableKind::kDual) {
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    dml = dual->UpdateWithHint(filter, assignments, stmt.ratio_hint,
-                               FindDmlIndexProbe(conjuncts, scope, dual));
-  } else {
-    dml = entry.table->Update(filter, assignments);
-  }
+  const std::string& qualifier = stmt.alias.empty() ? stmt.table : stmt.alias;
+  DTL_ASSIGN_OR_RETURN(BoundDml bound,
+                       BindDml(*catalog_, stmt.table, qualifier, stmt.where,
+                               stmt.assignments, exec_.scan_meter));
+  Result<table::DmlResult> dml =
+      bound.dual != nullptr
+          ? bound.dual->UpdateWithHint(bound.filter, bound.assignments, stmt.ratio_hint,
+                                       bound.probe)
+          : bound.entry.table->Update(bound.filter, bound.assignments);
   DTL_RETURN_NOT_OK(dml.status());
   QueryResult result;
   result.affected_rows = dml->rows_matched;
@@ -1183,21 +1201,12 @@ Result<QueryResult> Engine::ExecuteUpdate(const UpdateStmt& stmt) {
 }
 
 Result<QueryResult> Engine::ExecuteDelete(const DeleteStmt& stmt) {
-  DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(stmt.table));
-  Scope scope;
-  scope.AddTable(stmt.table, entry.table->schema());
-  const std::vector<const Expr*> conjuncts = Conjuncts(stmt.where);
-  DTL_ASSIGN_OR_RETURN(table::ScanSpec filter,
-                       BuildScanSpec(conjuncts, scope, {}, exec_.scan_meter));
-
-  Result<table::DmlResult> dml = Status::Internal("unset");
-  if (entry.kind == table::TableKind::kDual) {
-    auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-    dml = dual->DeleteWithHint(filter, stmt.ratio_hint,
-                               FindDmlIndexProbe(conjuncts, scope, dual));
-  } else {
-    dml = entry.table->Delete(filter);
-  }
+  DTL_ASSIGN_OR_RETURN(BoundDml bound, BindDml(*catalog_, stmt.table, stmt.table,
+                                               stmt.where, {}, exec_.scan_meter));
+  Result<table::DmlResult> dml =
+      bound.dual != nullptr
+          ? bound.dual->DeleteWithHint(bound.filter, stmt.ratio_hint, bound.probe)
+          : bound.entry.table->Delete(bound.filter);
   DTL_RETURN_NOT_OK(dml.status());
   QueryResult result;
   result.affected_rows = dml->rows_matched;
@@ -1300,13 +1309,13 @@ Result<QueryResult> Engine::ExecuteMerge(const MergeStmt& stmt) {
       for (size_t ord : key_ords) key.push_back(row[ord]);
       return source->count(key) > 0;
     };
-    DTL_ASSIGN_OR_RETURN(auto it, entry.table->Scan(probe));
-    while (it->Next()) {
+    DTL_ASSIGN_OR_RETURN(auto it, entry.table->ScanBatches(probe));
+    DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [&](uint64_t, Row* row) {
       Row key;
-      for (size_t ord : key_ordinals) key.push_back(it->row()[ord]);
+      for (size_t ord : key_ordinals) key.push_back((*row)[ord]);
       (*matched)[std::move(key)] = Row{};
-    }
-    DTL_RETURN_NOT_OK(it->status());
+      return Status::OK();
+    }));
   }
 
   QueryResult result;
@@ -1391,35 +1400,35 @@ Result<QueryResult> Engine::ExecuteExplain(const ExplainStmt& stmt) {
     result.rows.push_back(Row{Value::String(line)});
   };
 
+  // UPDATE/DELETE bind exactly as the executor binds them, so a statement
+  // that cannot run fails here with the executor's error.
   if (const auto* update = std::get_if<UpdateStmt>(stmt.inner.get())) {
-    DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(update->table));
-    emit("UPDATE " + update->table + " (" + table::TableKindName(entry.kind) + ")");
+    const std::string& qualifier = update->alias.empty() ? update->table : update->alias;
+    DTL_ASSIGN_OR_RETURN(BoundDml bound,
+                         BindDml(*catalog_, update->table, qualifier, update->where,
+                                 update->assignments, exec_.scan_meter));
+    emit("UPDATE " + update->table + " (" + table::TableKindName(bound.entry.kind) + ")");
     if (update->where) emit("  where: " + update->where->ToString());
-    if (entry.kind == table::TableKind::kDual) {
-      auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      Scope scope;
-      scope.AddTable(update->alias.empty() ? update->table : update->alias,
-                     dual->schema());
-      ExplainDualDml(*dual, dual->PlanUpdate(update->ratio_hint),
-                     FindDmlIndexProbe(Conjuncts(update->where), scope, dual), emit);
+    if (bound.dual != nullptr) {
+      ExplainDualDml(*bound.dual, bound.dual->PlanUpdate(update->ratio_hint), bound.probe,
+                     emit);
       emit("  crossover ratio: " +
-           std::to_string(dual->cost_model().UpdateCrossoverRatio(
-               dual->master()->TotalBytes())));
+           std::to_string(bound.dual->cost_model().UpdateCrossoverRatio(
+               bound.dual->master()->TotalBytes())));
     } else {
       emit("  plan: full INSERT OVERWRITE rewrite");
     }
     return result;
   }
   if (const auto* del = std::get_if<DeleteStmt>(stmt.inner.get())) {
-    DTL_ASSIGN_OR_RETURN(auto entry, catalog_->Lookup(del->table));
-    emit("DELETE FROM " + del->table + " (" + table::TableKindName(entry.kind) + ")");
+    DTL_ASSIGN_OR_RETURN(BoundDml bound, BindDml(*catalog_, del->table, del->table,
+                                                 del->where, {}, exec_.scan_meter));
+    emit("DELETE FROM " + del->table + " (" + table::TableKindName(bound.entry.kind) +
+         ")");
     if (del->where) emit("  where: " + del->where->ToString());
-    if (entry.kind == table::TableKind::kDual) {
-      auto* dual = dynamic_cast<dual::DualTable*>(entry.table.get());
-      Scope scope;
-      scope.AddTable(del->table, dual->schema());
-      ExplainDualDml(*dual, dual->PlanDelete(del->ratio_hint),
-                     FindDmlIndexProbe(Conjuncts(del->where), scope, dual), emit);
+    if (bound.dual != nullptr) {
+      ExplainDualDml(*bound.dual, bound.dual->PlanDelete(del->ratio_hint), bound.probe,
+                     emit);
     } else {
       emit("  plan: full INSERT OVERWRITE rewrite");
     }

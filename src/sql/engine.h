@@ -160,11 +160,12 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Creates backing storage for CREATE TABLE. `indexed_columns` holds the
-/// ordinals named in an INDEX (...) clause; only DualTables honor it.
-using TableFactory = std::function<Result<std::shared_ptr<table::StorageTable>>(
-    const std::string& name, table::TableKind kind, const Schema& schema,
-    const std::vector<size_t>& indexed_columns)>;
+/// Creates backing storage for CREATE TABLE and registers it in the
+/// catalog. `indexed_columns` holds the ordinals named in an INDEX (...)
+/// clause; only DualTables honor it.
+using TableFactory = std::function<Status(const std::string& name, table::TableKind kind,
+                                          const Schema& schema,
+                                          const std::vector<size_t>& indexed_columns)>;
 
 class Engine {
  public:

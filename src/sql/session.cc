@@ -29,7 +29,9 @@ Result<std::unique_ptr<Session>> Session::Create(SessionOptions options) {
       &session->catalog_,
       [self](const std::string& name, table::TableKind kind, const Schema& schema,
              const std::vector<size_t>& indexed_columns) {
-        return self->MakeTable(name, kind, schema, indexed_columns);
+        dual::DualTableOptions dual_options = self->options_.dual_defaults;
+        if (!indexed_columns.empty()) dual_options.indexed_columns = indexed_columns;
+        return self->MakeTable(name, kind, schema, dual_options).status();
       },
       session->fs_.get());
   ExecOptions exec;
@@ -244,16 +246,21 @@ Session::~Session() {
 
 Result<std::shared_ptr<table::StorageTable>> Session::MakeTable(
     const std::string& name, table::TableKind kind, const Schema& schema,
-    const std::vector<size_t>& indexed_columns) {
+    const dual::DualTableOptions& dual_options) {
+  // Checked first, so a second storage object is never opened over a live
+  // table's files.
+  if (catalog_.Contains(name)) {
+    return Status::AlreadyExists("table already exists: " + name);
+  }
+  std::shared_ptr<table::StorageTable> t;
   switch (kind) {
     case table::TableKind::kDual: {
-      dual::DualTableOptions dual_options = options_.dual_defaults;
-      if (!indexed_columns.empty()) dual_options.indexed_columns = indexed_columns;
-      DTL_ASSIGN_OR_RETURN(auto t, dual::DualTable::Open(fs_.get(), metadata_.get(),
-                                                         &cluster_, name, schema,
-                                                         dual_options));
+      DTL_ASSIGN_OR_RETURN(auto dual, dual::DualTable::Open(fs_.get(), metadata_.get(),
+                                                            &cluster_, name, schema,
+                                                            dual_options));
       if (options_.observability) {
-        std::weak_ptr<dual::DualTable> weak = t;
+        // The views hold the table weakly, so a dropped table's views read 0.
+        std::weak_ptr<dual::DualTable> weak = dual;
         RegisterKvViews(name, [weak]() -> kv::KvStore* {
           auto strong = weak.lock();
           return strong == nullptr ? nullptr : strong->attached()->store();
@@ -263,87 +270,66 @@ Result<std::shared_ptr<table::StorageTable>> Session::MakeTable(
           return strong.get();
         });
       }
-      return std::shared_ptr<table::StorageTable>(std::move(t));
+      t = std::move(dual);
+      break;
     }
     case table::TableKind::kHiveOrc: {
-      DTL_ASSIGN_OR_RETURN(auto t, baseline::HiveTable::Open(fs_.get(), metadata_.get(),
-                                                             name, schema,
-                                                             options_.hive_defaults));
-      return std::shared_ptr<table::StorageTable>(std::move(t));
+      DTL_ASSIGN_OR_RETURN(t, baseline::HiveTable::Open(fs_.get(), metadata_.get(), name,
+                                                        schema, options_.hive_defaults));
+      break;
     }
     case table::TableKind::kHiveHBase: {
       DTL_ASSIGN_OR_RETURN(
-          auto t, baseline::HBaseTable::Open(fs_.get(), name, schema,
-                                             options_.hbase_defaults));
+          auto hbase,
+          baseline::HBaseTable::Open(fs_.get(), name, schema, options_.hbase_defaults));
       if (options_.observability) {
-        std::weak_ptr<baseline::HBaseTable> weak = t;
+        std::weak_ptr<baseline::HBaseTable> weak = hbase;
         RegisterKvViews(name, [weak]() -> kv::KvStore* {
           auto strong = weak.lock();
           return strong == nullptr ? nullptr : strong->store();
         });
       }
-      return std::shared_ptr<table::StorageTable>(std::move(t));
+      t = std::move(hbase);
+      break;
     }
     case table::TableKind::kAcid: {
-      DTL_ASSIGN_OR_RETURN(auto t, baseline::AcidTable::Open(fs_.get(), metadata_.get(),
-                                                             name, schema,
-                                                             options_.acid_defaults));
-      return std::shared_ptr<table::StorageTable>(std::move(t));
+      DTL_ASSIGN_OR_RETURN(t, baseline::AcidTable::Open(fs_.get(), metadata_.get(), name,
+                                                        schema, options_.acid_defaults));
+      break;
     }
   }
-  return Status::Internal("unhandled table kind");
+  if (t == nullptr) return Status::Internal("unhandled table kind");
+  DTL_RETURN_NOT_OK(catalog_.Register(name, kind, t));
+  return t;
 }
 
 Result<std::shared_ptr<dual::DualTable>> Session::CreateDualTable(
     const std::string& name, const Schema& schema,
     std::optional<dual::DualTableOptions> options) {
-  DTL_ASSIGN_OR_RETURN(auto t, dual::DualTable::Open(
-                                   fs_.get(), metadata_.get(), &cluster_, name, schema,
-                                   options.value_or(options_.dual_defaults)));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kDual, t));
-  if (options_.observability) {
-    std::weak_ptr<dual::DualTable> weak = t;
-    RegisterKvViews(name, [weak]() -> kv::KvStore* {
-      auto strong = weak.lock();
-      return strong == nullptr ? nullptr : strong->attached()->store();
-    });
-    RegisterSnapshotViews(name, [weak]() -> dual::DualTable* {
-      auto strong = weak.lock();
-      return strong.get();
-    });
-  }
-  return t;
+  DTL_ASSIGN_OR_RETURN(auto t, MakeTable(name, table::TableKind::kDual, schema,
+                                         options.value_or(options_.dual_defaults)));
+  return std::static_pointer_cast<dual::DualTable>(t);
 }
 
 Result<std::shared_ptr<baseline::HiveTable>> Session::CreateHiveTable(
     const std::string& name, const Schema& schema) {
-  DTL_ASSIGN_OR_RETURN(auto t, baseline::HiveTable::Open(fs_.get(), metadata_.get(), name,
-                                                         schema, options_.hive_defaults));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kHiveOrc, t));
-  return t;
+  DTL_ASSIGN_OR_RETURN(auto t, MakeTable(name, table::TableKind::kHiveOrc, schema,
+                                         options_.dual_defaults));
+  return std::static_pointer_cast<baseline::HiveTable>(t);
 }
 
 Result<std::shared_ptr<baseline::HBaseTable>> Session::CreateHBaseTable(
     const std::string& name, const Schema& schema) {
-  DTL_ASSIGN_OR_RETURN(
-      auto t, baseline::HBaseTable::Open(fs_.get(), name, schema, options_.hbase_defaults));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kHiveHBase, t));
-  if (options_.observability) {
-    std::weak_ptr<baseline::HBaseTable> weak = t;
-    RegisterKvViews(name, [weak]() -> kv::KvStore* {
-      auto strong = weak.lock();
-      return strong == nullptr ? nullptr : strong->store();
-    });
-  }
-  return t;
+  DTL_ASSIGN_OR_RETURN(auto t, MakeTable(name, table::TableKind::kHiveHBase, schema,
+                                         options_.dual_defaults));
+  return std::static_pointer_cast<baseline::HBaseTable>(t);
 }
 
 Result<std::shared_ptr<baseline::AcidTable>> Session::CreateAcidTable(
     const std::string& name, const Schema& schema) {
-  DTL_ASSIGN_OR_RETURN(auto t, baseline::AcidTable::Open(fs_.get(), metadata_.get(), name,
-                                                         schema, options_.acid_defaults));
-  DTL_RETURN_NOT_OK(catalog_.Register(name, table::TableKind::kAcid, t));
-  return t;
+  DTL_ASSIGN_OR_RETURN(auto t, MakeTable(name, table::TableKind::kAcid, schema,
+                                         options_.dual_defaults));
+  return std::static_pointer_cast<baseline::AcidTable>(t);
 }
 
 Status Session::DropTable(const std::string& name) {

@@ -139,9 +139,14 @@ class Session {
   explicit Session(SessionOptions options)
       : options_(std::move(options)), cluster_(options_.cluster) {}
 
+  /// The one path every table takes, from CREATE TABLE and the factory
+  /// helpers alike: fails with AlreadyExists when the catalog holds `name`,
+  /// else opens `name` as a `kind` table (a DualTable with `dual_options`, the
+  /// baselines with their session defaults), registers its kv.* and
+  /// snapshot.* views, and registers it in the catalog.
   Result<std::shared_ptr<table::StorageTable>> MakeTable(
       const std::string& name, table::TableKind kind, const Schema& schema,
-      const std::vector<size_t>& indexed_columns);
+      const dual::DualTableOptions& dual_options);
 
   /// Registers the labeled kv.* view family for one table's KV store. The
   /// weak_ptr keeps views of dropped tables from dangling: they read 0.

@@ -198,12 +198,12 @@ Result<table::DmlResult> RunDmlC(table::StorageTable* orders_table,
     bound.column = lineitem::kShipDate;
     bound.upper = Value::Int64(cutoff);
     spec.bounds.push_back(std::move(bound));
-    DTL_ASSIGN_OR_RETURN(auto it, lineitem_table->Scan(spec));
-    while (it->Next()) {
-      const Value& v = it->row()[lineitem::kOrderKey];
+    DTL_ASSIGN_OR_RETURN(auto it, lineitem_table->ScanBatches(spec));
+    DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [&keys](uint64_t, Row* row) {
+      const Value& v = (*row)[lineitem::kOrderKey];
       if (v.is_int64()) keys.insert(v.AsInt64());
-    }
-    DTL_RETURN_NOT_OK(it->status());
+      return Status::OK();
+    }));
   }
 
   // Update side: set o_orderpriority for orders whose key joined.

@@ -155,15 +155,13 @@ TEST_F(BackgroundMaintenanceTest, FoldsDenseFileKeepsSparseFile) {
 
   // The folded update survived the rewrite; the sparse update still reads
   // through UNION READ.
-  auto it = (*table)->Scan(table::ScanSpec{});
-  ASSERT_TRUE(it.ok());
+  auto rows = table::CollectRows(table->get(), table::ScanSpec{});
+  ASSERT_TRUE(rows.ok());
   uint64_t total = 0, bumped = 0;
-  while ((*it)->Next()) {
-    const Row& row = (*it)->row();
+  for (const Row& row : *rows) {
     ++total;
     if (row[1].AsDouble() == row[0].AsInt64() * 0.5 + 1.0) ++bumped;
   }
-  ASSERT_TRUE((*it)->status().ok());
   EXPECT_EQ(total, 400u);
   EXPECT_EQ(bumped, 190u);
 }
@@ -196,15 +194,13 @@ TEST_F(BackgroundMaintenanceTest, ByteDebtFallbackRunsFullCompact) {
     EXPECT_NE(f.file_id, before[1].file_id);
   }
 
-  auto it = (*table)->Scan(table::ScanSpec{});
-  ASSERT_TRUE(it.ok());
+  auto rows = table::CollectRows(table->get(), table::ScanSpec{});
+  ASSERT_TRUE(rows.ok());
   uint64_t total = 0, bumped = 0;
-  while ((*it)->Next()) {
-    const Row& row = (*it)->row();
+  for (const Row& row : *rows) {
     ++total;
     if (row[1].AsDouble() == row[0].AsInt64() * 0.5 + 1.0) ++bumped;
   }
-  ASSERT_TRUE((*it)->status().ok());
   EXPECT_EQ(total, 400u);
   EXPECT_EQ(bumped, 40u);
 }

@@ -25,6 +25,7 @@
 #include "common/skiplist.h"
 #include "common/thread_pool.h"
 #include "dualtable/dual_table.h"
+#include "exec/operators.h"
 #include "exec/parallel_scan.h"
 #include "fs/cluster_model.h"
 #include "fs/filesystem.h"
@@ -567,12 +568,15 @@ TEST(ParallelScanStressTest, PinnedDrainsRaceFlushCompactAndClear) {
   ASSERT_TRUE(StressUpdate(table->get(), 3, 1, 1000.0).ok());
   {
     // Delete every 13th row through the attached store directly.
-    auto it = (*table)->Scan(table::ScanSpec{});
+    auto it = (*table)->ScanBatches(table::ScanSpec{});
     ASSERT_TRUE(it.ok());
     std::vector<uint64_t> doomed;
-    for (int64_t i = 0; (*it)->Next(); ++i) {
-      if (i % 13 == 0) doomed.push_back((*it)->record_id());
-    }
+    int64_t i = 0;
+    const Status drained = table::ForEachRow(it->get(), [&](uint64_t rid, Row*) {
+      if (i++ % 13 == 0) doomed.push_back(rid);
+      return Status::OK();
+    });
+    ASSERT_TRUE(drained.ok());
     for (uint64_t rid : doomed) {
       ASSERT_TRUE((*table)->attached()->PutDeleteMarker(rid).ok());
     }
@@ -648,10 +652,11 @@ TEST(ParallelScanStressTest, PinnedDrainsRaceFlushCompactAndClear) {
 
 Result<std::vector<Row>> CollectSnapshotRows(dual::DualTable* table,
                                              const dual::SnapshotPtr& snapshot) {
-  DTL_ASSIGN_OR_RETURN(auto it, table->ScanAt(snapshot, table::ScanSpec{}));
+  DTL_ASSIGN_OR_RETURN(auto batches, table->ScanBatchesAt(snapshot, table::ScanSpec{}));
+  exec::ScanOperator it(std::move(batches), nullptr);
   std::vector<Row> rows;
-  while (it->Next()) rows.push_back(it->row());
-  DTL_RETURN_NOT_OK(it->status());
+  while (it.Next()) rows.push_back(it.row());
+  DTL_RETURN_NOT_OK(it.status());
   return rows;
 }
 

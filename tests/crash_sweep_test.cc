@@ -629,25 +629,23 @@ TEST(CrashSweepTest, IndexedDualTableEditAndCompactTornTail) {
 /// Reads a snapshot's row set into id -> v through the MVCC scan path.
 bool TryReadSnapshotState(dual::DualTable* table, const dual::SnapshotPtr& snapshot,
                          State* out, std::string* why) {
-  auto it = table->ScanAt(snapshot, table::ScanSpec());
+  auto it = table->ScanBatchesAt(snapshot, table::ScanSpec());
   if (!it.ok()) {
     *why = "snapshot scan failed: " + it.status().ToString();
     return false;
   }
   out->clear();
-  while ((*it)->Next()) {
-    const Row& row = (*it)->row();
-    if (row.size() != 2) {
-      *why = "row width " + std::to_string(row.size());
-      return false;
+  const Status drained = table::ForEachRow(it->get(), [&](uint64_t, Row* row) {
+    if (row->size() != 2) {
+      return Status::Corruption("row width " + std::to_string(row->size()));
     }
-    if (!out->emplace(row[0].AsInt64(), row[1].AsInt64()).second) {
-      *why = "duplicate id " + std::to_string(row[0].AsInt64());
-      return false;
+    if (!out->emplace((*row)[0].AsInt64(), (*row)[1].AsInt64()).second) {
+      return Status::Corruption("duplicate id " + std::to_string((*row)[0].AsInt64()));
     }
-  }
-  if (!(*it)->status().ok()) {
-    *why = "snapshot scan errored: " + (*it)->status().ToString();
+    return Status::OK();
+  });
+  if (!drained.ok()) {
+    *why = "snapshot scan: " + drained.ToString();
     return false;
   }
   return true;

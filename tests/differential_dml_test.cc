@@ -20,6 +20,7 @@
 
 #include "common/thread_pool.h"
 #include "dualtable/dual_table.h"
+#include "exec/operators.h"
 #include "exec/parallel_scan.h"
 #include "fs/filesystem.h"
 
@@ -223,25 +224,27 @@ class DifferentialHarness {
     }
   }
 
-  void CollectRows(table::RowIterator* it, std::map<int64_t, Row>* state,
-                   std::vector<std::string>* ordered) {
-    while (it->Next()) {
-      const Row& row = it->row();
+  /// Drains `batches` through the row operator tree's leaf.
+  void CollectRows(std::unique_ptr<table::BatchIterator> batches,
+                   std::map<int64_t, Row>* state, std::vector<std::string>* ordered) {
+    exec::ScanOperator it(std::move(batches), nullptr);
+    while (it.Next()) {
+      const Row& row = it.row();
       ASSERT_FALSE(row[0].is_null());
       ASSERT_TRUE(state->emplace(row[0].AsInt64(), row).second)
           << "duplicate id " << row[0].AsInt64();
       if (ordered != nullptr) ordered->push_back(dtl::RowToString(row));
     }
-    ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+    ASSERT_TRUE(it.status().ok()) << it.status().ToString();
   }
 
   void VerifySnapshots() {
     for (const PinnedSnapshot& pin : pinned_) {
       SCOPED_TRACE(Where("snapshot acquired at op " + std::to_string(pin.acquired_at)));
-      auto it = table_->ScanAt(pin.snapshot, table::ScanSpec{});
+      auto it = table_->ScanBatchesAt(pin.snapshot, table::ScanSpec{});
       ASSERT_TRUE(it.ok());
       std::map<int64_t, Row> got;
-      CollectRows(it->get(), &got, nullptr);
+      CollectRows(std::move(*it), &got, nullptr);
       if (HasFatalFailure()) return;
       ASSERT_EQ(StateToString(got), pin.frozen_state);
     }
@@ -253,10 +256,10 @@ class DifferentialHarness {
     SCOPED_TRACE(Where("verify"));
     std::vector<std::string> row_order;
     {
-      auto it = table_->Scan(table::ScanSpec{});
+      auto it = table_->ScanBatches(table::ScanSpec{});
       ASSERT_TRUE(it.ok());
       std::map<int64_t, Row> got;
-      CollectRows(it->get(), &got, &row_order);
+      CollectRows(std::move(*it), &got, &row_order);
       if (HasFatalFailure()) return;
       ASSERT_EQ(StateToString(got), want) << "row path diverged from the model";
     }

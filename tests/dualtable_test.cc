@@ -19,6 +19,18 @@ Row MakeRow(int64_t i) {
              Value::String("tag" + std::to_string(i % 7))};
 }
 
+/// Every row `table` holds at `snapshot`, with its record ID.
+Result<std::vector<std::pair<uint64_t, Row>>> RowsAt(DualTable* table,
+                                                      const SnapshotPtr& snapshot) {
+  DTL_ASSIGN_OR_RETURN(auto it, table->ScanBatchesAt(snapshot, table::ScanSpec{}));
+  std::vector<std::pair<uint64_t, Row>> rows;
+  DTL_RETURN_NOT_OK(table::ForEachRow(it.get(), [&rows](uint64_t rid, Row* row) {
+    rows.emplace_back(rid, *row);
+    return Status::OK();
+  }));
+  return rows;
+}
+
 class DualTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -80,16 +92,14 @@ TEST_F(DualTableTest, InsertAndScanRoundTrip) {
   for (int i = 0; i < 1000; ++i) rows.push_back(MakeRow(i));
   ASSERT_TRUE((*t)->InsertRows(rows).ok());
 
-  table::ScanSpec all;
-  auto it = (*t)->Scan(all);
-  ASSERT_TRUE(it.ok());
+  auto scanned = RowsAt(t->get(), (*t)->AcquireSnapshot());
+  ASSERT_TRUE(scanned.ok());
   int count = 0;
-  while ((*it)->Next()) {
-    EXPECT_EQ((*it)->row()[0].AsInt64(), count);
-    EXPECT_NE((*it)->record_id(), 0u);
+  for (const auto& [rid, row] : *scanned) {
+    EXPECT_EQ(row[0].AsInt64(), count);
+    EXPECT_NE(rid, 0u);
     ++count;
   }
-  ASSERT_TRUE((*it)->status().ok());
   EXPECT_EQ(count, 1000);
 }
 
@@ -110,12 +120,11 @@ TEST_F(DualTableTest, EditUpdateVisibleThroughUnionRead) {
   EXPECT_GT(result->rows_matched, 0u);
   EXPECT_FALSE((*t)->attached()->Empty());
 
-  table::ScanSpec all;
-  auto it = (*t)->Scan(all);
+  auto scanned = table::CollectRows(t->get(), table::ScanSpec{});
+  ASSERT_TRUE(scanned.ok());
   uint64_t updated = 0, total = 0;
-  while ((*it)->Next()) {
+  for (const Row& row : *scanned) {
     ++total;
-    const Row& row = (*it)->row();
     if (row[3].AsString() == "updated") {
       ++updated;
       EXPECT_LT(row[1].AsInt64(), 5);
@@ -184,12 +193,12 @@ TEST_F(DualTableTest, OverwriteUpdateRewritesMasterAndClearsAttached) {
 
   // Both generations of edits survive: edit1 rows (day<2) were folded in by
   // the rewrite, then re-updated to edit2 (day<4 covers them).
-  table::ScanSpec all;
-  auto it = (*t2)->Scan(all);
+  auto scanned = table::CollectRows(t2->get(), table::ScanSpec{});
+  ASSERT_TRUE(scanned.ok());
   uint64_t edit2 = 0, total = 0;
-  while ((*it)->Next()) {
+  for (const Row& row : *scanned) {
     ++total;
-    if ((*it)->row()[3].AsString() == "edit2") ++edit2;
+    if (row[3].AsString() == "edit2") ++edit2;
   }
   EXPECT_EQ(total, 300u);
   // Days 0-3 of 36: 4/36 ≈ 33-34 rows at 300 rows.
@@ -339,11 +348,10 @@ TEST_F(DualTableTest, AttachedHistoryTracksChanges) {
     ASSERT_TRUE((*t)->Update(match_all, {assign}).ok());
   }
   // HBase multi-versioning exposes the change history (paper §V-C).
-  table::ScanSpec all;
-  auto it = (*t)->Scan(all);
-  ASSERT_TRUE(it.ok());
-  ASSERT_TRUE((*it)->Next());
-  const uint64_t rid = (*it)->record_id();
+  auto scanned = RowsAt(t->get(), (*t)->AcquireSnapshot());
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_FALSE(scanned->empty());
+  const uint64_t rid = scanned->front().first;
   std::vector<std::pair<uint64_t, Value>> history;
   ASSERT_TRUE((*t)->attached()->GetUpdateHistory(rid, 2, 10, &history).ok());
   ASSERT_EQ(history.size(), 3u);
@@ -374,22 +382,22 @@ TEST_F(DualTableTest, TimeTravelScanReconstructsHistory) {
 
   // As of ts0: the original values, both rows alive.
   {
-    auto it = (*t)->ScanAsOf(table::ScanSpec{}, ts0);
-    ASSERT_TRUE(it.ok());
+    auto rows = RowsAt(t->get(), (*t)->AcquireSnapshot(ts0));
+    ASSERT_TRUE(rows.ok());
     int n = 0;
-    while ((*it)->Next()) {
-      EXPECT_DOUBLE_EQ((*it)->row()[2].AsDouble(), n * 1.5);
+    for (const auto& [rid, row] : *rows) {
+      EXPECT_DOUBLE_EQ(row[2].AsDouble(), n * 1.5);
       ++n;
     }
     EXPECT_EQ(n, 2);
   }
   // As of each update checkpoint: the value of that round.
   for (int round = 0; round < 3; ++round) {
-    auto it = (*t)->ScanAsOf(table::ScanSpec{}, checkpoints[round]);
-    ASSERT_TRUE(it.ok());
+    auto rows = RowsAt(t->get(), (*t)->AcquireSnapshot(checkpoints[round]));
+    ASSERT_TRUE(rows.ok());
     int n = 0;
-    while ((*it)->Next()) {
-      EXPECT_DOUBLE_EQ((*it)->row()[2].AsDouble(), (round + 1) * 100.0) << round;
+    for (const auto& [rid, row] : *rows) {
+      EXPECT_DOUBLE_EQ(row[2].AsDouble(), (round + 1) * 100.0) << round;
       ++n;
     }
     EXPECT_EQ(n, 2);
@@ -397,9 +405,9 @@ TEST_F(DualTableTest, TimeTravelScanReconstructsHistory) {
   // Latest view: everything deleted.
   EXPECT_EQ(*(*t)->CountRows(), 0u);
   // As of "now": same as the live view.
-  auto now = (*t)->ScanAsOf(table::ScanSpec{}, UINT64_MAX);
+  auto now = RowsAt(t->get(), (*t)->AcquireSnapshot(UINT64_MAX));
   ASSERT_TRUE(now.ok());
-  EXPECT_FALSE((*now)->Next());
+  EXPECT_TRUE(now->empty());
 }
 
 TEST_F(DualTableTest, ScanWithPredicateAndProjection) {
@@ -497,28 +505,6 @@ TEST_F(DualTableTest, NeedsCompactionSignal) {
   EXPECT_TRUE((*t)->NeedsCompaction());
   ASSERT_TRUE((*t)->Compact().ok());
   EXPECT_FALSE((*t)->NeedsCompaction());
-}
-
-TEST_F(DualTableTest, AutoCompactTriggersAfterThreshold) {
-  DualTableOptions options;
-  options.plan_mode = DualTableOptions::PlanMode::kForceEdit;
-  options.auto_compact = true;
-  options.compact_threshold = 0.02;  // tiny threshold: first big edit trips it
-  auto t = OpenTable("t", options);
-  std::vector<Row> rows;
-  for (int i = 0; i < 300; ++i) rows.push_back(MakeRow(i));
-  ASSERT_TRUE((*t)->InsertRows(rows).ok());
-
-  table::Assignment assign;
-  assign.column = 3;
-  assign.compute = [](const Row&) { return Value::String(std::string(64, 'z')); };
-  ASSERT_TRUE((*t)->Update(DayBelow(36), {assign}).ok());
-  // The update ended with an automatic COMPACT: attached empty, view intact.
-  EXPECT_TRUE((*t)->attached()->Empty());
-  auto check = table::CollectRows((*t).get(), table::ScanSpec{});
-  ASSERT_TRUE(check.ok());
-  ASSERT_EQ(check->size(), 300u);
-  for (const Row& row : *check) EXPECT_EQ(row[3].AsString(), std::string(64, 'z'));
 }
 
 TEST_F(DualTableTest, DropRemovesEverything) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/operators.h"
+#include "table/scan_stats.h"
 
 namespace dtl::exec {
 namespace {
@@ -133,24 +136,49 @@ TEST(OperatorTest, LimitStopsEarly) {
   EXPECT_EQ(rows->size(), 2u);
 }
 
-/// In-memory RowIterator source for feeding the batch adapters.
-class VectorRowIterator : public table::RowIterator {
+/// In-memory batch source: `rows` in batches of up to `capacity`, each
+/// column owned and typed by its first cell, record IDs counting from 1.
+class VectorBatchIterator : public table::BatchIterator {
  public:
-  explicit VectorRowIterator(std::vector<Row> rows) : rows_(std::move(rows)) {}
-  bool Next() override {
-    if (index_ >= rows_.size()) return false;
-    row_ = rows_[index_++];
+  VectorBatchIterator(std::vector<Row> rows, size_t capacity)
+      : rows_(std::move(rows)), capacity_(capacity) {}
+  bool Next(table::RowBatch* batch) override {
+    if (next_ >= rows_.size()) return false;
+    const size_t n = std::min(capacity_, rows_.size() - next_);
+    const size_t width = rows_[next_].size();
+    batch->Reset(width, n);
+    for (size_t c = 0; c < width; ++c) {
+      table::ColumnData cells;
+      cells.Reset(table::KindOf(rows_[next_][c]));
+      for (size_t i = 0; i < n; ++i) EXPECT_TRUE(cells.Append(rows_[next_ + i][c]));
+      batch->column(c).SetOwned(std::move(cells));
+    }
+    batch->SetContiguousRecordIds(next_ + 1);
+    next_ += n;
     return true;
   }
-  const Row& row() const override { return row_; }
   const Status& status() const override { return status_; }
 
  private:
   std::vector<Row> rows_;
-  size_t index_ = 0;
-  Row row_;
+  size_t capacity_;
+  size_t next_ = 0;
   Status status_;
 };
+
+TEST(OperatorTest, ScanOperatorMakesEveryRowAndChargesIt) {
+  std::vector<Row> input;
+  for (int i = 0; i < 11; ++i) input.push_back(R({i, i * 2}));
+  table::ScanMeter meter;
+  ScanOperator scan(std::make_unique<VectorBatchIterator>(input, 4), &meter);
+  auto rows = Collect(&scan);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), input.size());
+  for (size_t i = 0; i < input.size(); ++i) {
+    EXPECT_EQ(RowToString((*rows)[i]), RowToString(input[i])) << i;
+  }
+  EXPECT_EQ(meter.Snapshot().materialized_rows, input.size());
+}
 
 /// Child operator that fails immediately with an error status.
 class FailingOperator : public Operator {
@@ -223,8 +251,7 @@ TEST(BatchOperatorTest, ZeroCopyProjectionForwardsSelection) {
   std::vector<Row> input;
   for (int i = 0; i < 8; ++i) input.push_back(R({i, i * 3}));
   std::unique_ptr<BatchOperator> plan = std::make_unique<BatchScanOperator>(
-      std::make_unique<table::RowToBatchAdapter>(
-          std::make_unique<VectorRowIterator>(std::move(input)), 2, 8));
+      std::make_unique<VectorBatchIterator>(std::move(input), 8));
   plan = std::make_unique<SelectingOperator>(
       std::move(plan), [](const Row& row) { return row[0].AsInt64() >= 4; });
   // Pure column refs: projection must not copy cells.
@@ -243,10 +270,8 @@ TEST(BatchOperatorTest, ZeroCopyProjectionForwardsSelection) {
 TEST(BatchOperatorTest, ProjectedColumnsAreViewsOfTheInput) {
   std::vector<Row> input;
   for (int i = 0; i < 4; ++i) input.push_back(R({i, i * 3}));
-  BatchProjectOperator project(
-      std::make_unique<table::RowToBatchAdapter>(
-          std::make_unique<VectorRowIterator>(std::move(input)), 2, 4),
-      std::vector<size_t>{1});
+  BatchProjectOperator project(std::make_unique<VectorBatchIterator>(std::move(input), 4),
+                               std::vector<size_t>{1});
   table::RowBatch batch;
   ASSERT_TRUE(project.Next(&batch));
   EXPECT_TRUE(batch.column(0).is_view());

@@ -337,11 +337,10 @@ class IndexDifferentialHarness {
 
   // The whole table, by full UNION READ scan, against the model.
   void VerifyTableState() {
-    auto it = table_->ScanAt(table_->AcquireSnapshot(), table::ScanSpec());
-    ASSERT_TRUE(it.ok());
+    auto scanned = table::CollectRows(table_, table::ScanSpec());
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
     std::map<int64_t, Row> state;
-    while ((*it)->Next()) state[(*it)->row()[0].AsInt64()] = (*it)->row();
-    ASSERT_TRUE((*it)->status().ok()) << (*it)->status().ToString();
+    for (const Row& row : *scanned) state[row[0].AsInt64()] = row;
     ASSERT_EQ(StateToString(state), StateToString(model_))
         << "table diverged from the model";
   }
@@ -375,16 +374,16 @@ class IndexDifferentialHarness {
       }
       return false;
     };
-    auto it = table_->ScanAt(snap, scan_spec);
+    auto it = table_->ScanBatchesAt(snap, scan_spec);
     ASSERT_TRUE(it.ok());
     std::vector<std::string> scan_order;
     std::map<int64_t, Row> scan_state;
-    while ((*it)->Next()) {
-      const Row& row = (*it)->row();
-      scan_order.push_back(dtl::RowToString(row));
-      scan_state[row[0].AsInt64()] = row;
-    }
-    ASSERT_TRUE((*it)->status().ok()) << (*it)->status().ToString();
+    const Status drained = table::ForEachRow(it->get(), [&](uint64_t, Row* row) {
+      scan_order.push_back(dtl::RowToString(*row));
+      scan_state[(*row)[0].AsInt64()] = *row;
+      return Status::OK();
+    });
+    ASSERT_TRUE(drained.ok()) << drained.ToString();
 
     std::vector<std::string> index_order;
     std::map<int64_t, Row> index_state;

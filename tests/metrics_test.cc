@@ -169,6 +169,15 @@ TEST(SessionObservabilityTest, SessionMeterFeedsCountersAndStatsDump) {
   std::string json = session->StatsDumpJson();
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"cost_audit\""), std::string::npos);
+
+  // EXPLAIN ANALYZE runs its SELECT through the statement path a second time;
+  // sql.statements still counts each statement issued once, as the query log
+  // records it once. Its inner SELECT is one more select.
+  ASSERT_TRUE(session->Execute("EXPLAIN ANALYZE SELECT id FROM t").ok());
+  snap = session->metrics()->Snapshot();
+  EXPECT_EQ(snap.counters.at("sql.statements"), 4u);
+  EXPECT_EQ(snap.counters.at("sql.statements{select}"), 2u);
+  EXPECT_EQ(snap.counters.at("sql.statements"), session->query_log()->total());
 }
 
 TEST(SessionObservabilityTest, EveryRouteAndDmlScanIsPublishedOnce) {

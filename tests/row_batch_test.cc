@@ -288,11 +288,14 @@ class BatchScanTest : public ::testing::Test {
     ASSERT_TRUE(table_->InsertRows(rows).ok());
   }
 
-  /// Drains Scan (batch path by default) into (record_id, row) pairs.
-  static std::vector<std::pair<uint64_t, Row>> Drain(RowIterator* it) {
+  /// Drains a batch scan into (record_id, row) pairs.
+  static std::vector<std::pair<uint64_t, Row>> Drain(BatchIterator* it) {
     std::vector<std::pair<uint64_t, Row>> out;
-    while (it->Next()) out.emplace_back(it->record_id(), it->row());
-    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    const Status drained = ForEachRow(it, [&out](uint64_t rid, Row* row) {
+      out.emplace_back(rid, *row);
+      return Status::OK();
+    });
+    EXPECT_TRUE(drained.ok()) << drained.ToString();
     return out;
   }
 
@@ -406,7 +409,7 @@ TEST_F(BatchScanTest, BatchPathAppliesPlantedModifications) {
   spec.projection = {0, 1};
   spec.predicate_columns = {0};
   spec.predicate = [](const Row& row) { return row[0].AsInt64() % 3 != 0; };
-  auto batch_scan = table_->Scan(spec);  // batch path + adapter
+  auto batch_scan = table_->ScanBatches(spec);
   ASSERT_TRUE(batch_scan.ok());
   auto rows = Drain(batch_scan->get());
 
@@ -465,31 +468,6 @@ TEST_F(BatchScanTest, MismatchedPatchFailsTheScan) {
   auto ids = CollectRows(table_.get(), narrow);
   ASSERT_TRUE(ids.ok()) << ids.status().ToString();
   EXPECT_EQ(ids->size(), 10u);
-}
-
-TEST_F(BatchScanTest, RowBatchAdapterRoundTripPreservesRowsAndIds) {
-  Open(10, 4);
-  InsertSequential(33);
-  ScanSpec spec;
-  // Scan rows -> batches -> rows must equal the scan's rows directly.
-  auto direct = table_->Scan(spec);
-  ASSERT_TRUE(direct.ok());
-  auto direct_rows = Drain(direct->get());
-  ASSERT_EQ(direct_rows.size(), 33u);
-
-  auto inner = table_->Scan(spec);
-  ASSERT_TRUE(inner.ok());
-  auto round_trip = std::make_unique<BatchToRowAdapter>(
-      std::make_unique<RowToBatchAdapter>(std::move(*inner),
-                                          table_->schema().num_fields(), 5));
-  auto rt_rows = Drain(round_trip.get());
-  ASSERT_EQ(direct_rows.size(), rt_rows.size());
-  for (size_t i = 0; i < direct_rows.size(); ++i) {
-    EXPECT_EQ(direct_rows[i].first, rt_rows[i].first);
-    for (size_t c = 0; c < direct_rows[i].second.size(); ++c) {
-      EXPECT_EQ(direct_rows[i].second[c].Compare(rt_rows[i].second[c]), 0);
-    }
-  }
 }
 
 TEST_F(BatchScanTest, MasterPredicateEmitsFullPassBatchesAndSkipsAllDropped) {

@@ -649,6 +649,25 @@ TEST_F(EngineTest, ExplainDmlShowsThePlanThatRuns) {
   std::vector<int64_t> ids;
   for (const Row& row : rest.rows) ids.push_back(row[0].AsInt64());
   EXPECT_EQ(ids, std::vector<int64_t>({0, 3, 4, 5, 6}));
+
+  // A statement that cannot run cannot be explained: EXPLAIN binds SET and
+  // WHERE as the executor does, on every storage kind, and fails with the
+  // executor's error.
+  Run("CREATE TABLE h (id BIGINT, v BIGINT) STORED AS HIVE");
+  for (const std::string table : {"k", "h"}) {
+    for (const std::string& dml : {"UPDATE " + table + " SET nosuch = 1 WHERE id = 1",
+                                   "UPDATE " + table + " SET v = 1 WHERE nosuch = 1",
+                                   "UPDATE " + table + " SET v = nosuch WHERE id = 1",
+                                   "DELETE FROM " + table + " WHERE nosuch = 1"}) {
+      auto ran = session_->Execute(dml);
+      ASSERT_FALSE(ran.ok()) << dml;
+      EXPECT_TRUE(ran.status().IsNotFound()) << dml << ": " << ran.status().ToString();
+      auto explained = session_->Execute("EXPLAIN " + dml);
+      ASSERT_FALSE(explained.ok()) << dml << " explained as\n"
+                                   << explained->ToString();
+      EXPECT_EQ(explained.status().ToString(), ran.status().ToString()) << dml;
+    }
+  }
 }
 
 TEST_F(EngineTest, IndexClauseValidation) {

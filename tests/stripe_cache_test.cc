@@ -463,10 +463,13 @@ TEST(StripeCacheStressTest, CachedReadsMatchUncachedUnderConcurrentDmlAndCompact
   });
 
   auto scan_all = [&](const dual::SnapshotPtr& snap, std::vector<std::string>* out) {
-    auto it = t->ScanAt(snap, table::ScanSpec{});
+    auto it = t->ScanBatchesAt(snap, table::ScanSpec{});
     if (!it.ok()) return false;
-    while ((*it)->Next()) out->push_back(dtl::RowToString((*it)->row()));
-    return (*it)->status().ok();
+    const Status drained = table::ForEachRow(it->get(), [out](uint64_t, Row* row) {
+      out->push_back(dtl::RowToString(*row));
+      return Status::OK();
+    });
+    return drained.ok();
   };
 
   std::vector<std::thread> readers;

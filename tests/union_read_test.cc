@@ -29,6 +29,20 @@ class UnionReadTest : public ::testing::Test {
     table_ = *t;
   }
 
+  /// Every visible row with its record ID, in scan order.
+  std::vector<std::pair<uint64_t, Row>> Scanned() {
+    std::vector<std::pair<uint64_t, Row>> out;
+    auto it = table_->ScanBatches(table::ScanSpec{});
+    EXPECT_TRUE(it.ok());
+    if (!it.ok()) return out;
+    const Status drained = table::ForEachRow(it->get(), [&out](uint64_t rid, Row* row) {
+      out.emplace_back(rid, *row);
+      return Status::OK();
+    });
+    EXPECT_TRUE(drained.ok()) << drained.ToString();
+    return out;
+  }
+
   std::unique_ptr<fs::SimFileSystem> fs_;
   std::unique_ptr<MetadataTable> metadata_;
   std::unique_ptr<fs::ClusterModel> cluster_;
@@ -43,12 +57,12 @@ TEST_F(UnionReadTest, RecordIdsAreStrictlyIncreasingWithinScan) {
     }
     ASSERT_TRUE(table_->InsertRows(rows).ok());
   }
-  auto it = table_->Scan(table::ScanSpec{});
-  ASSERT_TRUE(it.ok());
+  const auto scanned = Scanned();
+  ASSERT_EQ(scanned.size(), 75u);
   uint64_t prev = 0;
-  while ((*it)->Next()) {
-    EXPECT_GT((*it)->record_id(), prev);
-    prev = (*it)->record_id();
+  for (const auto& [rid, row] : scanned) {
+    EXPECT_GT(rid, prev);
+    prev = rid;
   }
 }
 
@@ -58,22 +72,18 @@ TEST_F(UnionReadTest, OverlayAppliesOnlyToMatchingRecord) {
   ASSERT_TRUE(table_->InsertRows(rows).ok());
 
   // Update exactly record id of row 17 through the attached table directly.
-  auto it = table_->Scan(table::ScanSpec{});
-  uint64_t target = 0;
-  int n = 0;
-  while ((*it)->Next()) {
-    if (n++ == 17) target = (*it)->record_id();
-  }
+  const auto before = Scanned();
+  ASSERT_EQ(before.size(), 30u);
+  const uint64_t target = before[17].first;
   ASSERT_TRUE(table_->attached()->PutUpdate(target, 1, Value::Int64(999)).ok());
   table_->PublishEditCommit();
 
-  auto it2 = table_->Scan(table::ScanSpec{});
   int count = 0;
-  while ((*it2)->Next()) {
-    if ((*it2)->record_id() == target) {
-      EXPECT_EQ((*it2)->row()[1].AsInt64(), 999);
+  for (const auto& [rid, row] : Scanned()) {
+    if (rid == target) {
+      EXPECT_EQ(row[1].AsInt64(), 999);
     } else {
-      EXPECT_EQ((*it2)->row()[1].AsInt64(), 0);
+      EXPECT_EQ(row[1].AsInt64(), 0);
     }
     ++count;
   }
@@ -84,9 +94,9 @@ TEST_F(UnionReadTest, DeleteMarkerHidesExactlyOneRecord) {
   std::vector<Row> rows;
   for (int i = 0; i < 20; ++i) rows.push_back({Value::Int64(i), Value::Int64(0)});
   ASSERT_TRUE(table_->InsertRows(rows).ok());
-  auto it = table_->Scan(table::ScanSpec{});
-  ASSERT_TRUE((*it)->Next());
-  uint64_t first = (*it)->record_id();
+  const auto scanned = Scanned();
+  ASSERT_FALSE(scanned.empty());
+  const uint64_t first = scanned.front().first;
   ASSERT_TRUE(table_->attached()->PutDeleteMarker(first).ok());
   table_->PublishEditCommit();
 
@@ -97,9 +107,9 @@ TEST_F(UnionReadTest, DeleteMarkerHidesExactlyOneRecord) {
 
 TEST_F(UnionReadTest, UpdateAfterDeleteMarkerStaysHidden) {
   ASSERT_TRUE(table_->InsertRows({{Value::Int64(1), Value::Int64(0)}}).ok());
-  auto it = table_->Scan(table::ScanSpec{});
-  ASSERT_TRUE((*it)->Next());
-  uint64_t rid = (*it)->record_id();
+  const auto scanned = Scanned();
+  ASSERT_EQ(scanned.size(), 1u);
+  const uint64_t rid = scanned.front().first;
   ASSERT_TRUE(table_->attached()->PutDeleteMarker(rid).ok());
   ASSERT_TRUE(table_->attached()->PutUpdate(rid, 1, Value::Int64(5)).ok());
   table_->PublishEditCommit();
@@ -162,9 +172,10 @@ TEST_F(UnionReadTest, PerFileMorselsSeeOnlyTheirModifications) {
 
 TEST_F(UnionReadTest, ProjectionStillAppliesOverlays) {
   ASSERT_TRUE(table_->InsertRows({{Value::Int64(1), Value::Int64(10)}}).ok());
-  auto it = table_->Scan(table::ScanSpec{});
-  ASSERT_TRUE((*it)->Next());
-  ASSERT_TRUE(table_->attached()->PutUpdate((*it)->record_id(), 1, Value::Int64(77)).ok());
+  const auto scanned = Scanned();
+  ASSERT_EQ(scanned.size(), 1u);
+  const uint64_t rid = scanned.front().first;
+  ASSERT_TRUE(table_->attached()->PutUpdate(rid, 1, Value::Int64(77)).ok());
   table_->PublishEditCommit();
 
   table::ScanSpec narrow;
@@ -210,9 +221,9 @@ TEST_F(UnionReadTest, EmptyAttachedScanEqualsPlainMasterScan) {
 TEST_F(UnionReadTest, GetModificationRandomAccess) {
   // The random-read path the paper credits for UNION READ efficiency.
   ASSERT_TRUE(table_->InsertRows({{Value::Int64(1), Value::Int64(0)}}).ok());
-  auto it = table_->Scan(table::ScanSpec{});
-  ASSERT_TRUE((*it)->Next());
-  uint64_t rid = (*it)->record_id();
+  const auto scanned = Scanned();
+  ASSERT_EQ(scanned.size(), 1u);
+  const uint64_t rid = scanned.front().first;
 
   AttachedTable* attached = table_->attached();
   auto none = attached->GetModificationAt(attached->store()->GetSnapshot(), rid);
